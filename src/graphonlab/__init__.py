@@ -76,6 +76,7 @@ from .graphon import (
     cut_distance_upper,
     cut_norm,
     exact_density,
+    exact_ind_density,
     graph_as_graphon,
     kernel_difference,
     mc_density,

@@ -6,19 +6,17 @@ kernel symmetry.
 """
 from __future__ import annotations
 
-import io
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
 
-from .densities import BoundCheck, falling
+from .densities import BoundCheck, _assignment_sum, _count_maps, _transpose, falling
 from .errors import CapacityError, InputError
-from .exact import Number, format_number, to_fraction
-from .graphon import TERM_CAP, _normalized_measures
+from .exact import Number, format_number, parse_ints, to_fraction
+from .graphon import _normalized_measures
 
 BIP_PATTERN_CAP = 6
 BIP_CANON_CAP = 6
@@ -85,18 +83,10 @@ class BipartiteGraph:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise InputError("empty bipartite graph file")
-        head = lines[0].split()
-        if len(head) != 3:
-            raise InputError(f"expected 'n1 n2 m' header, got {lines[0]!r}")
-        n1, n2, m = (int(x) for x in head)
+        n1, n2, m = parse_ints(lines[0], "'n1 n2 m' header", 3)
         if len(lines) - 1 != m:
             raise InputError(f"header declares {m} edges, file has {len(lines) - 1}")
-        edges = []
-        for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != 2:
-                raise InputError(f"bad edge line {ln!r}")
-            edges.append((int(parts[0]), int(parts[1])))
+        edges = [tuple(parse_ints(ln, "edge line 'u v'", 2)) for ln in lines[1:]]
         return cls.from_edges(n1, n2, edges)
 
 
@@ -125,51 +115,23 @@ def _check_bip_pattern(f: BipartiteGraph) -> None:
         raise CapacityError(f"bipartite pattern capped at {BIP_PATTERN_CAP} per part")
 
 
-def _count_bip_maps(f: BipartiteGraph, g: BipartiteGraph, injective: bool, induced: bool) -> int:
-    """Part-respecting maps preserving f's edges (optionally injective per
-    part, optionally reflecting non-edges)."""
-    full1 = (1 << g.n1) - 1
-    full2 = (1 << g.n2) - 1
-    assign1 = [0] * f.n1
+def _as_one_graph(g: BipartiteGraph) -> list[int]:
+    """Both parts as one symmetric graph on n1 + n2 vertices, part 1 first."""
+    return [r << g.n1 for r in g.rows] + _transpose(g.rows, g.n2)
 
-    def rec_side2(d: int, used2: int) -> int:
-        # map side-2 vertices one by one given a completed side-1 assignment
-        cand = full2
-        for i in range(f.n1):
-            if f.rows[i] >> d & 1:
-                cand &= g.rows[assign1[i]]
-            elif induced:
-                cand &= full2 ^ g.rows[assign1[i]]
-        if injective:
-            cand &= full2 ^ used2
-        if d == f.n2 - 1:
-            return cand.bit_count()
-        total = 0
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            total += rec_side2(d + 1, used2 | low)
-        return total
 
-    def rec_side1(d: int, used1: int) -> int:
-        if d == f.n1:
-            return rec_side2(0, 0)
-        cand = full1 ^ used1 if injective else full1
-        total = 0
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            assign1[d] = low.bit_length() - 1
-            total += rec_side1(d + 1, used1 | low)
-        return total
-
-    return rec_side1(0, 0)
+def _bip_count(f: BipartiteGraph, g: BipartiteGraph, injective: bool, induced: bool) -> int:
+    """Part-respecting maps preserving f's edges (optionally injective,
+    optionally reflecting non-edges): a side mask per pattern vertex."""
+    rows = _as_one_graph(g)
+    sides = [(1 << g.n1) - 1] * f.n1 + [((1 << g.n2) - 1) << g.n1] * f.n2
+    return _count_maps(_as_one_graph(f), rows, rows, sides, injective, induced)
 
 
 def bip_t(f: BipartiteGraph, g: BipartiteGraph) -> Fraction:
     """Density over part-respecting maps drawn uniformly with replacement."""
     _check_bip_pattern(f)
-    return Fraction(_count_bip_maps(f, g, False, False), g.n1**f.n1 * g.n2**f.n2)
+    return Fraction(_bip_count(f, g, False, False), g.n1**f.n1 * g.n2**f.n2)
 
 
 def bip_t_inj(f: BipartiteGraph, g: BipartiteGraph) -> Fraction:
@@ -178,7 +140,7 @@ def bip_t_inj(f: BipartiteGraph, g: BipartiteGraph) -> Fraction:
     _check_bip_pattern(f)
     if f.n1 > g.n1 or f.n2 > g.n2:
         return Fraction(0)
-    return Fraction(_count_bip_maps(f, g, True, False), falling(g.n1, f.n1) * falling(g.n2, f.n2))
+    return Fraction(_bip_count(f, g, True, False), falling(g.n1, f.n1) * falling(g.n2, f.n2))
 
 
 def bip_t_ind(f: BipartiteGraph, g: BipartiteGraph) -> Fraction:
@@ -186,13 +148,18 @@ def bip_t_ind(f: BipartiteGraph, g: BipartiteGraph) -> Fraction:
     _check_bip_pattern(f)
     if f.n1 > g.n1 or f.n2 > g.n2:
         return Fraction(0)
-    return Fraction(_count_bip_maps(f, g, True, True), falling(g.n1, f.n1) * falling(g.n2, f.n2))
+    return Fraction(_bip_count(f, g, True, True), falling(g.n1, f.n1) * falling(g.n2, f.n2))
+
+
+def bip_sampling_bound(f: BipartiteGraph, g: BipartiteGraph) -> Fraction:
+    """Two-part repeated-vertex bound on |t - t_inj|."""
+    return Fraction(f.n1**2, 2 * g.n1) + Fraction(f.n2**2, 2 * g.n2)
 
 
 def bip_sampling_bound_check(f: BipartiteGraph, g: BipartiteGraph) -> BoundCheck:
     """|t - t_inj| against the two-part repeated-vertex bound."""
     gap = abs(bip_t(f, g) - bip_t_inj(f, g))
-    bound = Fraction(f.n1**2, 2 * g.n1) + Fraction(f.n2**2, 2 * g.n2)
+    bound = bip_sampling_bound(f, g)
     return BoundCheck(gap, bound, gap <= bound)
 
 
@@ -241,10 +208,7 @@ class BipartiteKernel:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if len(lines) < 3:
             raise InputError("bipartite kernel file too short")
-        head = lines[0].split()
-        if len(head) != 2:
-            raise InputError(f"expected 'm1 m2' header, got {lines[0]!r}")
-        m1, m2 = int(head[0]), int(head[1])
+        m1, m2 = parse_ints(lines[0], "'m1 m2' header", 2)
         if len(lines) != 3 + m1:
             raise InputError(f"expected {m1} matrix rows, got {len(lines) - 3}")
         mu1 = tuple(to_fraction(tok) for tok in lines[1].split())
@@ -271,47 +235,27 @@ def bip_graph_as_kernel(g: BipartiteGraph) -> BipartiteKernel:
     return BipartiteKernel(mu1, mu2, w)
 
 
+def _bip_kernel_sum(f: BipartiteGraph, w: BipartiteKernel, induced: bool) -> Fraction:
+    _check_bip_pattern(f)
+    comp = tuple(tuple(1 - x for x in row) for row in w.w)
+    factors = {
+        (u, f.n1 + v): w.w if f.rows[u] >> v & 1 else comp
+        for u in range(f.n1)
+        for v in range(f.n2)
+        if induced or f.rows[u] >> v & 1
+    }
+    return _assignment_sum([w.mu1] * f.n1 + [w.mu2] * f.n2, factors)
+
+
 def bip_exact_density(f: BipartiteGraph, w: BipartiteKernel) -> Fraction:
     """Exact block-assignment sum for the bipartite density integral."""
-    _check_bip_pattern(f)
-    if w.m1**f.n1 * w.m2**f.n2 > TERM_CAP:
-        raise CapacityError("assignment terms exceed cap")
-    total = Fraction(0)
-    for z1 in itertools.product(range(w.m1), repeat=f.n1):
-        mass1 = math.prod((w.mu1[b] for b in z1), start=Fraction(1))
-        if not mass1:
-            continue
-        for z2 in itertools.product(range(w.m2), repeat=f.n2):
-            weight = mass1 * math.prod((w.mu2[b] for b in z2), start=Fraction(1))
-            for u, v in f.edges():
-                weight *= w.w[z1[u - 1]][z2[v - 1]]
-                if not weight:
-                    break
-            total += weight
-    return total
+    return _bip_kernel_sum(f, w, induced=False)
 
 
 def bip_exact_ind_density(f: BipartiteGraph, w: BipartiteKernel) -> Fraction:
     """Exact probability that the sampled prefix equals f: kernel value per
     edge, complement per non-edge."""
-    _check_bip_pattern(f)
-    if w.m1**f.n1 * w.m2**f.n2 > TERM_CAP:
-        raise CapacityError("assignment terms exceed cap")
-    total = Fraction(0)
-    for z1 in itertools.product(range(w.m1), repeat=f.n1):
-        mass1 = math.prod((w.mu1[b] for b in z1), start=Fraction(1))
-        for z2 in itertools.product(range(w.m2), repeat=f.n2):
-            weight = mass1 * math.prod((w.mu2[b] for b in z2), start=Fraction(1))
-            for u in range(1, f.n1 + 1):
-                for v in range(1, f.n2 + 1):
-                    p = w.w[z1[u - 1]][z2[v - 1]]
-                    weight *= p if f.has_edge(u, v) else 1 - p
-                    if not weight:
-                        break
-                if not weight:
-                    break
-            total += weight
-    return total
+    return _bip_kernel_sum(f, w, induced=True)
 
 
 def sample_bip_w_random(
@@ -347,13 +291,3 @@ def bip_cell_bits_batch(
             probs = wf[x[:, i], y[:, j]]
             cols.append(rng.random(count) < probs)
     return np.column_stack(cols)
-
-
-def read_bipartite_graph(path: str) -> BipartiteGraph:
-    with io.open(path, "r", encoding="ascii") as fh:
-        return BipartiteGraph.from_text(fh.read())
-
-
-def read_bipartite_kernel(path: str) -> BipartiteKernel:
-    with io.open(path, "r", encoding="ascii") as fh:
-        return BipartiteKernel.from_text(fh.read())

@@ -2,7 +2,7 @@
 
 Subcommands: density, sample, converge, test-exchangeable, test-extreme,
 cutdist, trace-martingale. Exit codes: 0 success, 1 rejected test
-verdict, 2 input error, 3 capacity, 4 internal invariant violation.
+verdict, 2 input error, 3 capacity, 4 internal fault.
 Randomized commands are byte-reproducible for a fixed --seed regardless
 of --threads.
 """
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -23,7 +24,7 @@ from .densities import (
     hoeffding_halfwidth,
     mc_containment_hits,
     metric_d,
-    sampling_bound_check,
+    sampling_bound,
     t,
     t_ind,
     t_inj,
@@ -45,6 +46,7 @@ from .graphon import (
     StepGraphon,
     cut_distance_upper,
     exact_density,
+    exact_ind_density,
     mc_density_product_sum,
     read_step_graphon,
     sample_w_random,
@@ -107,10 +109,11 @@ def load_pairs(path: str) -> list[PatternPair]:
         for half in halves:
             edges = []
             for tok in half.split():
-                uv = tok.split("-")
-                if len(uv) != 2:
-                    raise InputError(f"bad edge token {tok!r}")
-                edges.append((int(uv[0]), int(uv[1])))
+                try:
+                    u, v = (int(x) for x in tok.split("-"))
+                except ValueError as exc:
+                    raise InputError(f"bad edge token {tok!r} in pair line {ln!r}") from exc
+                edges.append((u, v))
             sides.append(tuple(edges))
         pairs.append(PatternPair(sides[0], sides[1]))
     if not pairs:
@@ -168,9 +171,9 @@ def cmd_density(args) -> tuple[list[str], int]:
     row = 0
     threads = thread_count(args.threads)
 
-    def emit(pid, hid, tv, tiv, tdv, bound, ok, halfwidth=None):
+    def emit(pid, hid, tv, tiv, tdv, bound, halfwidth=None):
         cells = [pid, hid, DEC(tv), DEC(tiv), DEC(tdv), DEC(bound),
-                 "bound_ok" if ok else "bound_violated"]
+                 "bound_ok" if abs(tv - tiv) <= bound else "bound_violated"]
         if mc:
             cells.append("" if halfwidth is None else DEC(halfwidth))
         lines.append(",".join(cells))
@@ -181,30 +184,24 @@ def cmd_density(args) -> tuple[list[str], int]:
             for hpath in args.hosts:
                 host = read_graph(hpath)
                 for ppath, pat in patterns:
-                    tiv, tdv = t_inj(pat, host), t_ind(pat, host)
-                    check = sampling_bound_check(pat, host)
                     if mc:
                         est = _mc_t_row(pat, host, mc, args.seed, threads, row)
-                        gap = abs(to_fraction(est.point) - tiv)
-                        emit(_stem(ppath), _stem(hpath), to_fraction(est.point), tiv, tdv,
-                             check.bound, gap <= check.bound, est.confidence_halfwidth)
+                        tv, halfwidth = to_fraction(est.point), est.confidence_halfwidth
                     else:
-                        emit(_stem(ppath), _stem(hpath), t(pat, host), tiv, tdv,
-                             check.bound, check.ok)
+                        tv, halfwidth = t(pat, host), None
+                    emit(_stem(ppath), _stem(hpath), tv, t_inj(pat, host), t_ind(pat, host),
+                         sampling_bound(pat, host), halfwidth)
                     row += 1
         else:
             w = read_step_graphon(args.kernel)
             for ppath, pat in patterns:
-                law = prefix_law_exact(w, pat.n)
-                tdv = law.probability(pat)
                 if mc:
                     est = _mc_density_row(pat, w, mc, args.seed, threads, row)
-                    tv = to_fraction(est.point)
-                    emit(_stem(ppath), _stem(args.kernel), tv, tv, tdv, Fraction(0),
-                         True, est.confidence_halfwidth)
+                    tv, halfwidth = to_fraction(est.point), est.confidence_halfwidth
                 else:
-                    tv = exact_density(pat, w)
-                    emit(_stem(ppath), _stem(args.kernel), tv, tv, tdv, Fraction(0), True)
+                    tv, halfwidth = exact_density(pat, w), None
+                emit(_stem(ppath), _stem(args.kernel), tv, tv, exact_ind_density(pat, w),
+                     Fraction(0), halfwidth)
                 row += 1
     elif kind == "bipartite":
         if mc:
@@ -214,16 +211,15 @@ def cmd_density(args) -> tuple[list[str], int]:
             for hpath in args.hosts:
                 host = bip.BipartiteGraph.from_text(_read_text(hpath))
                 for ppath, pat in patterns:
-                    check = bip.bip_sampling_bound_check(pat, host)
-                    emit(_stem(ppath), _stem(hpath), bip.bip_t(pat, host),
-                         bip.bip_t_inj(pat, host), bip.bip_t_ind(pat, host),
-                         check.bound, check.ok)
+                    tv, tiv = bip.bip_t(pat, host), bip.bip_t_inj(pat, host)
+                    emit(_stem(ppath), _stem(hpath), tv, tiv, bip.bip_t_ind(pat, host),
+                         bip.bip_sampling_bound(pat, host))
         else:
             w = bip.BipartiteKernel.from_text(_read_text(args.kernel))
             for ppath, pat in patterns:
                 tv = bip.bip_exact_density(pat, w)
                 emit(_stem(ppath), _stem(args.kernel), tv, tv,
-                     bip.bip_exact_ind_density(pat, w), Fraction(0), True)
+                     bip.bip_exact_ind_density(pat, w), Fraction(0))
     else:  # directed
         if mc:
             raise InputError("--mc is only available for simple graphs and kernels")
@@ -233,16 +229,14 @@ def cmd_density(args) -> tuple[list[str], int]:
                 host = dg.DirectedGraph.from_text(_read_text(hpath))
                 for ppath, pat in patterns:
                     tv, tiv = dg.directed_t(pat, host), dg.directed_t_inj(pat, host)
-                    bound = Fraction(pat.n**2, 2 * host.n)
-                    gap = abs(tv - tiv)
                     emit(_stem(ppath), _stem(hpath), tv, tiv,
-                         dg.directed_t_ind(pat, host), bound, gap <= bound)
+                         dg.directed_t_ind(pat, host), sampling_bound(pat, host))
         else:
             w = dg.DirectedKernelQuintuple.from_text(_read_text(args.kernel))
             for ppath, pat in patterns:
                 tv = dg.directed_t(pat, w)
                 emit(_stem(ppath), _stem(args.kernel), tv, tv,
-                     dg.directed_t_ind(pat, w), Fraction(0), True)
+                     dg.directed_t_ind(pat, w), Fraction(0))
     return lines, 0
 
 
@@ -346,6 +340,13 @@ def cmd_trace_martingale(args) -> tuple[list[str], int]:
     return lines, 0
 
 
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="graphonlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -353,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, seeded=True):
         p.add_argument("-o", "--output", help="write the report here instead of stdout")
         if seeded:
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_non_negative, default=0)
             p.add_argument("--threads", type=int, default=None,
                            help="worker cap; results do not depend on it")
 
@@ -362,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-G", dest="hosts", action="append", default=[], metavar="HOST")
     p.add_argument("-W", dest="kernel", metavar="KERNEL")
     p.add_argument("--kind", choices=["simple", "bipartite", "directed"], default="simple")
-    p.add_argument("--mc", "--samples", dest="mc", type=int, default=None, metavar="N",
+    p.add_argument("--mc", "--samples", dest="mc", type=_non_negative, default=None, metavar="N",
                    help="Monte Carlo samples instead of exact t")
     common(p)
     p.set_defaults(fn=cmd_density)
@@ -422,10 +423,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         lines, code = args.fn(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except CapacityError as exc:
@@ -433,6 +431,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
+        return 4
+    except Exception as exc:  # a fault in the program, not in its input
+        traceback.print_exc()
+        print(f"internal error: {exc}", file=sys.stderr)
         return 4
     text = "\n".join(lines) + "\n"
     if args.output:

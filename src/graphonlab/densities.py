@@ -24,6 +24,7 @@ from .graphs import (
 )
 
 PATTERN_CAP = 8
+TERM_CAP = 10**7
 
 GraphLike = Union[LabelledGraph, UnlabelledGraph]
 
@@ -60,25 +61,69 @@ def _search_order(rows: Sequence[int]) -> list[int]:
     return order
 
 
-def _count_maps(f: LabelledGraph, g: LabelledGraph, injective: bool, induced: bool) -> int:
-    """Count maps [k]->[v(g)] preserving f's edges; optionally injective,
-    optionally also reflecting non-edges (induced)."""
-    k, n = f.n, g.n
-    full = (1 << n) - 1
-    order = _search_order(f.rows)
-    adj_pred = [[(e, bool(f.rows[order[d]] >> order[e] & 1)) for e in range(d)] for d in range(k)]
-    grows = g.rows
+def _undirected(rows: Sequence[int]) -> list[int]:
+    """Symmetric, loopless closure of out-neighbour rows."""
+    k = len(rows)
+    return [
+        (rows[u] | sum(1 << v for v in range(k) if rows[v] >> u & 1)) & ~(1 << u)
+        for u in range(k)
+    ]
+
+
+def _transpose(rows: Sequence[int], width: int) -> list[int]:
+    """In-neighbour rows (bit i of column j) of out-rows over `width` columns."""
+    cols = [0] * width
+    for i, r in enumerate(rows):
+        while r:
+            low = r & -r
+            cols[low.bit_length() - 1] |= 1 << i
+            r ^= low
+    return cols
+
+
+def _count_maps(
+    prows: Sequence[int],
+    hout: Sequence[int],
+    hin: Sequence[int],
+    masks: Sequence[int],
+    injective: bool,
+    induced: bool,
+) -> int:
+    """Count maps phi from the pattern's vertices to the host's, phi(u) in
+    masks[u], that send every pattern arc u->v (u != v) to a host arc;
+    optionally injective, optionally (induced) also sending non-arcs to
+    non-arcs.
+
+    Rows are bitmasks: prows and hout of out-neighbours, hin of the host's
+    in-neighbours, which is hout itself when the host is symmetric; then a
+    symmetric pattern costs one AND per adjacent predecessor. Loops are
+    the callers' business: pattern loops belong in masks, host loops stay
+    in the rows, where a non-injective map may send an arc onto one.
+    """
+    k = len(prows)
+    full = (1 << len(hout)) - 1
+    nout = nin = None
+    if induced:
+        nout = [full ^ r for r in hout]
+        nin = nout if hin is hout else [full ^ r for r in hin]
+    order = _search_order(_undirected(prows))
+    steps = []
+    for d, u in enumerate(order):
+        tables = []
+        for e, v in enumerate(order[:d]):
+            fwd, back = prows[v] >> u & 1, prows[u] >> v & 1
+            sides = [(fwd, hout, nout)]
+            if hin is not hout or fwd != back:
+                sides.append((back, hin, nin))
+            tables += [(e, yes if arc else no) for arc, yes, no in sides if arc or induced]
+        steps.append((masks[u], tables))
     assigned = [0] * k
 
-    def rec(d: int, used: int) -> int:
-        cand = full
-        for e, adjacent in adj_pred[d]:
-            if adjacent:
-                cand &= grows[assigned[e]]
-            elif induced:
-                cand &= full ^ grows[assigned[e]]
-        if injective:
-            cand &= full ^ used
+    def rec(d: int, free: int) -> int:
+        mask, tables = steps[d]
+        cand = mask & free
+        for e, table in tables:
+            cand &= table[assigned[e]]
         if d == k - 1:
             return cand.bit_count()
         total = 0
@@ -86,16 +131,63 @@ def _count_maps(f: LabelledGraph, g: LabelledGraph, injective: bool, induced: bo
             low = cand & -cand
             cand ^= low
             assigned[d] = low.bit_length() - 1
-            total += rec(d + 1, used | low)
+            total += rec(d + 1, free ^ low if injective else free)
         return total
 
-    return rec(0, 0)
+    return rec(0, full)
 
 
-def hom_count(f: GraphLike, g: LabelledGraph) -> int:
-    f = _as_labelled(f)
-    _check_pattern(f)
-    return _count_maps(f, g, injective=False, induced=False)
+def _assignment_sum(
+    weights: Sequence[Sequence[Fraction]],
+    factors: Mapping[tuple[int, int], Sequence[Sequence[Fraction]]],
+) -> Fraction:
+    """Exact density integral of a step kernel: the sum over block
+    assignments z of prod_u weights[u][z_u] times, for every pattern pair
+    (u, v) in factors, factors[u, v][z_u][z_v].
+
+    Pairs whose factor is identically 1 drop out; the remaining pairs set
+    the search order, and a zero partial product prunes its subtree.
+    """
+    terms = math.prod(len(wts) for wts in weights)
+    if terms > TERM_CAP:
+        raise CapacityError(f"{terms} assignment terms exceed cap {TERM_CAP}")
+    k = len(weights)
+    factors = {p: mat for p, mat in factors.items() if any(x != 1 for row in mat for x in row)}
+    links = [0] * k
+    for u, v in factors:
+        links[u] |= 1 << v
+        links[v] |= 1 << u
+    order = _search_order(links)
+    depth = {u: d for d, u in enumerate(order)}
+    steps = []
+    for d, u in enumerate(order):
+        mats = [(depth[a], mat) for (a, b), mat in factors.items() if b == u and depth[a] < d]
+        mats += [(depth[b], tuple(zip(*mat))) for (a, b), mat in factors.items()
+                 if a == u and depth[b] < d]
+        steps.append(([(b, x) for b, x in enumerate(weights[u]) if x], mats))
+    assigned = [0] * k
+
+    def rec(d: int, weight: Fraction) -> Fraction:
+        if d == k:
+            return weight
+        choices, mats = steps[d]
+        total = Fraction(0)
+        for b, x in choices:
+            wgt = weight * x
+            for e, mat in mats:
+                wgt *= mat[assigned[e]][b]
+                if not wgt:
+                    break
+            if wgt:
+                assigned[d] = b
+                total += rec(d + 1, wgt)
+        return total
+
+    return rec(0, Fraction(1))
+
+
+def _simple_count(f: LabelledGraph, g: LabelledGraph, injective: bool, induced: bool) -> int:
+    return _count_maps(f.rows, g.rows, g.rows, [(1 << g.n) - 1] * f.n, injective, induced)
 
 
 def inj_count(f: GraphLike, g: LabelledGraph) -> int:
@@ -103,22 +195,14 @@ def inj_count(f: GraphLike, g: LabelledGraph) -> int:
     _check_pattern(f)
     if f.n > g.n:
         return 0
-    return _count_maps(f, g, injective=True, induced=False)
-
-
-def ind_count(f: GraphLike, g: LabelledGraph) -> int:
-    f = _as_labelled(f)
-    _check_pattern(f)
-    if f.n > g.n:
-        return 0
-    return _count_maps(f, g, injective=True, induced=True)
+    return _simple_count(f, g, injective=True, induced=False)
 
 
 def t(f: GraphLike, g: LabelledGraph) -> Fraction:
     """Probability that a uniform map V(f)->V(g) is a homomorphism."""
     f = _as_labelled(f)
     _check_pattern(f)
-    return Fraction(_count_maps(f, g, False, False), g.n ** f.n)
+    return Fraction(_simple_count(f, g, False, False), g.n ** f.n)
 
 
 def t_inj(f: GraphLike, g: LabelledGraph) -> Fraction:
@@ -128,7 +212,7 @@ def t_inj(f: GraphLike, g: LabelledGraph) -> Fraction:
     _check_pattern(f)
     if f.n > g.n:
         return Fraction(0)
-    return Fraction(_count_maps(f, g, True, False), falling(g.n, f.n))
+    return Fraction(_simple_count(f, g, True, False), falling(g.n, f.n))
 
 
 def t_ind(f: GraphLike, g: LabelledGraph) -> Fraction:
@@ -138,7 +222,7 @@ def t_ind(f: GraphLike, g: LabelledGraph) -> Fraction:
     _check_pattern(f)
     if f.n > g.n:
         return Fraction(0)
-    return Fraction(_count_maps(f, g, True, True), falling(g.n, f.n))
+    return Fraction(_simple_count(f, g, True, True), falling(g.n, f.n))
 
 
 def supergraphs(f: LabelledGraph) -> list[LabelledGraph]:
@@ -180,11 +264,17 @@ class BoundCheck:
     ok: bool
 
 
+def sampling_bound(f, g) -> Fraction:
+    """Repeated-vertex bound v(f)^2 / (2 v(g)) on |t - t_inj|; the same
+    for simple and directed graphs."""
+    return Fraction(f.n ** 2, 2 * g.n)
+
+
 def sampling_bound_check(f: GraphLike, g: LabelledGraph) -> BoundCheck:
-    """|t - t_inj| against the repeated-vertex bound v(f)^2 / (2 v(g))."""
+    """|t - t_inj| against the repeated-vertex bound."""
     f = _as_labelled(f)
     gap = abs(t(f, g) - t_inj(f, g))
-    bound = Fraction(f.n ** 2, 2 * g.n)
+    bound = sampling_bound(f, g)
     return BoundCheck(gap, bound, gap <= bound)
 
 

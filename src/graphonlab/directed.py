@@ -8,19 +8,17 @@ into the latent space with an iid Bernoulli(p) coordinate.
 """
 from __future__ import annotations
 
-import io
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
 import numpy as np
 
-from .densities import falling
+from .densities import _assignment_sum, _count_maps, _transpose, falling
 from .errors import CapacityError, InputError
-from .exact import Number, format_number, to_fraction
-from .graphon import TERM_CAP, _normalized_measures
+from .exact import Number, format_number, parse_ints, to_fraction
+from .graphon import _normalized_measures
 from .graphs import pair_order
 
 DIR_PATTERN_CAP = 6
@@ -84,18 +82,10 @@ class DirectedGraph:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise InputError("empty directed graph file")
-        head = lines[0].split()
-        if len(head) != 2:
-            raise InputError(f"expected 'n m' header, got {lines[0]!r}")
-        n, m = int(head[0]), int(head[1])
+        n, m = parse_ints(lines[0], "'n m' header", 2)
         if len(lines) - 1 != m:
             raise InputError(f"header declares {m} edges, file has {len(lines) - 1}")
-        edges = []
-        for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != 2:
-                raise InputError(f"bad edge line {ln!r}")
-            edges.append((int(parts[0]), int(parts[1])))
+        edges = [tuple(parse_ints(ln, "edge line 'u v'", 2)) for ln in lines[1:]]
         return cls.from_edges(n, edges)
 
 
@@ -173,7 +163,7 @@ class DirectedKernelQuintuple:
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
         if len(lines) < 2:
             raise InputError("quintuple file too short")
-        m = int(lines[0])
+        (m,) = parse_ints(lines[0], "block count", 1)
         mu = tuple(to_fraction(tok) for tok in lines[1].split())
         if len(mu) != m:
             raise InputError(f"expected {m} measures")
@@ -195,7 +185,7 @@ class DirectedKernelQuintuple:
         pos += 1
         if pos >= len(lines):
             raise InputError("missing loop vector")
-        flags = tuple(int(tok) for tok in lines[pos].split())
+        flags = tuple(parse_ints(lines[pos], "0/1 loop vector"))
         kernel = cls(mu, mats["W00"], mats["W01"], mats["W10"], mats["W11"], flags)
         verdict = validate_quintuple(kernel)
         if not verdict.ok:
@@ -411,113 +401,43 @@ def _check_dir_pattern(f: DirectedGraph) -> None:
         raise CapacityError(f"directed pattern capped at {DIR_PATTERN_CAP} vertices")
 
 
-def _count_dir_maps(f: DirectedGraph, g: DirectedGraph, injective: bool, induced: bool) -> int:
+def _dir_count(f: DirectedGraph, g: DirectedGraph, injective: bool, induced: bool) -> int:
     """Maps [k]->[n] pulling g's edge indicators back onto f's requirements.
 
     Containment asks every f-edge (u,v), loops included, to be present at
     (phi(u), phi(v)); induced asks for exact equality of the pulled-back
-    indicator matrix.
+    indicator matrix. f's loops become image masks; g keeps its loops in
+    its rows, since a non-injective map may send an arc onto a loop.
     """
-    k, n = f.n, g.n
-    full = (1 << n) - 1
-    succ = g.rows
-    pred = [0] * n
-    loop_mask = 0
-    for i in range(n):
-        r = succ[i]
-        j = 0
-        while r:
-            if r & 1:
-                pred[j] |= 1 << i
-            r >>= 1
-            j += 1
-        if succ[i] >> i & 1:
-            loop_mask |= 1 << i
-    assigned = [0] * k
-
-    def rec(d: int, used: int) -> int:
-        cand = full
-        if f.has_edge(d + 1, d + 1):
-            cand &= loop_mask
-        elif induced:
-            cand &= full ^ loop_mask
-        for e in range(d):
-            ge = assigned[e]
-            if f.has_edge(d + 1, e + 1):
-                cand &= pred[ge]
-            elif induced:
-                cand &= full ^ pred[ge]
-            if f.has_edge(e + 1, d + 1):
-                cand &= succ[ge]
-            elif induced:
-                cand &= full ^ succ[ge]
-        if injective:
-            cand &= full ^ used
-        if d == k - 1:
-            return cand.bit_count()
-        total = 0
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            assigned[d] = low.bit_length() - 1
-            total += rec(d + 1, used | low)
-        return total
-
-    return rec(0, 0)
+    full = (1 << g.n) - 1
+    loops = sum(1 << i for i in range(g.n) if g.rows[i] >> i & 1)
+    unlooped = full ^ loops if induced else full
+    masks = [loops if f.has_loop(u + 1) else unlooped for u in range(f.n)]
+    return _count_maps(f.rows, g.rows, _transpose(g.rows, g.n), masks, injective, induced)
 
 
-def _kernel_pair_factor(
-    kernel: DirectedKernel, req_ij: int, req_ji: int, si: int, sj: int, induced: bool
-) -> Fraction:
-    if induced:
-        return kernel.pair_matrix(req_ij, req_ji)[si][sj]
-    total = Fraction(0)
-    for alpha, beta in PAIR_STATES:
-        if alpha >= req_ij and beta >= req_ji:
-            total += kernel.pair_matrix(alpha, beta)[si][sj]
-    return total
-
-
-def _dir_kernel_density(f: DirectedGraph, kernel: DirectedKernel, induced: bool) -> Fraction:
-    """Block-assignment sum: one latent state per pattern vertex, a loop
-    factor per vertex, a joint pair factor per unordered pair."""
+def _kernel_sum(f: DirectedGraph, kernel: DirectedKernel, induced: bool) -> Fraction:
+    """Block-assignment sum: one latent state per pattern vertex, weighted
+    by its measure where its loop flag meets f's loop requirement, and per
+    unordered pair the probability of the required joint indicators."""
     _check_dir_pattern(f)
-    k = f.n
     if isinstance(kernel, DirectedKernelQuintuple):
-        states = range(kernel.m)
-        measures = {s: kernel.mu[s] for s in states}
-        loop_of = {s: kernel.loop_flags[s] for s in states}
+        measures, flags = kernel.mu, kernel.loop_flags
     else:
-        states = range(2 * kernel.m)
-        measures = {s: kernel.ext_measure(s) for s in states}
-        loop_of = {s: s % 2 for s in states}
-    if len(measures) ** k > TERM_CAP:
-        raise CapacityError("assignment terms exceed cap")
-    total = Fraction(0)
-    for z in itertools.product(states, repeat=k):
-        weight = math.prod((measures[s] for s in z), start=Fraction(1))
-        if not weight:
-            continue
-        for v in range(1, k + 1):
-            has = f.has_edge(v, v)
-            flag = loop_of[z[v - 1]]
-            if has and not flag:
-                weight = Fraction(0)
-            elif induced and not has and flag:
-                weight = Fraction(0)
-            if not weight:
-                break
-        if not weight:
-            continue
-        for i, j in pair_order(k):
-            weight *= _kernel_pair_factor(
-                kernel, int(f.has_edge(i + 1, j + 1)), int(f.has_edge(j + 1, i + 1)),
-                z[i], z[j], induced,
-            )
-            if not weight:
-                break
-        total += weight
-    return total
+        measures = [kernel.ext_measure(s) for s in range(2 * kernel.m)]
+        flags = [s % 2 for s in range(2 * kernel.m)]
+    weights = []
+    for v in range(1, f.n + 1):
+        need = {1} if f.has_loop(v) else {0} if induced else {0, 1}
+        weights.append([x if flag in need else 0 for x, flag in zip(measures, flags)])
+    states = range(len(measures))
+    factors = {}
+    for i, j in pair_order(f.n):
+        req = (int(f.has_edge(i + 1, j + 1)), int(f.has_edge(j + 1, i + 1)))
+        laws = [kernel.pair_matrix(a, b) for a, b in PAIR_STATES
+                if (a, b) == req or not induced and a >= req[0] and b >= req[1]]
+        factors[i, j] = [[sum(law[s][r] for law in laws) for r in states] for s in states]
+    return _assignment_sum(weights, factors)
 
 
 DirectedHost = Union[DirectedGraph, DirectedKernelQuintuple, DirectedKernelQuadruplePlusP]
@@ -528,15 +448,15 @@ def directed_t(f: DirectedGraph, host: DirectedHost) -> Fraction:
     limit object of a kernel."""
     if isinstance(host, DirectedGraph):
         _check_dir_pattern(f)
-        return Fraction(_count_dir_maps(f, host, False, False), host.n**f.n)
-    return _dir_kernel_density(f, host, induced=False)
+        return Fraction(_dir_count(f, host, False, False), host.n**f.n)
+    return _kernel_sum(f, host, induced=False)
 
 
 def directed_t_inj(f: DirectedGraph, g: DirectedGraph) -> Fraction:
     _check_dir_pattern(f)
     if f.n > g.n:
         return Fraction(0)
-    return Fraction(_count_dir_maps(f, g, True, False), falling(g.n, f.n))
+    return Fraction(_dir_count(f, g, True, False), falling(g.n, f.n))
 
 
 def directed_t_ind(f: DirectedGraph, host: DirectedHost) -> Fraction:
@@ -546,15 +466,5 @@ def directed_t_ind(f: DirectedGraph, host: DirectedHost) -> Fraction:
         _check_dir_pattern(f)
         if f.n > host.n:
             return Fraction(0)
-        return Fraction(_count_dir_maps(f, host, True, True), falling(host.n, f.n))
-    return _dir_kernel_density(f, host, induced=True)
-
-
-def read_directed_graph(path: str) -> DirectedGraph:
-    with io.open(path, "r", encoding="ascii") as fh:
-        return DirectedGraph.from_text(fh.read())
-
-
-def read_quintuple(path: str) -> DirectedKernelQuintuple:
-    with io.open(path, "r", encoding="ascii") as fh:
-        return DirectedKernelQuintuple.from_text(fh.read())
+        return Fraction(_dir_count(f, host, True, True), falling(host.n, f.n))
+    return _kernel_sum(f, host, induced=True)

@@ -31,6 +31,18 @@ def to_fraction(x: Number) -> Fraction:
     raise InputError(f"cannot interpret {type(x).__name__} as a number")
 
 
+def parse_ints(line: str, what: str, count: int | None = None) -> list[int]:
+    """The whitespace-separated integers of one input line, exactly `count`
+    of them when given; anything else raises InputError naming the line."""
+    toks = line.split()
+    if count is None or len(toks) == count:
+        try:
+            return [int(tok) for tok in toks]
+        except ValueError:
+            pass
+    raise InputError(f"expected {what}, got {line!r}")
+
+
 def fraction_to_decimal(x: Union[Fraction, float], places: int = 12) -> str:
     """Round-half-up decimal string with a fixed number of places."""
     f = x if isinstance(x, Fraction) else to_fraction(float(x))

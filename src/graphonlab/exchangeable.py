@@ -18,10 +18,10 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 from scipy import stats as sps
 
-from .densities import _as_labelled, t_ind
+from .densities import TERM_CAP, _as_labelled, t_ind
 from .errors import CapacityError, InputError
 from .exact import Number, to_fraction
-from .graphon import GeneralGraphon, StepGraphon, TERM_CAP, exact_density, sample_w_random
+from .graphon import GeneralGraphon, StepGraphon, exact_density, sample_w_random
 from .graphs import (
     LabelledGraph,
     UnlabelledGraph,

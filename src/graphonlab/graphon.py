@@ -20,15 +20,14 @@ from .densities import (
     DensityEstimate,
     GraphLike,
     _as_labelled,
+    _assignment_sum,
     _check_pattern,
-    _search_order,
     hoeffding_halfwidth,
 )
 from .errors import CapacityError, InputError
-from .exact import Number, format_number, to_fraction
-from .graphs import LabelledGraph, graph_from_bool_matrix
+from .exact import Number, format_number, parse_ints, to_fraction
+from .graphs import LabelledGraph, graph_from_bool_matrix, pair_order
 
-TERM_CAP = 10**7
 CUT_NORM_CAP = 16
 CUT_DIST_CAP = 8
 MEASURE_TOL = Fraction(1, 10**12)
@@ -93,10 +92,7 @@ class StepGraphon:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if len(lines) < 2:
             raise InputError("step-graphon file needs a block count and measures")
-        try:
-            m = int(lines[0])
-        except ValueError as exc:
-            raise InputError(f"bad block count {lines[0]!r}") from exc
+        (m,) = parse_ints(lines[0], "block count", 1)
         if len(lines) != 2 + m:
             raise InputError(f"expected {m} matrix rows, got {len(lines) - 2}")
         mu = [to_fraction(tok) for tok in lines[1].split()]
@@ -168,30 +164,19 @@ def exact_density(f: GraphLike, w: StepGraphon) -> Fraction:
     of mu-weights times edge factors, in rational arithmetic."""
     fl = _as_labelled(f)
     _check_pattern(fl)
-    k, m = fl.n, w.m
-    if m**k > TERM_CAP:
-        raise CapacityError(f"{m}^{k} assignment terms exceed cap {TERM_CAP}")
-    order = _search_order(fl.rows)
-    adj_pred = [[e for e in range(d) if fl.rows[order[d]] >> order[e] & 1] for d in range(k)]
-    mu, mat = w.mu, w.w
-    assigned = [0] * k
+    return _assignment_sum([w.mu] * fl.n, {(u - 1, v - 1): w.w for u, v in fl.edges()})
 
-    def rec(d: int, weight: Fraction) -> Fraction:
-        if d == k:
-            return weight
-        total = Fraction(0)
-        for b in range(m):
-            wgt = weight * mu[b]
-            for e in adj_pred[d]:
-                wgt *= mat[assigned[e]][b]
-                if not wgt:
-                    break
-            if wgt:
-                assigned[d] = b
-                total += rec(d + 1, wgt)
-        return total
 
-    return rec(0, Fraction(1))
+def exact_ind_density(f: GraphLike, w: StepGraphon) -> Fraction:
+    """Exact probability that the v(f)-prefix of the W-random graph is f:
+    the kernel value per edge, its complement per non-edge."""
+    fl = _as_labelled(f)
+    _check_pattern(fl)
+    comp = tuple(tuple(1 - x for x in row) for row in w.w)
+    return _assignment_sum(
+        [w.mu] * fl.n,
+        {(i, j): w.w if fl.has_edge(i + 1, j + 1) else comp for i, j in pair_order(fl.n)},
+    )
 
 
 def _pair_probs(w: StepGraphon | GeneralGraphon, latents: np.ndarray, iu: np.ndarray, ju: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import CapacityError, InputError
+from .exact import parse_ints
 
 CANON_CAP = 10
 ENUM_CAP = 7
@@ -144,24 +145,12 @@ def _parse_graph_text(text: str) -> LabelledGraph:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise InputError("empty graph file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise InputError(f"expected 'n m' header, got {lines[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise InputError(f"bad header {lines[0]!r}") from exc
+    n, m = parse_ints(lines[0], "'n m' header", 2)
     if len(lines) - 1 != m:
         raise InputError(f"header declares {m} edges, file has {len(lines) - 1}")
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise InputError(f"bad edge line {ln!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise InputError(f"bad edge line {ln!r}") from exc
+        u, v = parse_ints(ln, "edge line 'u v'", 2)
         if not u < v:
             raise InputError(f"edge line {ln!r} must satisfy u < v")
         edges.append((u, v))

@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, TypeVar
 
 import numpy as np
+
+from .errors import InputError
+from .exact import parse_ints
 
 CHUNK = 32768
 
@@ -27,10 +30,13 @@ def thread_count(explicit: int | None = None) -> int:
     """Resolve a thread cap: explicit flag, else GRAPHONLAB_THREADS, else 1."""
     if explicit is not None:
         if explicit < 1:
-            raise ValueError("thread count must be >= 1")
+            raise InputError(f"thread count must be >= 1, got {explicit}")
         return explicit
     env = os.environ.get("GRAPHONLAB_THREADS")
-    return max(1, int(env)) if env else 1
+    if not env:
+        return 1
+    (count,) = parse_ints(env, "an integer GRAPHONLAB_THREADS", 1)
+    return max(1, count)
 
 
 def chunk_sizes(total: int, chunk: int = CHUNK) -> list[int]:
@@ -61,11 +67,3 @@ def run_chunked(
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(fn, i, count, stream(seed, stream_base + i)) for i, count in jobs]
         return [f.result() for f in futures]
-
-
-def merge_means(partials: Sequence[tuple[int, float]]) -> float:
-    """Count-weighted average of per-chunk (count, mean) pairs."""
-    total = sum(c for c, _ in partials)
-    if total == 0:
-        return 0.0
-    return sum(c * m for c, m in partials) / total

@@ -115,3 +115,99 @@ def brute_hom_directed(f, g) -> Fraction:
         if all(g.has_edge(seq[u - 1], seq[v - 1]) for u, v in fedges):
             hits += 1
     return Fraction(hits, n**k)
+
+
+def _maps(targets, k: int, injective: bool):
+    return itertools.permutations(targets, k) if injective else itertools.product(targets, repeat=k)
+
+
+def brute_bip(f, g, injective: bool = False, induced: bool = False) -> Fraction:
+    """Bipartite t, t_inj (injective) or t_ind (injective and induced) by
+    enumerating every part-respecting map, injective per part when asked."""
+    if injective and (f.n1 > g.n1 or f.n2 > g.n2):
+        return Fraction(0)
+    hits = total = 0
+    for m1 in _maps(range(1, g.n1 + 1), f.n1, injective):
+        for m2 in _maps(range(1, g.n2 + 1), f.n2, injective):
+            total += 1
+            cells = [(g.has_edge(m1[u - 1], m2[v - 1]), f.has_edge(u, v))
+                     for u in range(1, f.n1 + 1) for v in range(1, f.n2 + 1)]
+            hits += all(got == want if induced else got or not want for got, want in cells)
+    return Fraction(hits, total)
+
+
+def brute_directed(f, g, injective: bool = False, induced: bool = False) -> Fraction:
+    """Directed t, t_inj or t_ind by enumerating maps; every ordered pair of
+    pattern vertices is checked, the diagonal (loops) included."""
+    if injective and f.n > g.n:
+        return Fraction(0)
+    hits = total = 0
+    for seq in _maps(range(1, g.n + 1), f.n, injective):
+        total += 1
+        cells = [(g.has_edge(seq[u - 1], seq[v - 1]), f.has_edge(u, v))
+                 for u in range(1, f.n + 1) for v in range(1, f.n + 1)]
+        hits += all(got == want if induced else got or not want for got, want in cells)
+    return Fraction(hits, total)
+
+
+def brute_kernel_sum(f: LabelledGraph, mu, w, induced: bool = False) -> Fraction:
+    """Step-kernel t(f, W), or with induced the prefix-law mass of f, as the
+    sum over every block tuple of the mu product times w per edge (and
+    1 - w per non-edge)."""
+    total = Fraction(0)
+    for z in itertools.product(range(len(mu)), repeat=f.n):
+        term = math.prod((mu[b] for b in z), start=Fraction(1))
+        for i in range(1, f.n + 1):
+            for j in range(i + 1, f.n + 1):
+                p = w[z[i - 1]][z[j - 1]]
+                if f.has_edge(i, j):
+                    term *= p
+                elif induced:
+                    term *= 1 - p
+        total += term
+    return total
+
+
+def brute_bip_kernel_sum(f, mu1, mu2, w, induced: bool = False) -> Fraction:
+    """Bipartite kernel density (or prefix mass) over every pair of block
+    tuples, one per part."""
+    total = Fraction(0)
+    for z1 in itertools.product(range(len(mu1)), repeat=f.n1):
+        for z2 in itertools.product(range(len(mu2)), repeat=f.n2):
+            term = math.prod((mu1[b] for b in z1), start=Fraction(1))
+            term *= math.prod((mu2[b] for b in z2), start=Fraction(1))
+            for u in range(1, f.n1 + 1):
+                for v in range(1, f.n2 + 1):
+                    p = w[z1[u - 1]][z2[v - 1]]
+                    if f.has_edge(u, v):
+                        term *= p
+                    elif induced:
+                        term *= 1 - p
+            total += term
+    return total
+
+
+def brute_directed_kernel_sum(f, measures, flags, law, induced: bool = False) -> Fraction:
+    """Directed kernel density (or prefix mass) over every tuple of latent
+    states. A state s has measure measures[s] and loop flag flags[s];
+    law[a, b][s][r] is the probability that a pair i < j in states (s, r)
+    has X_ij = a and X_ji = b. Each pair's four outcomes are enumerated and
+    kept when they contain (or, induced, equal) the pattern's arcs."""
+    total = Fraction(0)
+    for z in itertools.product(range(len(measures)), repeat=f.n):
+        term = math.prod((measures[s] for s in z), start=Fraction(1))
+        for v in range(1, f.n + 1):
+            want, got = f.has_edge(v, v), flags[z[v - 1]]
+            if (got != want) if induced else (want and not got):
+                term = Fraction(0)
+        for i in range(1, f.n + 1):
+            for j in range(i + 1, f.n + 1):
+                req = (f.has_edge(i, j), f.has_edge(j, i))
+                term *= sum(
+                    (law[a, b][z[i - 1]][z[j - 1]]
+                     for a, b in itertools.product((0, 1), repeat=2)
+                     if ((a, b) == req if induced else a >= req[0] and b >= req[1])),
+                    Fraction(0),
+                )
+        total += term
+    return total

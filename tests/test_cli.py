@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from graphonlab.bipartite import BipartiteGraph, BipartiteKernel
+from graphonlab import cli
 from graphonlab.cli import main
 from graphonlab.directed import DirectedGraph, tournament_kernel
 from graphonlab.exact import fraction_to_decimal
@@ -10,6 +11,7 @@ from graphonlab.graphon import StepGraphon, boys_girls, write_step_graphon
 from graphonlab.graphs import LabelledGraph, write_graph
 
 from cli_child import exit_fault, run_cli
+from oracles import brute_kernel_sum
 
 
 @pytest.fixture
@@ -93,12 +95,72 @@ class TestDensityCommand:
         assert code == 0
         assert "diredge,tourn,0.500000000000" in out
 
+    @pytest.mark.parametrize("extra", [[], ["--mc", "1000"]])
+    def test_kernel_induced_cell_needs_no_prefix_law(self, workdir, capsys, extra):
+        # 2^7 assignment terms; the whole prefix law of P7 would need 2^7 * 2^21
+        write_graph(LabelledGraph.path(7), workdir / "p7.txt")
+        code, out = run_main(["density", "-F", "p7.txt", "-W", "bg.txt", *extra], workdir, capsys)
+        assert code == 0
+        w = boys_girls(0.5, 0.2, 0.4, 0.6)
+        induced = brute_kernel_sum(LabelledGraph.path(7), w.mu, w.w, induced=True)
+        assert out.splitlines()[1].split(",")[4] == fraction_to_decimal(induced)
+
     def test_mc_rejects_other_kinds(self, workdir, capsys):
         code, _ = run_main(
             ["density", "--kind", "directed", "-F", "diredge.txt", "-W", "tourn.txt", "--mc", "10"],
             workdir, capsys,
         )
         assert code == 2
+
+
+class TestExitCodes:
+    TOURNAMENT = tournament_kernel().to_text()
+
+    @pytest.mark.parametrize(
+        "name, text, argv",
+        [
+            ("bad_bip.txt", "2 x 1\n1 1\n",
+             ["density", "--kind", "bipartite", "-F", "bad_bip.txt", "-G", "bip.txt"]),
+            ("bad_bipk.txt", "1 one\n1\n1\n0.5\n",
+             ["density", "--kind", "bipartite", "-F", "crossedge.txt", "-W", "bad_bipk.txt"]),
+            ("bad_dir.txt", "2 1\n1 x\n",
+             ["density", "--kind", "directed", "-F", "bad_dir.txt", "-G", "diredge.txt"]),
+            ("bad_m.txt", "one" + TOURNAMENT[1:],
+             ["density", "--kind", "directed", "-F", "diredge.txt", "-W", "bad_m.txt"]),
+            ("bad_flags.txt", TOURNAMENT[:-2] + "x\n",
+             ["density", "--kind", "directed", "-F", "diredge.txt", "-W", "bad_flags.txt"]),
+            ("bad_pairs.txt", "1-x | 3-4\n",
+             ["test-extreme", "-src", "src_det.txt", "--pairs", "bad_pairs.txt", "--samples", "10"]),
+        ],
+    )
+    def test_malformed_input_exits_2(self, workdir, capsys, name, text, argv):
+        (workdir / name).write_text(text)
+        code, _ = run_main(argv, workdir, capsys)
+        assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--seed", "--mc"])
+    def test_negative_count_exits_2(self, workdir, flag):
+        with pytest.raises(SystemExit) as stop:
+            main(["density", "-F", str(workdir / "edge.txt"), "-G", str(workdir / "k3.txt"),
+                  "--mc", "10", flag, "-1"])
+        assert stop.value.code == 2
+
+    @pytest.mark.parametrize("env, extra", [("", ["--threads", "0"]), ("two", [])])
+    def test_bad_thread_count_exits_2(self, workdir, capsys, monkeypatch, env, extra):
+        monkeypatch.setenv("GRAPHONLAB_THREADS", env)
+        argv = ["density", "-F", "edge.txt", "-G", "k3.txt", "--mc", "10", *extra]
+        code, _ = run_main(argv, workdir, capsys)
+        assert code == 2
+
+    def test_internal_fault_exits_4(self, workdir, capsys, monkeypatch):
+        def broken(_args):
+            raise ValueError("not an input problem")
+
+        monkeypatch.setattr(cli, "cmd_cutdist", broken)
+        code = main(["cutdist", "-W", str(workdir / "w02.txt"), "-W2", str(workdir / "w08.txt")])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "Traceback" in err and "internal error: not an input problem" in err
 
 
 class TestSampleCommand:
