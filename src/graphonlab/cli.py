@@ -37,10 +37,10 @@ from .exchangeable import (
     PatternPair,
     exchangeability_test,
     extremality_test,
-    isomorphism_class,
     martingale_trace,
     prefix_law_empirical,
     prefix_law_exact,
+    support_classes,
 )
 from .graphon import (
     StepGraphon,
@@ -166,7 +166,7 @@ def cmd_density(args) -> tuple[list[str], int]:
     mc = args.mc
     kind = args.kind
     lines = ["pattern_id,host_id,t,t_inj,t_ind,bound,bound_check"]
-    if mc:
+    if mc is not None:
         lines[0] += ",hoeffding_halfwidth"
     row = 0
     threads = thread_count(args.threads)
@@ -174,7 +174,7 @@ def cmd_density(args) -> tuple[list[str], int]:
     def emit(pid, hid, tv, tiv, tdv, bound, halfwidth=None):
         cells = [pid, hid, DEC(tv), DEC(tiv), DEC(tdv), DEC(bound),
                  "bound_ok" if abs(tv - tiv) <= bound else "bound_violated"]
-        if mc:
+        if mc is not None:
             cells.append("" if halfwidth is None else DEC(halfwidth))
         lines.append(",".join(cells))
 
@@ -184,7 +184,7 @@ def cmd_density(args) -> tuple[list[str], int]:
             for hpath in args.hosts:
                 host = read_graph(hpath)
                 for ppath, pat in patterns:
-                    if mc:
+                    if mc is not None:
                         est = _mc_t_row(pat, host, mc, args.seed, threads, row)
                         tv, halfwidth = to_fraction(est.point), est.confidence_halfwidth
                     else:
@@ -195,7 +195,7 @@ def cmd_density(args) -> tuple[list[str], int]:
         else:
             w = read_step_graphon(args.kernel)
             for ppath, pat in patterns:
-                if mc:
+                if mc is not None:
                     est = _mc_density_row(pat, w, mc, args.seed, threads, row)
                     tv, halfwidth = to_fraction(est.point), est.confidence_halfwidth
                 else:
@@ -204,7 +204,7 @@ def cmd_density(args) -> tuple[list[str], int]:
                      Fraction(0), halfwidth)
                 row += 1
     elif kind == "bipartite":
-        if mc:
+        if mc is not None:
             raise InputError("--mc is only available for simple graphs and kernels")
         patterns = [(p, bip.BipartiteGraph.from_text(_read_text(p))) for p in args.patterns]
         if args.hosts:
@@ -221,7 +221,7 @@ def cmd_density(args) -> tuple[list[str], int]:
                 emit(_stem(ppath), _stem(args.kernel), tv, tv,
                      bip.bip_exact_ind_density(pat, w), Fraction(0))
     else:  # directed
-        if mc:
+        if mc is not None:
             raise InputError("--mc is only available for simple graphs and kernels")
         patterns = [(p, dg.DirectedGraph.from_text(_read_text(p))) for p in args.patterns]
         if args.hosts:
@@ -280,21 +280,20 @@ def cmd_converge(args) -> tuple[list[str], int]:
 
 def cmd_test_exchangeable(args) -> tuple[list[str], int]:
     src = load_source(args.src)
-    if args.samples:
+    if args.samples is not None:
         law = prefix_law_empirical(src, args.k, args.samples, stream(args.seed, 0))
     else:
         if src.kind != "w_random" or not isinstance(src.graphon, StepGraphon):
             raise InputError("exact mode needs a single step-graphon source")
         law = prefix_law_exact(src.graphon, args.k)
-    verdict = exchangeability_test(law, args.alpha)
+    classes = support_classes(law)
+    verdict = exchangeability_test(law, args.alpha, classes)
     lines = ["class_code,cells,count,probability"]
-    classes = {}
-    for g in sorted(law.support(), key=pair_bits_of):
-        members = isomorphism_class(g)
+    class_of = {m: i for i, members in enumerate(classes) for m in members}
+    # one row per class, in order of its first support graph by pair bits
+    for i in dict.fromkeys(class_of[g] for g in sorted(law.support(), key=pair_bits_of)):
+        members = classes[i]
         key = min(pair_bits_of(m) for m in members)
-        if key in classes:
-            continue
-        classes[key] = members
         count = sum(law.counts.get(m, 0) for m in members) if law.is_empirical else ""
         prob = sum((law.probability(m) for m in members), Fraction(0))
         lines.append(f"{key},{len(members)},{count},{DEC(prob)}")
@@ -340,11 +339,19 @@ def cmd_trace_martingale(args) -> tuple[list[str], int]:
     return lines, 0
 
 
-def _non_negative(text: str) -> int:
+def _at_least(text: str, low: int) -> int:
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+def _non_negative(text: str) -> int:
+    return _at_least(text, 0)
+
+
+def _positive(text: str) -> int:
+    return _at_least(text, 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-G", dest="hosts", action="append", default=[], metavar="HOST")
     p.add_argument("-W", dest="kernel", metavar="KERNEL")
     p.add_argument("--kind", choices=["simple", "bipartite", "directed"], default="simple")
-    p.add_argument("--mc", "--samples", dest="mc", type=_non_negative, default=None, metavar="N",
+    p.add_argument("--mc", "--samples", dest="mc", type=_positive, default=None, metavar="N",
                    help="Monte Carlo samples instead of exact t")
     common(p)
     p.set_defaults(fn=cmd_density)
@@ -389,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("test-exchangeable", help="isomorphism-class homogeneity of a prefix law")
     p.add_argument("-src", dest="src", required=True)
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--samples", type=int, default=None,
+    p.add_argument("--samples", type=_positive, default=None,
                    help="empirical mode sample count (omit for exact mode)")
     p.add_argument("--alpha", type=float, default=0.01)
     common(p)

@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats as sps
 
 from .densities import TERM_CAP, _as_labelled, t_ind
 from .errors import CapacityError, InputError
@@ -227,13 +226,29 @@ def isomorphism_class(g: LabelledGraph) -> list[LabelledGraph]:
     return list(seen.values())
 
 
+def support_classes(law: PrefixLaw) -> list[list[LabelledGraph]]:
+    """Isomorphism classes that meet the support, in order of first
+    appearance in `law.support()`; each class is enumerated once, from
+    that first support graph, which heads its list."""
+    classes: list[list[LabelledGraph]] = []
+    found: set[LabelledGraph] = set()
+    for g in law.support():
+        if g not in found:
+            members = isomorphism_class(g)
+            found.update(members)
+            classes.append(members)
+    return classes
+
+
 def chi_square_uniformity(observed: Sequence[int]) -> tuple[float, float]:
     """Chi-square statistic and p-value for uniformity over the cells."""
+    from scipy.special import chdtrc  # imported here so that no other command loads scipy
+
     c = len(observed)
     n = sum(observed)
     expected = n / c
     stat = sum((o - expected) ** 2 / expected for o in observed)
-    return stat, float(sps.chi2.sf(stat, c - 1))
+    return stat, float(chdtrc(c - 1, stat))
 
 
 @dataclass(frozen=True)
@@ -244,20 +259,22 @@ class ExchangeabilityVerdict:
     classes_tested: int
 
 
-def exchangeability_test(law: PrefixLaw, alpha: float = 0.01) -> ExchangeabilityVerdict:
+def exchangeability_test(
+    law: PrefixLaw,
+    alpha: float = 0.01,
+    classes: Sequence[Sequence[LabelledGraph]] | None = None,
+) -> ExchangeabilityVerdict:
     """Check that the prefix law depends only on isomorphism type.
 
     Exact laws are checked for exact equality within each class; empirical
     laws get a chi-square homogeneity test per class with a Bonferroni
-    correction across classes.
+    correction across classes. `classes` is `support_classes(law)`, for a
+    caller that already has it.
     """
-    classes: dict[tuple[int, ...], list[LabelledGraph]] = {}
-    for g in law.support():
-        members = isomorphism_class(g)
-        key = min(m.rows for m in members)
-        classes.setdefault(key, members)
+    if classes is None:
+        classes = support_classes(law)
     if not law.is_empirical:
-        for members in classes.values():
+        for members in classes:
             values = {law.probability(m) for m in members}
             if len(values) > 1:
                 bad = members[0]
@@ -268,7 +285,7 @@ def exchangeability_test(law: PrefixLaw, alpha: float = 0.01) -> Exchangeability
                     len(classes),
                 )
         return ExchangeabilityVerdict(True, None, None, len(classes))
-    testable = [m for m in classes.values() if len(m) > 1]
+    testable = [m for m in classes if len(m) > 1]
     if not testable:
         return ExchangeabilityVerdict(True, None, None, 0)
     p_min, worst = 1.0, None

@@ -124,11 +124,14 @@ class GeneralGraphon:
                     raise InputError(f"kernel asymmetric at ({x},{y}): {a} vs {b}")
 
     def values(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Kernel values at paired points: one vectorised call, or one call
+        per pair when the callable takes floats only (a type or shape
+        failure on arrays, or a result of the wrong shape)."""
         try:
             out = np.asarray(self.eval(xs, ys), dtype=float)
             if out.shape == xs.shape:
                 return out
-        except Exception:
+        except (TypeError, ValueError):
             pass
         return np.array([self.eval(float(a), float(b)) for a, b in zip(xs, ys)])
 

@@ -145,6 +145,18 @@ class TestExitCodes:
                   "--mc", "10", flag, "-1"])
         assert stop.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["density", "-F", "edge.txt", "-G", "k3.txt", "--mc", "0"],
+        ["density", "-F", "edge.txt", "-W", "bg.txt", "--samples", "0"],
+        ["test-exchangeable", "-src", "src_det.txt", "-k", "2", "--samples", "0"],
+    ])
+    def test_zero_sample_count_exits_2(self, workdir, capsys, argv):
+        # zero samples is not a request for the exact report
+        with pytest.raises(SystemExit) as stop:
+            run_main(argv, workdir, capsys)
+        assert stop.value.code == 2
+        assert "must be >= 1, got 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("env, extra", [("", ["--threads", "0"]), ("two", [])])
     def test_bad_thread_count_exits_2(self, workdir, capsys, monkeypatch, env, extra):
         monkeypatch.setenv("GRAPHONLAB_THREADS", env)

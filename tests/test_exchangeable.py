@@ -2,12 +2,16 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy import stats as sps
 
+from graphonlab import exchangeable
 from graphonlab.errors import InputError
 from graphonlab.exchangeable import (
     GraphSource,
     PatternPair,
     PrefixLaw,
+    chi_square_uniformity,
     correspondence_check,
     covariance_ztest,
     exchangeability_test,
@@ -16,6 +20,7 @@ from graphonlab.exchangeable import (
     martingale_trace,
     prefix_law_empirical,
     prefix_law_exact,
+    support_classes,
 )
 from graphonlab.graphon import StepGraphon, boys_girls
 from graphonlab.graphs import LabelledGraph, enumerate_unlabelled
@@ -123,6 +128,57 @@ class TestExchangeabilityTest:
         src = GraphSource.from_sampler(lambda n, rng: LabelledGraph.path(n))
         law = prefix_law_empirical(src, 3, 2000, stream(5))
         assert not exchangeability_test(law).consistent
+
+    def test_exact_rejection_names_first_support_graph_of_class(self):
+        p3, other = LabelledGraph.path(3), LabelledGraph.from_edges(3, [(1, 3), (2, 3)])
+        law = PrefixLaw.exact(3, {other: Fraction(1, 3), p3: Fraction(2, 3)})
+        first = next(iter(law.support()))
+        verdict = exchangeability_test(law)
+        assert not verdict.consistent and verdict.classes_tested == 1
+        assert verdict.detail.startswith(f"class of graph with edges {first.edges()} ")
+
+
+@st.composite
+def cell_counts(draw):
+    """Count vectors of 2-120 cells around a common level, so that the
+    statistic spans the chi-square body and both tails."""
+    cells = draw(st.integers(2, 120))
+    level = draw(st.integers(0, 5000))
+    spread = draw(st.integers(0, 4 * math.isqrt(level) + 4))
+    low, high = max(0, level - spread), level + spread
+    counts = draw(st.lists(st.integers(low, high), min_size=cells, max_size=cells))
+    assume(sum(counts) > 0)
+    return counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(cell_counts())
+def test_chi_square_p_value_equals_scipy_stats(observed):
+    stat, p = chi_square_uniformity(observed)
+    assert p == float(sps.chi2.sf(stat, len(observed) - 1))
+
+
+class TestSupportClasses:
+    @pytest.mark.parametrize("law", [
+        prefix_law_exact(BG, 4),
+        prefix_law_empirical(MIX, 4, 3000, stream(11)),
+    ])
+    def test_one_enumeration_per_class(self, monkeypatch, law):
+        calls = []
+        enumerate_class = exchangeable.isomorphism_class
+        monkeypatch.setattr(exchangeable, "isomorphism_class",
+                            lambda g: calls.append(g) or enumerate_class(g))
+        classes = support_classes(law)
+        assert len(calls) == len(classes) == 11  # unlabelled graphs on 4 vertices
+        first_of_class = {}  # class key -> its first support graph
+        for g in law.support():
+            first_of_class.setdefault(min(m.rows for m in enumerate_class(g)), g)
+        assert calls == [members[0] for members in classes] == list(first_of_class.values())
+        members = [m.rows for c in classes for m in c]
+        assert len(members) == len(set(members)) == 2**6
+        calls.clear()
+        assert exchangeability_test(law, 0.01, classes) == exchangeability_test(law, 0.01)
+        assert len(calls) == len(classes)
 
 
 class TestExtremality:

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from graphonlab.densities import t
@@ -137,6 +138,22 @@ class TestMonteCarloDensity:
     def test_step_kernel_agrees(self, k3):
         est = mc_density(k3, BG, 100_000, stream(3))
         assert abs(est.point - float(exact_density(k3, BG))) <= 3 / (2 * math.sqrt(100_000))
+
+    def test_vectorised_call_failure_propagates(self, edge):
+        # only a type or shape failure on arrays falls back to per-pair calls
+        def kernel(x, y):
+            if isinstance(x, np.ndarray):
+                raise ZeroDivisionError("vectorised path broken")
+            return 0.5
+
+        w = GeneralGraphon(kernel)
+        with pytest.raises(ZeroDivisionError):
+            mc_density(edge, w, 100, stream(5))
+
+    def test_scalar_only_kernel_falls_back(self, edge):
+        w = GeneralGraphon(lambda x, y: math.exp(-x - y))
+        got = w.values(np.array([0.1, 0.2]), np.array([0.3, 0.4]))
+        assert got.tolist() == [math.exp(-0.1 - 0.3), math.exp(-0.2 - 0.4)]
 
     def test_asymmetric_kernel_rejected(self):
         with pytest.raises(InputError):

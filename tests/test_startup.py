@@ -1,0 +1,125 @@
+"""Start-up guard: the package and every command but the empirical
+chi-square test run in an interpreter that cannot import scipy.
+
+The child process puts a `sys.meta_path` finder in front of the import
+system that refuses `scipy` and all its submodules, then imports
+`graphonlab` and runs each command through `cli.main` on tiny inputs.
+This module imports neither scipy nor hypothesis at module level, so it
+also runs where only numpy and pytest are installed.
+"""
+import json
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+from graphonlab.graphon import StepGraphon, boys_girls, write_step_graphon
+from graphonlab.graphs import LabelledGraph, write_graph
+
+from cli_child import child_env, exit_fault
+
+CHILD = r'''
+import contextlib
+import io
+import json
+import sys
+
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"import of {name} refused")
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+import graphonlab  # noqa: E402
+from graphonlab.cli import main  # noqa: E402
+
+results = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = stop.code
+    results[name] = [code, err.getvalue()]
+print(json.dumps(results))
+'''
+
+# name -> argv; each report goes to <name>.out
+COMMANDS = {
+    "help": ["--help"],
+    "sample": ["sample", "-W", "bg.txt", "-n", "12", "--seed", "1"],
+    "density-exact": ["density", "-F", "edge.txt", "-F", "p3.txt", "-G", "k3.txt"],
+    "density-mc": ["density", "-F", "edge.txt", "-G", "k3.txt", "--mc", "500", "--seed", "2"],
+    "density-kernel-mc": ["density", "-F", "p3.txt", "-W", "bg.txt", "--mc", "500"],
+    "converge": ["converge", "-G", "k3.txt", "-G", "p3.txt", "--ref-graphon", "bg.txt"],
+    "cutdist": ["cutdist", "-W", "bg.txt", "-W2", "gb.txt"],
+    "test-extreme": ["test-extreme", "-src", "src.txt", "--pairs", "pairs.txt",
+                     "--samples", "2000", "--seed", "3"],
+    "trace-martingale": ["trace-martingale", "-src", "src.txt", "-F", "edge.txt",
+                         "--grid", "2,4,8", "--seed", "4"],
+    "test-exchangeable-exact": ["test-exchangeable", "-src", "src.txt", "-k", "3"],
+    "test-exchangeable-empirical": ["test-exchangeable", "-src", "src.txt", "-k", "3",
+                                    "--samples", "500"],
+}
+NEEDS_SCIPY = "test-exchangeable-empirical"  # its chi-square p-value
+
+
+def argv_of(name: str) -> list[str]:
+    argv = COMMANDS[name]
+    return argv if name == "help" else [*argv, "-o", f"{name}.out"]
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("startup")
+    write_graph(LabelledGraph.complete(2), d / "edge.txt")
+    write_graph(LabelledGraph.complete(3), d / "k3.txt")
+    write_graph(LabelledGraph.path(3), d / "p3.txt")
+    write_step_graphon(boys_girls(0.5, 0.2, 0.4, 0.6), d / "bg.txt")
+    write_step_graphon(boys_girls(0.5, 0.6, 0.4, 0.2), d / "gb.txt")
+    write_step_graphon(StepGraphon.constant(Fraction(1, 2)), d / "half.txt")
+    (d / "src.txt").write_text("wrandom half.txt\n")
+    (d / "pairs.txt").write_text("1-2 | 3-4\n")
+    return d
+
+
+@pytest.fixture(scope="module")
+def without_scipy(workdir):
+    """Exit code and stderr of each command, run in one child that refuses scipy."""
+    runs = {name: argv_of(name) for name in COMMANDS}
+    res = subprocess.run([sys.executable, "-c", CHILD, json.dumps(runs)], cwd=workdir,
+                         env=child_env(), capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, f"child failed (import graphonlab?):\n{res.stderr}"
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("name", [name for name in COMMANDS if name != NEEDS_SCIPY])
+def test_command_runs_without_scipy(workdir, without_scipy, name):
+    code, err = without_scipy[name]
+    args = argv_of(name)
+    fault = exit_fault(args, subprocess.CompletedProcess(args, code, "", err), workdir / f"{name}.out")
+    assert not fault, fault
+
+
+def test_empirical_chi_square_is_what_needs_scipy(without_scipy):
+    # the control: the finder does refuse scipy, at the one p-value that uses it
+    code, err = without_scipy[NEEDS_SCIPY]
+    assert code == 4 and "import of scipy refused" in err, err
+
+
+def test_empirical_mode_loads_scipy_special_not_stats(workdir):
+    pytest.importorskip("scipy.special")
+    script = ("import json, sys\nfrom graphonlab.cli import main\n"
+              f"code = main({argv_of(NEEDS_SCIPY)!r})\n"
+              "print(json.dumps([code, [m for m in sys.modules if m.split('.')[0] == 'scipy']]))")
+    res = subprocess.run([sys.executable, "-c", script], cwd=workdir, env=child_env(),
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    code, modules = json.loads(res.stdout)
+    assert code in (0, 1)
+    assert "scipy.special" in modules and "scipy.stats" not in modules, modules
