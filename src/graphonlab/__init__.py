@@ -47,9 +47,7 @@ from .directed import (
     loop_sequence_law,
     quadruple_from_quintuple,
     sample_directed,
-    sample_directed_qp,
     tournament_kernel,
-    validate_quadruple,
     validate_quintuple,
 )
 from .errors import CapacityError, GraphonLabError, InputError, InvariantError

@@ -6,7 +6,6 @@ kernel symmetry.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -16,10 +15,10 @@ import numpy as np
 from .densities import BoundCheck, _assignment_sum, _count_maps, _transpose, falling
 from .errors import CapacityError, InputError
 from .exact import Number, format_number, parse_ints, to_fraction
-from .graphon import _normalized_measures
+from .graphon import _normalized_measures, bernoulli, draw_blocks
+from .graphs import pack_rows
 
 BIP_PATTERN_CAP = 6
-BIP_CANON_CAP = 6
 
 
 @dataclass(frozen=True)
@@ -88,26 +87,6 @@ class BipartiteGraph:
             raise InputError(f"header declares {m} edges, file has {len(lines) - 1}")
         edges = [tuple(parse_ints(ln, "edge line 'u v'", 2)) for ln in lines[1:]]
         return cls.from_edges(n1, n2, edges)
-
-
-def bip_canonical_rows(g: BipartiteGraph) -> tuple[int, ...]:
-    """Minimum row tuple over independent row and column permutations;
-    equal exactly for graphs isomorphic as bipartite graphs."""
-    if g.n1 > BIP_CANON_CAP or g.n2 > BIP_CANON_CAP:
-        raise CapacityError(f"bipartite canonical form capped at {BIP_CANON_CAP} per part")
-    best: tuple[int, ...] | None = None
-    for cperm in itertools.permutations(range(g.n2)):
-        remapped = []
-        for r in g.rows:
-            bits = 0
-            for new_j, old_j in enumerate(cperm):
-                bits |= (r >> old_j & 1) << new_j
-            remapped.append(bits)
-        remapped.sort()
-        cand = tuple(remapped)
-        if best is None or cand < best:
-            best = cand
-    return best
 
 
 def _check_bip_pattern(f: BipartiteGraph) -> None:
@@ -265,16 +244,8 @@ def sample_bip_w_random(
     edges with the kernel's probabilities."""
     if n1 < 1 or n2 < 1:
         raise InputError("both parts need at least one vertex")
-    x = rng.choice(w.m1, size=n1, p=np.array([float(v) for v in w.mu1]))
-    y = rng.choice(w.m2, size=n2, p=np.array([float(v) for v in w.mu2]))
-    wf = np.array([[float(v) for v in row] for row in w.w])
-    probs = wf[np.repeat(x, n2), np.tile(y, n1)].reshape(n1, n2)
-    bits = rng.random((n1, n2)) < probs
-    rows = []
-    for i in range(n1):
-        packed = np.packbits(bits[i], bitorder="little").tobytes()
-        rows.append(int.from_bytes(packed, "little"))
-    return BipartiteGraph(n1, n2, tuple(rows))
+    bits = bip_cell_bits_batch(w, n1, n2, 1, rng)[0].reshape(n1, n2)
+    return BipartiteGraph(n1, n2, pack_rows(bits))
 
 
 def bip_cell_bits_batch(
@@ -282,12 +253,8 @@ def bip_cell_bits_batch(
 ) -> np.ndarray:
     """Boolean array (count, k1*k2): edge indicators of iid (k1,k2)-prefixes,
     cells in row-major order."""
-    x = rng.choice(w.m1, size=(count, k1), p=np.array([float(v) for v in w.mu1]))
-    y = rng.choice(w.m2, size=(count, k2), p=np.array([float(v) for v in w.mu2]))
-    wf = np.array([[float(v) for v in row] for row in w.w])
-    cols = []
-    for i in range(k1):
-        for j in range(k2):
-            probs = wf[x[:, i], y[:, j]]
-            cols.append(rng.random(count) < probs)
-    return np.column_stack(cols)
+    xt = draw_blocks(w.mu1, (count, k1), rng).T
+    yt = draw_blocks(w.mu2, (count, k2), rng).T
+    wf = np.array([float(v) for row in w.w for v in row])
+    rows, cols = np.divmod(np.arange(k1 * k2), k2)
+    return bernoulli(lambda s: wf[xt[rows[s]] * w.m2 + yt[cols[s]]], k1 * k2, count, rng)

@@ -132,30 +132,10 @@ def _parse_grid(text: str) -> list[int]:
 ROW_STRIDE = 1 << 20  # stream indices per CSV row; chunks never collide
 
 
-def _mc_t_row(f, g, samples: int, seed: int, threads: int, row: int) -> DensityEstimate:
-    hits = sum(
-        run_chunked(
-            lambda _i, count, gen: mc_containment_hits(f, g, count, gen),
-            samples,
-            seed,
-            threads,
-            stream_base=row * ROW_STRIDE,
-        )
-    )
-    return DensityEstimate(hits / samples, samples, hoeffding_halfwidth(samples))
-
-
-def _mc_density_row(f, w, samples: int, seed: int, threads: int, row: int) -> DensityEstimate:
-    total = sum(
-        run_chunked(
-            lambda _i, count, gen: mc_density_product_sum(f, w, count, gen),
-            samples,
-            seed,
-            threads,
-            stream_base=row * ROW_STRIDE,
-        )
-    )
-    return DensityEstimate(total / samples, samples, hoeffding_halfwidth(samples))
+def _mc_row(chunk_sum, samples: int, seed: int, threads: int, row: int) -> DensityEstimate:
+    """Mean of chunk_sum(index, count, rng) over fixed chunks of the row's streams."""
+    parts = run_chunked(chunk_sum, samples, seed, threads, stream_base=row * ROW_STRIDE)
+    return DensityEstimate(sum(parts) / samples, samples, hoeffding_halfwidth(samples))
 
 
 def cmd_density(args) -> tuple[list[str], int]:
@@ -185,7 +165,8 @@ def cmd_density(args) -> tuple[list[str], int]:
                 host = read_graph(hpath)
                 for ppath, pat in patterns:
                     if mc is not None:
-                        est = _mc_t_row(pat, host, mc, args.seed, threads, row)
+                        est = _mc_row(lambda _i, count, gen: mc_containment_hits(pat, host, count, gen),
+                                      mc, args.seed, threads, row)
                         tv, halfwidth = to_fraction(est.point), est.confidence_halfwidth
                     else:
                         tv, halfwidth = t(pat, host), None
@@ -196,7 +177,8 @@ def cmd_density(args) -> tuple[list[str], int]:
             w = read_step_graphon(args.kernel)
             for ppath, pat in patterns:
                 if mc is not None:
-                    est = _mc_density_row(pat, w, mc, args.seed, threads, row)
+                    est = _mc_row(lambda _i, count, gen: mc_density_product_sum(pat, w, count, gen),
+                                  mc, args.seed, threads, row)
                     tv, halfwidth = to_fraction(est.point), est.confidence_halfwidth
                 else:
                     tv, halfwidth = exact_density(pat, w), None

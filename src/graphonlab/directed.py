@@ -8,7 +8,6 @@ into the latent space with an iid Bernoulli(p) coordinate.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -18,11 +17,10 @@ import numpy as np
 from .densities import _assignment_sum, _count_maps, _transpose, falling
 from .errors import CapacityError, InputError
 from .exact import Number, format_number, parse_ints, to_fraction
-from .graphon import _normalized_measures
+from .graphon import _normalized_measures, draw_blocks
 from .graphs import pair_order
 
 DIR_PATTERN_CAP = 6
-DIR_CANON_CAP = 8
 
 PAIR_STATES = ((0, 0), (0, 1), (1, 0), (1, 1))  # (alpha, beta) = (X_ij, X_ji), i < j
 
@@ -87,21 +85,6 @@ class DirectedGraph:
             raise InputError(f"header declares {m} edges, file has {len(lines) - 1}")
         edges = [tuple(parse_ints(ln, "edge line 'u v'", 2)) for ln in lines[1:]]
         return cls.from_edges(n, edges)
-
-
-def directed_canonical_rows(g: DirectedGraph) -> tuple[int, ...]:
-    """Minimum row tuple over vertex permutations of the full adjacency
-    matrix, diagonal included."""
-    if g.n > DIR_CANON_CAP:
-        raise CapacityError(f"directed canonical form capped at {DIR_CANON_CAP} vertices")
-    best: tuple[int, ...] | None = None
-    for perm in itertools.permutations(range(g.n)):
-        cand = tuple(
-            sum((g.rows[perm[i]] >> perm[j] & 1) << j for j in range(g.n)) for i in range(g.n)
-        )
-        if best is None or cand < best:
-            best = cand
-    return best
 
 
 @dataclass(frozen=True)
@@ -193,21 +176,24 @@ class DirectedKernelQuintuple:
         return kernel
 
 
-def validate_quintuple(k: DirectedKernelQuintuple) -> QuintupleVerdict:
-    """Check normalisation (the four values sum to 1 per block pair) and the
-    transpose symmetry W_ab(x,y) = W_ba(y,x); reports the first violation."""
-    for a in range(k.m):
-        for b in range(k.m):
+def validate_quintuple(k: DirectedKernel) -> QuintupleVerdict:
+    """Check normalisation (the four values sum to 1 per pair of latent
+    states) and the transpose symmetry W_ab(x,y) = W_ba(y,x); reports the
+    first violation. The states are the blocks of a quintuple and the
+    extended (block, flag) states of a quadruple-plus-p kernel."""
+    states = range(len(k.w00))
+    for a in states:
+        for b in states:
             total = k.w00[a][b] + k.w01[a][b] + k.w10[a][b] + k.w11[a][b]
             if total != 1:
                 return QuintupleVerdict(
-                    False, f"pair law at blocks ({a},{b}) sums to {total}, not 1"
+                    False, f"pair law at states ({a},{b}) sums to {total}, not 1"
                 )
     for alpha, beta in PAIR_STATES:
         mat = k.pair_matrix(alpha, beta)
         mat_t = k.pair_matrix(beta, alpha)
-        for a in range(k.m):
-            for b in range(k.m):
+        for a in states:
+            for b in states:
                 if mat[a][b] != mat_t[b][a]:
                     return QuintupleVerdict(
                         False,
@@ -268,28 +254,6 @@ class DirectedKernelQuadruplePlusP:
         return self.mu[block] * (self.p if flag else 1 - self.p)
 
 
-def validate_quadruple(k: DirectedKernelQuadruplePlusP) -> QuintupleVerdict:
-    """Same constraint families as the quintuple, over the extended index."""
-    ext = 2 * k.m
-    for a in range(ext):
-        for b in range(ext):
-            total = k.w00[a][b] + k.w01[a][b] + k.w10[a][b] + k.w11[a][b]
-            if total != 1:
-                return QuintupleVerdict(
-                    False, f"pair law at extended states ({a},{b}) sums to {total}, not 1"
-                )
-    for alpha, beta in PAIR_STATES:
-        mat = k.pair_matrix(alpha, beta)
-        mat_t = k.pair_matrix(beta, alpha)
-        for a in range(ext):
-            for b in range(ext):
-                if mat[a][b] != mat_t[b][a]:
-                    return QuintupleVerdict(
-                        False, f"W{alpha}{beta}({a},{b}) != W{beta}{alpha}({b},{a})"
-                    )
-    return QuintupleVerdict(True, None)
-
-
 def quadruple_from_quintuple(k: DirectedKernelQuintuple, p: Number) -> DirectedKernelQuadruplePlusP:
     """Lift a quintuple's pair law to the extended space (ignoring its loop
     vector) and attach an independent loop probability."""
@@ -306,6 +270,20 @@ def quadruple_from_quintuple(k: DirectedKernelQuintuple, p: Number) -> DirectedK
 DirectedKernel = Union[DirectedKernelQuintuple, DirectedKernelQuadruplePlusP]
 
 
+def _latent_states(
+    kernel: DirectedKernel, n: int, count: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """(loops, states), each (count, n): iid latent blocks, extended by an
+    iid Bernoulli(p) loop flag under the quadruple-plus-p model."""
+    if n < 1:
+        raise InputError("n must be >= 1")
+    blocks = draw_blocks(kernel.mu, (count, n), rng)
+    if isinstance(kernel, DirectedKernelQuintuple):
+        return np.array(kernel.loop_flags, dtype=np.int8)[blocks], blocks
+    flags = (rng.random((count, n)) < float(kernel.p)).astype(np.int8)
+    return flags, 2 * blocks + flags
+
+
 def sample_directed_pair_codes(
     kernel: DirectedKernel, n: int, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -314,36 +292,20 @@ def sample_directed_pair_codes(
     loops is (count, n) in {0,1}; codes is (count, npairs) in 0..3 over the
     colex pair order, encoding (X_ij, X_ji) as 2*X_ij + X_ji for i < j.
     """
-    if n < 1:
-        raise InputError("n must be >= 1")
-    verdict = (
-        validate_quintuple(kernel)
-        if isinstance(kernel, DirectedKernelQuintuple)
-        else validate_quadruple(kernel)
-    )
+    verdict = validate_quintuple(kernel)
     if not verdict.ok:
         raise InputError(f"invalid kernel: {verdict.detail}")
-    mu = np.array([float(x) for x in kernel.mu])
-    blocks = rng.choice(kernel.m, size=(count, n), p=mu)
-    if isinstance(kernel, DirectedKernelQuintuple):
-        loops = np.array(kernel.loop_flags, dtype=np.int8)[blocks]
-        states = blocks
-    else:
-        flags = (rng.random((count, n)) < float(kernel.p)).astype(np.int8)
-        loops = flags
-        states = 2 * blocks + flags
+    loops, states = _latent_states(kernel, n, count, rng)
     mats = [
         np.array([[float(x) for x in row] for row in kernel.pair_matrix(a, b)])
         for a, b in PAIR_STATES
     ]
-    pairs = pair_order(n)
-    ii = np.array([i for i, _ in pairs], dtype=np.intp)
-    jj = np.array([j for _, j in pairs], dtype=np.intp)
+    jj, ii = np.tril_indices(n, -1)  # colex pair order
     si, sj = states[:, ii], states[:, jj]  # (count, npairs) each
     c1 = mats[0][si, sj]
     c2 = c1 + mats[1][si, sj]
     c3 = c2 + mats[2][si, sj]
-    u = rng.random((count, len(pairs)))
+    u = rng.random((count, len(ii)))
     codes = ((u >= c1).astype(np.int8) + (u >= c2) + (u >= c3)).astype(np.int8)
     return loops, codes
 
@@ -362,19 +324,9 @@ def _graph_from_codes(n: int, loops: np.ndarray, codes: np.ndarray) -> DirectedG
     return DirectedGraph(n, tuple(rows))
 
 
-def sample_directed(
-    kernel: DirectedKernelQuintuple, n: int, rng: np.random.Generator
-) -> DirectedGraph:
-    """One draw of the n-prefix: loops from the 0/1 loop function of the
-    latent block, pair indicators jointly from the quintuple law."""
-    loops, codes = sample_directed_pair_codes(kernel, n, 1, rng)
-    return _graph_from_codes(n, loops[0], codes[0])
-
-
-def sample_directed_qp(
-    kernel: DirectedKernelQuadruplePlusP, n: int, rng: np.random.Generator
-) -> DirectedGraph:
-    """One draw under the quadruple-plus-p model: loops iid Bernoulli(p)."""
+def sample_directed(kernel: DirectedKernel, n: int, rng: np.random.Generator) -> DirectedGraph:
+    """One draw of the n-prefix under either kernel: loops from the latent
+    state, pair indicators jointly from the pair law."""
     loops, codes = sample_directed_pair_codes(kernel, n, 1, rng)
     return _graph_from_codes(n, loops[0], codes[0])
 
@@ -385,15 +337,7 @@ def loop_sequence_law(kernel: DirectedKernel, n: int, rng: np.random.Generator) 
     The off-diagonal indicators are conditionally independent of the
     diagonal given the latents, so only latents and loop flags are drawn.
     """
-    if n < 1:
-        raise InputError("n must be >= 1")
-    mu = np.array([float(x) for x in kernel.mu])
-    blocks = rng.choice(kernel.m, size=n, p=mu)
-    if isinstance(kernel, DirectedKernelQuintuple):
-        flags = np.array(kernel.loop_flags, dtype=np.int8)[blocks]
-    else:
-        flags = (rng.random(n) < float(kernel.p)).astype(np.int8)
-    return tuple(int(x) for x in flags)
+    return tuple(int(x) for x in _latent_states(kernel, n, 1, rng)[0][0])
 
 
 def _check_dir_pattern(f: DirectedGraph) -> None:

@@ -20,7 +20,7 @@ import numpy as np
 from .densities import TERM_CAP, _as_labelled, t_ind
 from .errors import CapacityError, InputError
 from .exact import Number, to_fraction
-from .graphon import GeneralGraphon, StepGraphon, exact_density, sample_w_random
+from .graphon import GeneralGraphon, StepGraphon, exact_density, pair_bits, sample_w_random
 from .graphs import (
     LabelledGraph,
     UnlabelledGraph,
@@ -30,7 +30,7 @@ from .graphs import (
     pair_order,
     restrict_prefix,
 )
-from .rng import CHUNK
+from .rng import CHUNK, run_chunked
 
 PREFIX_CAP = 16
 CLASS_CAP = 7  # isomorphism-class grouping enumerates k! relabellings
@@ -142,52 +142,34 @@ class GraphSource:
     def from_sampler(cls, fn: Callable[[int, np.random.Generator], LabelledGraph]) -> "GraphSource":
         return cls("sampler", sampler=fn)
 
+    def _pick_components(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        weights = np.array([float(wt) for wt, _ in self.components])
+        return rng.choice(len(self.components), size=count, p=weights)
+
     def sample_prefix(self, n: int, rng: np.random.Generator) -> LabelledGraph:
         if self.kind == "w_random":
             return sample_w_random(self.graphon, n, rng)
         if self.kind == "mixture":
-            weights = np.array([float(wt) for wt, _ in self.components])
-            idx = int(rng.choice(len(self.components), p=weights))
-            return sample_w_random(self.components[idx][1], n, rng)
+            return sample_w_random(self.components[self._pick_components(1, rng)[0]][1], n, rng)
         return self.sampler(n, rng)
 
     def pair_bits_batch(self, k: int, count: int, rng: np.random.Generator) -> np.ndarray:
         """Boolean array (count, k*(k-1)/2): edge indicators of iid k-prefixes,
         columns in colex pair order."""
+        jj, ii = np.tril_indices(k, -1)  # colex: (0,1), (0,2), (1,2), (0,3), ...
         if self.kind == "w_random":
-            return _kernel_pair_bits(self.graphon, k, count, rng)
+            return pair_bits(self.graphon, k, count, ii, jj, rng)
         if self.kind == "mixture":
-            weights = np.array([float(wt) for wt, _ in self.components])
-            comp = rng.choice(len(self.components), size=count, p=weights)
-            out = np.zeros((count, k * (k - 1) // 2), dtype=bool)
+            comp = self._pick_components(count, rng)
+            out = np.zeros((count, len(ii)), dtype=bool)
             for c, (_, w) in enumerate(self.components):
                 mask = comp == c
                 n_c = int(mask.sum())
                 if n_c:
-                    out[mask] = _kernel_pair_bits(w, k, n_c, rng)
+                    out[mask] = pair_bits(w, k, n_c, ii, jj, rng)
             return out
         rows = [pair_bits_of(restrict_prefix(self.sampler(k, rng), k)) for _ in range(count)]
-        npairs = k * (k - 1) // 2
-        return np.array([[code >> i & 1 for i in range(npairs)] for code in rows], dtype=bool)
-
-
-def _kernel_pair_bits(
-    w: StepGraphon | GeneralGraphon, k: int, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    if isinstance(w, StepGraphon):
-        latents = rng.choice(w.m, size=(count, k), p=w.mu_floats())
-        wf = w.w_floats()
-    else:
-        latents = rng.random((count, k))
-        wf = None
-    cols = []
-    for i, j in pair_order(k):
-        if wf is not None:
-            probs = wf[latents[:, i], latents[:, j]]
-        else:
-            probs = w.values(latents[:, i], latents[:, j])
-        cols.append(rng.random(count) < probs)
-    return np.column_stack(cols)
+        return np.array([[code >> i & 1 for i in range(len(ii))] for code in rows], dtype=bool)
 
 
 def _codes_of_bits(bits: np.ndarray) -> np.ndarray:
@@ -251,6 +233,11 @@ def chi_square_uniformity(observed: Sequence[int]) -> tuple[float, float]:
     return stat, float(chdtrc(c - 1, stat))
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0 < alpha < 1:  # NaN fails too
+        raise InputError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 @dataclass(frozen=True)
 class ExchangeabilityVerdict:
     consistent: bool
@@ -271,6 +258,7 @@ def exchangeability_test(
     correction across classes. `classes` is `support_classes(law)`, for a
     caller that already has it.
     """
+    _check_alpha(alpha)
     if classes is None:
         classes = support_classes(law)
     if not law.is_empirical:
@@ -394,42 +382,27 @@ def extremality_test(
     samples: int,
     alpha: float = 0.01,
     *,
-    rng: np.random.Generator | None = None,
-    seed: int | None = None,
+    seed: int,
     threads: int = 1,
 ) -> ExtremalityVerdict:
     """Product-criterion test: containment of vertex-disjoint patterns must
     be uncorrelated under an extreme (single-kernel) law.
 
-    All patterns of all pairs are evaluated on one common prefix sample.
-    Per pair, a delta-method z-test of P(both) = P(first) P(second), with
-    Bonferroni correction across pairs. Pass either an rng (single
-    stream) or a seed (fixed-chunk streams, thread-count independent).
+    All patterns of all pairs are evaluated on one common prefix sample,
+    drawn in fixed chunks of the seed's streams, so the verdict does not
+    depend on the thread count. Per pair, a delta-method z-test of
+    P(both) = P(first) P(second), with Bonferroni correction across pairs.
     """
+    _check_alpha(alpha)
     if not pairs:
         raise InputError("need at least one pattern pair")
     if samples < 1:
         raise InputError("samples must be >= 1")
-    if (rng is None) == (seed is None):
-        raise InputError("pass exactly one of rng or seed")
     k = max(p.k() for p in pairs)
-    if rng is not None:
-        sums = np.zeros((len(pairs), 3), dtype=np.int64)
-        remaining = samples
-        while remaining:
-            batch = min(remaining, CHUNK)
-            sums += _pair_sums_chunk(src, pairs, k, batch, rng)
-            remaining -= batch
-    else:
-        from .rng import run_chunked
-
-        parts = run_chunked(
-            lambda _i, count, gen: _pair_sums_chunk(src, pairs, k, count, gen),
-            samples,
-            seed,
-            threads,
-        )
-        sums = np.sum(parts, axis=0)
+    parts = run_chunked(
+        lambda _i, count, gen: _pair_sums_chunk(src, pairs, k, count, gen), samples, seed, threads
+    )
+    sums = np.sum(parts, axis=0)
     stats = []
     for sa, sb, sab in sums:
         _, z, p = covariance_ztest(samples, int(sa), int(sb), int(sab))

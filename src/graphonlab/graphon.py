@@ -31,6 +31,7 @@ from .graphs import LabelledGraph, graph_from_bool_matrix, pair_order
 CUT_NORM_CAP = 16
 CUT_DIST_CAP = 8
 MEASURE_TOL = Fraction(1, 10**12)
+STRIP = 1 << 15  # uniforms per Bernoulli strip
 
 
 def _normalized_measures(raw: Sequence[Number]) -> tuple[Fraction, ...]:
@@ -75,9 +76,6 @@ class StepGraphon:
     @classmethod
     def constant(cls, p: Number) -> "StepGraphon":
         return cls((Fraction(1),), ((to_fraction(p),),))
-
-    def mu_floats(self) -> np.ndarray:
-        return np.array([float(x) for x in self.mu])
 
     def w_floats(self) -> np.ndarray:
         return np.array([[float(x) for x in row] for row in self.w])
@@ -182,26 +180,56 @@ def exact_ind_density(f: GraphLike, w: StepGraphon) -> Fraction:
     )
 
 
-def _pair_probs(w: StepGraphon | GeneralGraphon, latents: np.ndarray, iu: np.ndarray, ju: np.ndarray) -> np.ndarray:
-    if isinstance(w, StepGraphon):
-        return w.w_floats()[latents[iu], latents[ju]]
-    return w.values(latents[iu], latents[ju])
+def draw_blocks(mu: Sequence[Number], shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """Latent block labels of the given shape, iid with block measures mu;
+    every latent block draw of every sampler goes through here."""
+    return rng.choice(len(mu), size=shape, p=np.array([float(x) for x in mu]))
 
 
-def _draw_latents(w: StepGraphon | GeneralGraphon, n: int, rng: np.random.Generator) -> np.ndarray:
+def bernoulli(
+    probs_of: Callable[[slice], np.ndarray], cells: int, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Boolean array (count, cells) of independent indicators; probs_of(s)
+    gives the probabilities of the cells in slice s as (cells, count). The
+    uniforms are drawn cell-major, all of cell 0 first, in strips of about
+    STRIP values so that the arrays of a strip stay in cache."""
+    out = np.empty((cells, count), dtype=bool)
+    step = max(1, STRIP // max(1, count))
+    for a in range(0, cells, step):
+        probs = probs_of(slice(a, a + step))
+        out[a:a + step] = rng.random(probs.shape) < probs
+    return out.T
+
+
+def _latents(w: StepGraphon | GeneralGraphon, shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
+    return draw_blocks(w.mu, shape, rng) if isinstance(w, StepGraphon) else rng.random(shape)
+
+
+def _lookup(w: StepGraphon | GeneralGraphon, xi: np.ndarray, xj: np.ndarray) -> np.ndarray:
+    """Kernel values at paired latents of any shape; a general kernel sees
+    them flat, since its per-pair fallback iterates its inputs. A step
+    kernel is read through one flat index, much faster than a 2-D one."""
     if isinstance(w, StepGraphon):
-        return rng.choice(w.m, size=n, p=w.mu_floats())
-    return rng.random(n)
+        return w.w_floats().ravel()[xi * w.m + xj]
+    return w.values(xi.ravel(), xj.ravel()).reshape(xi.shape)
+
+
+def pair_bits(
+    w: StepGraphon | GeneralGraphon, k: int, count: int, ii: np.ndarray, jj: np.ndarray,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Boolean array (count, len(ii)): edge indicators of `count` iid
+    W-random graphs on k vertices at the 0-based vertex pairs (ii, jj)."""
+    xt = _latents(w, (count, k), rng).T
+    return bernoulli(lambda s: _lookup(w, xt[ii[s]], xt[jj[s]]), len(ii), count, rng)
 
 
 def sample_w_random(w: StepGraphon | GeneralGraphon, n: int, rng: np.random.Generator) -> LabelledGraph:
     """G(n, W): iid latent labels, then conditionally independent edges."""
     if n < 1:
         raise InputError("n must be >= 1")
-    latents = _draw_latents(w, n, rng)
     iu, ju = np.triu_indices(n, k=1)
-    probs = _pair_probs(w, latents, iu, ju)
-    bits = rng.random(len(iu)) < probs
+    bits = pair_bits(w, n, 1, iu, ju, rng)[0]
     a = np.zeros((n, n), dtype=bool)
     a[iu[bits], ju[bits]] = True
     a |= a.T
@@ -215,16 +243,10 @@ def mc_density_product_sum(
     f's edges; chunk-mergeable core of mc_density."""
     fl = _as_labelled(f)
     _check_pattern(fl)
-    latents = (
-        rng.choice(w.m, size=(count, fl.n), p=w.mu_floats())
-        if isinstance(w, StepGraphon)
-        else rng.random((count, fl.n))
-    )
-    wf = w.w_floats() if isinstance(w, StepGraphon) else None
+    x = _latents(w, (count, fl.n), rng)
     prod = np.ones(count)
     for u, v in fl.edges():
-        xi, xj = latents[:, u - 1], latents[:, v - 1]
-        prod *= wf[xi, xj] if wf is not None else w.values(xi, xj)
+        prod *= _lookup(w, x[:, u - 1], x[:, v - 1])
     return float(prod.sum())
 
 

@@ -402,14 +402,14 @@ def disjoint_union(parts: Sequence[LabelledGraph]) -> LabelledGraph:
     return LabelledGraph.from_edges(n, edges)
 
 
+def pack_rows(a: np.ndarray) -> tuple[int, ...]:
+    """Each row of a boolean matrix as a bitmask: bit j of row i is a[i, j]."""
+    return tuple(int.from_bytes(np.packbits(r, bitorder="little").tobytes(), "little") for r in a)
+
+
 def graph_from_bool_matrix(a: np.ndarray) -> LabelledGraph:
     """Build a graph from a symmetric boolean matrix with empty diagonal."""
-    n = a.shape[0]
-    rows = []
-    for i in range(n):
-        packed = np.packbits(a[i], bitorder="little").tobytes()
-        rows.append(int.from_bytes(packed, "little"))
-    return LabelledGraph(n, tuple(rows))
+    return LabelledGraph(a.shape[0], pack_rows(a))
 
 
 def read_graph(path: str) -> LabelledGraph:

@@ -211,3 +211,30 @@ def brute_directed_kernel_sum(f, measures, flags, law, induced: bool = False) ->
                 )
         total += term
     return total
+
+
+def bip_canonical_rows(g) -> tuple[int, ...]:
+    """Minimum row tuple of a bipartite graph over independent row and
+    column permutations; equal exactly for graphs isomorphic as bipartite
+    graphs."""
+    best = None
+    for cperm in itertools.permutations(range(g.n2)):
+        remapped = []
+        for r in g.rows:
+            bits = 0
+            for new_j, old_j in enumerate(cperm):
+                bits |= (r >> old_j & 1) << new_j
+            remapped.append(bits)
+        cand = tuple(sorted(remapped))
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def directed_canonical_rows(g) -> tuple[int, ...]:
+    """Minimum row tuple of a directed graph over vertex permutations of
+    the full adjacency matrix, diagonal included."""
+    return min(
+        tuple(sum((g.rows[perm[i]] >> perm[j] & 1) << j for j in range(g.n)) for i in range(g.n))
+        for perm in itertools.permutations(range(g.n))
+    )

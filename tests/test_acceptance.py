@@ -211,11 +211,11 @@ def test_criterion_08_extremality_power_and_level():
     pair = [PatternPair(((1, 2),), ((3, 4),))]
     runs, samples = 50, 100_000
     mix_rejects = sum(
-        not extremality_test(mix, pair, samples, 0.01, rng=stream(500 + s)).extreme_consistent
+        not extremality_test(mix, pair, samples, 0.01, seed=500 + s).extreme_consistent
         for s in range(runs)
     )
     det_rejects = sum(
-        not extremality_test(det, pair, samples, 0.01, rng=stream(600 + s)).extreme_consistent
+        not extremality_test(det, pair, samples, 0.01, seed=600 + s).extreme_consistent
         for s in range(runs)
     )
     ok = mix_rejects >= 47 and det_rejects <= 3

@@ -8,7 +8,6 @@ import pytest
 from graphonlab.bipartite import (
     BipartiteGraph,
     BipartiteKernel,
-    bip_canonical_rows,
     bip_cell_bits_batch,
     bip_exact_density,
     bip_exact_ind_density,
@@ -22,6 +21,8 @@ from graphonlab.bipartite import (
 from graphonlab.errors import InputError
 from graphonlab.exchangeable import chi_square_uniformity, covariance_ztest
 from graphonlab.rng import stream
+
+from oracles import bip_canonical_rows
 
 CROSS_EDGE = BipartiteGraph.from_edges(1, 1, [(1, 1)])
 MATCHING_22 = BipartiteGraph.from_edges(2, 2, [(1, 1), (2, 2)])

@@ -249,6 +249,30 @@ class TestVerdictCommands:
         assert code == 0
         assert "VERDICT consistent" in out
 
+    @pytest.mark.parametrize("src", ["src_det.txt", "src_mix.txt"])
+    def test_exchangeable_one_vertex_prefix(self, workdir, capsys, src):
+        # a 1-vertex prefix has no pairs: one class, the single vertex
+        code, out = run_main(
+            ["test-exchangeable", "-src", src, "-k", "1", "--samples", "500"], workdir, capsys
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "class_code,cells,count,probability", "0,1,500,1.000000000000", "VERDICT consistent p_min=",
+        ]
+
+    @pytest.mark.parametrize("alpha", ["0", "1", "-1", "1.5", "nan"])
+    @pytest.mark.parametrize("argv", [
+        ["test-extreme", "-src", "src_det.txt", "--pairs", "pairs.txt", "--samples", "100"],
+        ["test-exchangeable", "-src", "src_det.txt", "-k", "3"],
+        ["test-exchangeable", "-src", "src_det.txt", "-k", "3", "--samples", "100"],
+    ])
+    def test_alpha_outside_unit_interval_exits_2(self, workdir, capsys, argv, alpha):
+        code = main([str(workdir / a) if a.endswith(".txt") else a for a in argv] + ["--alpha", alpha])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"input error: alpha must lie in (0, 1), got {float(alpha)}" in captured.err
+
     def test_bad_source_kind(self, workdir, capsys):
         (workdir / "bad_src.txt").write_text("nonsense w05.txt\n")
         code, _ = run_main(

@@ -8,7 +8,6 @@ import pytest
 from graphonlab.directed import (
     DirectedGraph,
     DirectedKernelQuintuple,
-    directed_canonical_rows,
     directed_t,
     directed_t_ind,
     directed_t_inj,
@@ -16,16 +15,14 @@ from graphonlab.directed import (
     quadruple_from_quintuple,
     sample_directed,
     sample_directed_pair_codes,
-    sample_directed_qp,
     tournament_kernel,
-    validate_quadruple,
     validate_quintuple,
 )
 from graphonlab.errors import InputError
 from graphonlab.exchangeable import chi_square_uniformity, covariance_ztest
 from graphonlab.rng import stream
 
-from oracles import brute_hom_directed
+from oracles import brute_hom_directed, directed_canonical_rows
 
 F = Fraction
 TOURNAMENT = tournament_kernel()
@@ -71,7 +68,7 @@ class TestValidation:
             DirectedKernelQuintuple((1,), ((1,),), ((0,),), ((0,),), ((0,),), (2,))
 
     def test_quadruple_valid(self):
-        assert validate_quadruple(quadruple_from_quintuple(TWO_BLOCK, F(3, 10))).ok
+        assert validate_quintuple(quadruple_from_quintuple(TWO_BLOCK, F(3, 10))).ok
 
 
 class TestKernelDensities:
@@ -182,13 +179,13 @@ class TestSamplers:
     def test_qp_loop_extremes(self):
         qp0 = quadruple_from_quintuple(TWO_BLOCK, 0)
         qp1 = quadruple_from_quintuple(TWO_BLOCK, 1)
-        assert sample_directed_qp(qp0, 30, stream(5)).loops() == []
-        assert sample_directed_qp(qp1, 30, stream(5)).loops() == list(range(1, 31))
+        assert sample_directed(qp0, 30, stream(5)).loops() == []
+        assert sample_directed(qp1, 30, stream(5)).loops() == list(range(1, 31))
 
     def test_qp_loop_count_mean(self):
         qp = quadruple_from_quintuple(TOURNAMENT, F(3, 10))
         n, runs = 200, 30
-        counts = [len(sample_directed_qp(qp, n, stream(s, 6)).loops()) for s in range(runs)]
+        counts = [len(sample_directed(qp, n, stream(s, 6)).loops()) for s in range(runs)]
         sigma = math.sqrt(n * 0.3 * 0.7 / runs)
         assert abs(sum(counts) / runs - 0.3 * n) <= 3 * sigma
 

@@ -184,18 +184,18 @@ class TestSupportClasses:
 class TestExtremality:
     def test_fair_kernel_consistent(self):
         src = GraphSource.w_random(HALF)
-        v = extremality_test(src, [DISJOINT_EDGES], 100_000, rng=stream(6))
+        v = extremality_test(src, [DISJOINT_EDGES], 100_000, seed=6)
         assert v.extreme_consistent
         assert abs(v.pair_stats[0].p12 - 0.25) < 0.01
 
     def test_mixture_rejected(self):
-        v = extremality_test(MIX, [DISJOINT_EDGES], 100_000, rng=stream(7))
+        v = extremality_test(MIX, [DISJOINT_EDGES], 100_000, seed=7)
         assert not v.extreme_consistent
         assert abs(v.pair_stats[0].p12 - 0.34) < 0.01
 
     def test_boys_girls_consistent(self):
         src = GraphSource.w_random(BG)
-        v = extremality_test(src, [DISJOINT_EDGES], 100_000, rng=stream(8))
+        v = extremality_test(src, [DISJOINT_EDGES], 100_000, seed=8)
         assert v.extreme_consistent
 
     def test_seeded_matches_threads(self):
@@ -206,10 +206,6 @@ class TestExtremality:
     def test_overlapping_patterns_rejected(self):
         with pytest.raises(InputError):
             PatternPair(((1, 2),), ((2, 3),))
-
-    def test_needs_exactly_one_rng_mode(self):
-        with pytest.raises(InputError):
-            extremality_test(MIX, [DISJOINT_EDGES], 100)
 
     def test_covariance_ztest_degenerate(self):
         assert covariance_ztest(100, 100, 100, 100) == (0.0, 0.0, 1.0)

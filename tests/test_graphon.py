@@ -155,6 +155,24 @@ class TestMonteCarloDensity:
         got = w.values(np.array([0.1, 0.2]), np.array([0.3, 0.4]))
         assert got.tolist() == [math.exp(-0.1 - 0.3), math.exp(-0.2 - 0.4)]
 
+    @pytest.mark.parametrize("count", [1, 2, 500])
+    def test_scalar_only_kernel_in_batch_samplers(self, count):
+        # batch lookups hand the kernel 2-D latents; the per-pair fallback
+        # must see them flat and give the vectorised kernel's draws
+        scalar = GeneralGraphon(lambda x, y: math.exp(-x - y))
+        vectorised = GeneralGraphon(lambda x, y: np.exp(-x - y))
+        for k in (1, 2, 4):
+            bits = [GraphSource.w_random(w).pair_bits_batch(k, count, stream(7, k))
+                    for w in (scalar, vectorised)]
+            assert bits[0].shape == (count, k * (k - 1) // 2)
+            assert np.array_equal(bits[0], bits[1])
+        mixed = [GraphSource.mixture([(0.5, w), (0.5, BG)]).pair_bits_batch(4, count, stream(8))
+                 for w in (scalar, vectorised)]
+        assert np.array_equal(mixed[0], mixed[1])
+        for f in (LabelledGraph.complete(2), LabelledGraph.path(4), LabelledGraph.empty(3)):
+            est = [mc_density(f, w, count, stream(9)) for w in (scalar, vectorised)]
+            assert est[0] == est[1]
+
     def test_asymmetric_kernel_rejected(self):
         with pytest.raises(InputError):
             GeneralGraphon(lambda x, y: x)
