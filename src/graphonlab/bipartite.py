@@ -14,9 +14,9 @@ import numpy as np
 
 from .densities import BoundCheck, _assignment_sum, _count_maps, _transpose, falling
 from .errors import CapacityError, InputError
-from .exact import Number, format_number, parse_ints, to_fraction
+from .exact import Number, content_lines, format_number, parse_line, to_fraction
 from .graphon import _normalized_measures, bernoulli, draw_blocks
-from .graphs import pack_rows
+from .graphs import pack_rows, pair_rows, row_bits, rows_text, text_rows, unpack_rows
 
 BIP_PATTERN_CAP = 6
 
@@ -31,18 +31,7 @@ class BipartiteGraph:
 
     @classmethod
     def from_edges(cls, n1: int, n2: int, edges: Iterable[tuple[int, int]]) -> "BipartiteGraph":
-        if n1 < 1 or n2 < 1:
-            raise InputError("both parts need at least one vertex")
-        rows = [0] * n1
-        seen = set()
-        for u, v in edges:
-            if not (1 <= u <= n1 and 1 <= v <= n2):
-                raise InputError(f"edge ({u},{v}) out of range for parts {n1},{n2}")
-            if (u, v) in seen:
-                raise InputError(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
-            rows[u - 1] |= 1 << (v - 1)
-        return cls(n1, n2, tuple(rows))
+        return cls(n1, n2, pair_rows(edges, (n1, n2), False))
 
     @classmethod
     def complete(cls, n1: int, n2: int) -> "BipartiteGraph":
@@ -56,42 +45,26 @@ class BipartiteGraph:
         return bool(self.rows[u - 1] >> (v - 1) & 1)
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for i in range(self.n1):
-            r = self.rows[i]
-            j = 0
-            while r:
-                if r & 1:
-                    out.append((i + 1, j + 1))
-                r >>= 1
-                j += 1
-        return out
+        return row_bits(self.rows)
 
     @property
     def num_edges(self) -> int:
         return sum(r.bit_count() for r in self.rows)
 
     def to_text(self) -> str:
-        edges = self.edges()
-        lines = [f"{self.n1} {self.n2} {len(edges)}"]
-        lines += [f"{u} {v}" for u, v in edges]
-        return "\n".join(lines) + "\n"
+        return rows_text(f"{self.n1} {self.n2}", self.rows, self.n2, False)
 
     @classmethod
     def from_text(cls, text: str) -> "BipartiteGraph":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise InputError("empty bipartite graph file")
-        n1, n2, m = parse_ints(lines[0], "'n1 n2 m' header", 3)
-        if len(lines) - 1 != m:
-            raise InputError(f"header declares {m} edges, file has {len(lines) - 1}")
-        edges = [tuple(parse_ints(ln, "edge line 'u v'", 2)) for ln in lines[1:]]
-        return cls.from_edges(n1, n2, edges)
+        (n1, n2, _), rows = text_rows(text, "'n1 n2 m' header", 3, False)
+        return cls(n1, n2, rows)
 
 
 def _check_bip_pattern(f: BipartiteGraph) -> None:
     if f.n1 > BIP_PATTERN_CAP or f.n2 > BIP_PATTERN_CAP:
-        raise CapacityError(f"bipartite pattern capped at {BIP_PATTERN_CAP} per part")
+        raise CapacityError(
+            f"bipartite pattern capped at {BIP_PATTERN_CAP} vertices per part, got {f.n1} and {f.n2}"
+        )
 
 
 def _as_one_graph(g: BipartiteGraph) -> list[int]:
@@ -184,34 +157,23 @@ class BipartiteKernel:
 
     @classmethod
     def from_text(cls, text: str) -> "BipartiteKernel":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
+        lines = content_lines(text)
         if len(lines) < 3:
             raise InputError("bipartite kernel file too short")
-        m1, m2 = parse_ints(lines[0], "'m1 m2' header", 2)
+        m1, m2 = parse_line(lines[0], "'m1 m2' header", 2, int)
         if len(lines) != 3 + m1:
             raise InputError(f"expected {m1} matrix rows, got {len(lines) - 3}")
-        mu1 = tuple(to_fraction(tok) for tok in lines[1].split())
-        mu2 = tuple(to_fraction(tok) for tok in lines[2].split())
-        if len(mu1) != m1 or len(mu2) != m2:
-            raise InputError("measure line lengths do not match the header")
-        w = []
-        for ln in lines[3:]:
-            row = tuple(to_fraction(tok) for tok in ln.split())
-            if len(row) != m2:
-                raise InputError(f"matrix row {ln!r} has wrong length")
-            w.append(row)
-        return cls(mu1, mu2, tuple(w))
+        mu1 = parse_line(lines[1], f"{m1} measures", m1, Fraction)
+        mu2 = parse_line(lines[2], f"{m2} measures", m2, Fraction)
+        w = [parse_line(ln, f"a matrix row of {m2} values", m2, Fraction) for ln in lines[3:]]
+        return cls(mu1, mu2, w)
 
 
 def bip_graph_as_kernel(g: BipartiteGraph) -> BipartiteKernel:
     """Adjacency kernel of a bipartite graph: uniform measures per side,
     0/1 values; reproduces bip_t(F, g) exactly for every pattern."""
-    mu1 = tuple(Fraction(1, g.n1) for _ in range(g.n1))
-    mu2 = tuple(Fraction(1, g.n2) for _ in range(g.n2))
-    w = tuple(
-        tuple(Fraction(1 if g.rows[i] >> j & 1 else 0) for j in range(g.n2)) for i in range(g.n1)
-    )
-    return BipartiteKernel(mu1, mu2, w)
+    w = unpack_rows(g.rows, g.n2).astype(int).tolist()
+    return BipartiteKernel((Fraction(1, g.n1),) * g.n1, (Fraction(1, g.n2),) * g.n2, w)
 
 
 def _bip_kernel_sum(f: BipartiteGraph, w: BipartiteKernel, induced: bool) -> Fraction:

@@ -31,10 +31,12 @@ from .densities import (
     tau_plus,
 )
 from .errors import CapacityError, InputError, InvariantError
-from .exact import fraction_to_decimal, to_fraction
+from .exact import content_lines, fraction_to_decimal, parse_line, read_text, to_fraction
 from .exchangeable import (
     GraphSource,
     PatternPair,
+    check_alpha,
+    check_class_size,
     exchangeability_test,
     extremality_test,
     martingale_trace,
@@ -61,20 +63,11 @@ def _stem(path: str) -> str:
     return Path(path).stem
 
 
-def _read_text(path: str) -> str:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-
-
 def load_source(path: str) -> GraphSource:
     """Source file: 'wrandom FILE' or 'mixture' followed by 'WEIGHT FILE'
     lines. Kernel paths resolve relative to the source file."""
     base = Path(path).parent
-    lines = [ln.strip() for ln in _read_text(path).splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = [ln.strip() for ln in content_lines(read_text(path)) if not ln.strip().startswith("#")]
     if not lines:
         raise InputError(f"empty source file {path}")
     head = lines[0].split()
@@ -98,7 +91,7 @@ def load_source(path: str) -> GraphSource:
 def load_pairs(path: str) -> list[PatternPair]:
     """Pattern-pair file: one pair per line, 'u-v u-v ... | u-v ...'."""
     pairs = []
-    for ln in _read_text(path).splitlines():
+    for ln in read_text(path).splitlines():
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
@@ -119,14 +112,6 @@ def load_pairs(path: str) -> list[PatternPair]:
     if not pairs:
         raise InputError(f"no pattern pairs in {path}")
     return pairs
-
-
-def _parse_grid(text: str) -> list[int]:
-    try:
-        grid = [int(x) for x in text.split(",")]
-    except ValueError as exc:
-        raise InputError(f"bad grid {text!r}") from exc
-    return grid
 
 
 ROW_STRIDE = 1 << 20  # stream indices per CSV row; chunks never collide
@@ -185,40 +170,30 @@ def cmd_density(args) -> tuple[list[str], int]:
                 emit(_stem(ppath), _stem(args.kernel), tv, tv, exact_ind_density(pat, w),
                      Fraction(0), halfwidth)
                 row += 1
-    elif kind == "bipartite":
+    else:
         if mc is not None:
             raise InputError("--mc is only available for simple graphs and kernels")
-        patterns = [(p, bip.BipartiteGraph.from_text(_read_text(p))) for p in args.patterns]
-        if args.hosts:
-            for hpath in args.hosts:
-                host = bip.BipartiteGraph.from_text(_read_text(hpath))
-                for ppath, pat in patterns:
-                    tv, tiv = bip.bip_t(pat, host), bip.bip_t_inj(pat, host)
-                    emit(_stem(ppath), _stem(hpath), tv, tiv, bip.bip_t_ind(pat, host),
-                         bip.bip_sampling_bound(pat, host))
-        else:
-            w = bip.BipartiteKernel.from_text(_read_text(args.kernel))
+        # graph class, kernel class, host cells (t, t_inj, t_ind, bound), kernel cells (t, t_ind)
+        graph, kernel, host_cells, kernel_cells = {
+            "bipartite": (bip.BipartiteGraph, bip.BipartiteKernel,
+                          lambda f, g: (bip.bip_t(f, g), bip.bip_t_inj(f, g), bip.bip_t_ind(f, g),
+                                        bip.bip_sampling_bound(f, g)),
+                          lambda f, w: (bip.bip_exact_density(f, w), bip.bip_exact_ind_density(f, w))),
+            "directed": (dg.DirectedGraph, dg.DirectedKernelQuintuple,
+                         lambda f, g: (dg.directed_t(f, g), dg.directed_t_inj(f, g),
+                                       dg.directed_t_ind(f, g), sampling_bound(f, g)),
+                         lambda f, w: (dg.directed_t(f, w), dg.directed_t_ind(f, w))),
+        }[kind]
+        patterns = [(p, graph.from_text(read_text(p))) for p in args.patterns]
+        for hpath in args.hosts:
+            host = graph.from_text(read_text(hpath))
             for ppath, pat in patterns:
-                tv = bip.bip_exact_density(pat, w)
-                emit(_stem(ppath), _stem(args.kernel), tv, tv,
-                     bip.bip_exact_ind_density(pat, w), Fraction(0))
-    else:  # directed
-        if mc is not None:
-            raise InputError("--mc is only available for simple graphs and kernels")
-        patterns = [(p, dg.DirectedGraph.from_text(_read_text(p))) for p in args.patterns]
-        if args.hosts:
-            for hpath in args.hosts:
-                host = dg.DirectedGraph.from_text(_read_text(hpath))
-                for ppath, pat in patterns:
-                    tv, tiv = dg.directed_t(pat, host), dg.directed_t_inj(pat, host)
-                    emit(_stem(ppath), _stem(hpath), tv, tiv,
-                         dg.directed_t_ind(pat, host), sampling_bound(pat, host))
-        else:
-            w = dg.DirectedKernelQuintuple.from_text(_read_text(args.kernel))
+                emit(_stem(ppath), _stem(hpath), *host_cells(pat, host))
+        if args.kernel:
+            w = kernel.from_text(read_text(args.kernel))
             for ppath, pat in patterns:
-                tv = dg.directed_t(pat, w)
-                emit(_stem(ppath), _stem(args.kernel), tv, tv,
-                     dg.directed_t_ind(pat, w), Fraction(0))
+                tv, tdv = kernel_cells(pat, w)
+                emit(_stem(ppath), _stem(args.kernel), tv, tv, tdv, Fraction(0))
     return lines, 0
 
 
@@ -229,12 +204,12 @@ def cmd_sample(args) -> tuple[list[str], int]:
         g = sample_w_random(w, args.n, rng)
         text = g.to_text()
     elif args.kind == "bipartite":
-        w = bip.BipartiteKernel.from_text(_read_text(args.kernel))
+        w = bip.BipartiteKernel.from_text(read_text(args.kernel))
         if args.n2 is None:
             raise InputError("bipartite sampling needs --n2")
         text = bip.sample_bip_w_random(w, args.n, args.n2, rng).to_text()
     else:
-        w = dg.DirectedKernelQuintuple.from_text(_read_text(args.kernel))
+        w = dg.DirectedKernelQuintuple.from_text(read_text(args.kernel))
         text = dg.sample_directed(w, args.n, rng).to_text()
     return text.splitlines(), 0
 
@@ -261,6 +236,8 @@ def cmd_converge(args) -> tuple[list[str], int]:
 
 
 def cmd_test_exchangeable(args) -> tuple[list[str], int]:
+    check_class_size(args.k)  # both before any law is sampled or summed
+    check_alpha(args.alpha)
     src = load_source(args.src)
     if args.samples is not None:
         law = prefix_law_empirical(src, args.k, args.samples, stream(args.seed, 0))
@@ -314,7 +291,8 @@ def cmd_cutdist(args) -> tuple[list[str], int]:
 def cmd_trace_martingale(args) -> tuple[list[str], int]:
     src = load_source(args.src)
     pattern = read_graph(args.pattern)
-    grid = _parse_grid(args.grid)
+    grid = parse_line(args.grid.replace(",", " "), "a comma-separated grid",
+                      args.grid.count(",") + 1, int)
     trace = martingale_trace(src, pattern, grid, stream(args.seed, 0))
     lines = ["n,t_ind"]
     lines += [f"{n},{DEC(x)}" for n, x in zip(grid, trace)]

@@ -20,7 +20,10 @@ from .graphs import (
     LabelledGraph,
     UnlabelledGraph,
     disjoint_union,
-    pair_order,
+    graph_from_pair_bits,
+    pack_rows,
+    pair_bits_of,
+    unpack_rows,
 )
 
 PATTERN_CAP = 8
@@ -63,22 +66,12 @@ def _search_order(rows: Sequence[int]) -> list[int]:
 
 def _undirected(rows: Sequence[int]) -> list[int]:
     """Symmetric, loopless closure of out-neighbour rows."""
-    k = len(rows)
-    return [
-        (rows[u] | sum(1 << v for v in range(k) if rows[v] >> u & 1)) & ~(1 << u)
-        for u in range(k)
-    ]
+    return [(r | c) & ~(1 << u) for u, (r, c) in enumerate(zip(rows, _transpose(rows, len(rows))))]
 
 
 def _transpose(rows: Sequence[int], width: int) -> list[int]:
     """In-neighbour rows (bit i of column j) of out-rows over `width` columns."""
-    cols = [0] * width
-    for i, r in enumerate(rows):
-        while r:
-            low = r & -r
-            cols[low.bit_length() - 1] |= 1 << i
-            r ^= low
-    return cols
+    return list(pack_rows(unpack_rows(rows, width).T))
 
 
 def _count_maps(
@@ -227,13 +220,10 @@ def t_ind(f: GraphLike, g: LabelledGraph) -> Fraction:
 
 def supergraphs(f: LabelledGraph) -> list[LabelledGraph]:
     """All labelled graphs on f's vertex set whose edge set contains f's."""
-    missing = [(u, v) for u, v in ((i + 1, j + 1) for i, j in pair_order(f.n)) if not f.has_edge(u, v)]
-    base = f.edges()
-    out = []
-    for mask in range(1 << len(missing)):
-        extra = [missing[i] for i in range(len(missing)) if mask >> i & 1]
-        out.append(LabelledGraph.from_edges(f.n, base + extra))
-    return out
+    base = pair_bits_of(f)
+    free = [1 << i for i in range(f.n * (f.n - 1) // 2) if not base >> i & 1]
+    return [graph_from_pair_bits(f.n, base + sum(b for i, b in enumerate(free) if mask >> i & 1))
+            for mask in range(1 << len(free))]
 
 
 def inj_from_ind(f: LabelledGraph, ind_table: Mapping[LabelledGraph, Fraction]) -> Fraction:
@@ -305,18 +295,10 @@ class DensityEstimate:
         return abs(self.point - float(exact)) <= self.confidence_halfwidth
 
 
-def _adjacency_matrix(g: LabelledGraph) -> np.ndarray:
-    a = np.zeros((g.n, g.n), dtype=bool)
-    for u, v in g.edges():
-        a[u - 1, v - 1] = True
-        a[v - 1, u - 1] = True
-    return a
-
-
 def mc_containment_hits(f: GraphLike, g: LabelledGraph, count: int, rng: np.random.Generator) -> int:
     """Number of uniform with-replacement k-samples whose pattern contains f."""
     f = _as_labelled(f)
-    a = _adjacency_matrix(g)
+    a = unpack_rows(g.rows, g.n)
     draws = rng.integers(0, g.n, size=(count, f.n))
     ok = np.ones(count, dtype=bool)
     for u, v in f.edges():

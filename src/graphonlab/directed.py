@@ -16,9 +16,9 @@ import numpy as np
 
 from .densities import _assignment_sum, _count_maps, _transpose, falling
 from .errors import CapacityError, InputError
-from .exact import Number, format_number, parse_ints, to_fraction
+from .exact import Number, content_lines, format_number, parse_line, to_fraction
 from .graphon import _normalized_measures, draw_blocks
-from .graphs import pair_order
+from .graphs import pack_rows, pair_order, pair_rows, row_bits, rows_text, text_rows
 
 DIR_PATTERN_CAP = 6
 
@@ -35,18 +35,7 @@ class DirectedGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "DirectedGraph":
-        if n < 1:
-            raise InputError("vertex count must be >= 1")
-        rows = [0] * n
-        seen = set()
-        for u, v in edges:
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise InputError(f"edge ({u},{v}) out of range for n={n}")
-            if (u, v) in seen:
-                raise InputError(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
-            rows[u - 1] |= 1 << (v - 1)
-        return cls(n, tuple(rows))
+        return cls(n, pair_rows(edges, (n, n), False))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u - 1] >> (v - 1) & 1)
@@ -55,36 +44,30 @@ class DirectedGraph:
         return self.has_edge(u, u)
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for i in range(self.n):
-            r = self.rows[i]
-            j = 0
-            while r:
-                if r & 1:
-                    out.append((i + 1, j + 1))
-                r >>= 1
-                j += 1
-        return out
+        return row_bits(self.rows)
 
     def loops(self) -> list[int]:
         return [i + 1 for i in range(self.n) if self.has_loop(i + 1)]
 
     def to_text(self) -> str:
-        edges = self.edges()
-        lines = [f"{self.n} {len(edges)}"]
-        lines += [f"{u} {v}" for u, v in edges]
-        return "\n".join(lines) + "\n"
+        return rows_text(str(self.n), self.rows, self.n, False)
 
     @classmethod
     def from_text(cls, text: str) -> "DirectedGraph":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise InputError("empty directed graph file")
-        n, m = parse_ints(lines[0], "'n m' header", 2)
-        if len(lines) - 1 != m:
-            raise InputError(f"header declares {m} edges, file has {len(lines) - 1}")
-        edges = [tuple(parse_ints(ln, "edge line 'u v'", 2)) for ln in lines[1:]]
-        return cls.from_edges(n, edges)
+        (n, _), rows = text_rows(text, "'n m' header", 2, False)
+        return cls(n, rows)
+
+
+def _set_pair_laws(kernel, size: int, states: str) -> None:
+    """Check the four pair-law matrices w00..w11 of a directed kernel (size
+    x size, values in [0,1]) and store them as tuples of Fractions."""
+    for name in ("w00", "w01", "w10", "w11"):
+        mat = tuple(tuple(to_fraction(x) for x in row) for row in getattr(kernel, name))
+        if len(mat) != size or any(len(row) != size for row in mat):
+            raise InputError(f"{name} must be {size}x{size}{states}")
+        if any(not 0 <= x <= 1 for row in mat for x in row):
+            raise InputError(f"{name} values must lie in [0,1]")
+        object.__setattr__(kernel, name, mat)
 
 
 @dataclass(frozen=True)
@@ -107,21 +90,11 @@ class DirectedKernelQuintuple:
 
     def __post_init__(self) -> None:
         mu = _normalized_measures(self.mu)
-        m = len(mu)
-        mats = []
-        for name in ("w00", "w01", "w10", "w11"):
-            mat = tuple(tuple(to_fraction(x) for x in row) for row in getattr(self, name))
-            if len(mat) != m or any(len(row) != m for row in mat):
-                raise InputError(f"{name} must be {m}x{m}")
-            if any(not 0 <= x <= 1 for row in mat for x in row):
-                raise InputError(f"{name} values must lie in [0,1]")
-            mats.append(mat)
+        _set_pair_laws(self, len(mu), "")
         flags = tuple(int(x) for x in self.loop_flags)
-        if len(flags) != m or any(x not in (0, 1) for x in flags):
+        if len(flags) != len(mu) or any(x not in (0, 1) for x in flags):
             raise InputError("loop flags must be a 0/1 vector of length m")
         object.__setattr__(self, "mu", mu)
-        for name, mat in zip(("w00", "w01", "w10", "w11"), mats):
-            object.__setattr__(self, name, mat)
         object.__setattr__(self, "loop_flags", flags)
 
     @property
@@ -143,33 +116,19 @@ class DirectedKernelQuintuple:
 
     @classmethod
     def from_text(cls, text: str) -> "DirectedKernelQuintuple":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if len(lines) < 2:
-            raise InputError("quintuple file too short")
-        (m,) = parse_ints(lines[0], "block count", 1)
-        mu = tuple(to_fraction(tok) for tok in lines[1].split())
-        if len(mu) != m:
-            raise InputError(f"expected {m} measures")
-        pos = 2
-        mats = {}
-        for name in ("W00", "W01", "W10", "W11"):
-            if pos >= len(lines) or lines[pos] != name:
-                raise InputError(f"expected block label {name!r} at line {pos + 1}")
-            pos += 1
-            rows = []
-            for _ in range(m):
-                if pos >= len(lines):
-                    raise InputError(f"block {name} truncated")
-                rows.append(tuple(to_fraction(tok) for tok in lines[pos].split()))
-                pos += 1
-            mats[name] = tuple(rows)
-        if pos >= len(lines) or lines[pos] != "w":
-            raise InputError("expected loop vector label 'w'")
-        pos += 1
-        if pos >= len(lines):
-            raise InputError("missing loop vector")
-        flags = tuple(parse_ints(lines[pos], "0/1 loop vector"))
-        kernel = cls(mu, mats["W00"], mats["W01"], mats["W10"], mats["W11"], flags)
+        lines = [ln.strip() for ln in content_lines(text)] or [""]
+        (m,) = parse_line(lines[0], "block count", 1, int)
+        if m < 1 or len(lines) != 4 * m + 8:
+            raise InputError(f"a quintuple of {m} blocks takes {4 * m + 8} lines, got {len(lines)}")
+        labels = range(2, 4 * m + 7, m + 1)  # W00, W01, W10, W11, then w and the loop vector
+        for pos, name in zip(labels, ("W00", "W01", "W10", "W11", "w")):
+            if lines[pos] != name:
+                raise InputError(f"expected label {name!r} at line {pos + 1}, got {lines[pos]!r}")
+        mu = parse_line(lines[1], f"{m} measures", m, Fraction)
+        mats = [[parse_line(ln, f"a matrix row of {m} values", m, Fraction)
+                 for ln in lines[pos + 1:pos + m + 1]] for pos in labels[:4]]
+        flags = parse_line(lines[-1], f"a 0/1 loop vector of length {m}", m, int)
+        kernel = cls(mu, *mats, flags)
         verdict = validate_quintuple(kernel)
         if not verdict.ok:
             raise InputError(f"invalid quintuple: {verdict.detail}")
@@ -228,19 +187,9 @@ class DirectedKernelQuadruplePlusP:
         p = to_fraction(self.p)
         if not 0 <= p <= 1:
             raise InputError("loop probability must lie in [0,1]")
-        ext = 2 * len(mu)
-        mats = []
-        for name in ("w00", "w01", "w10", "w11"):
-            mat = tuple(tuple(to_fraction(x) for x in row) for row in getattr(self, name))
-            if len(mat) != ext or any(len(row) != ext for row in mat):
-                raise InputError(f"{name} must be {ext}x{ext} over (block, flag) states")
-            if any(not 0 <= x <= 1 for row in mat for x in row):
-                raise InputError(f"{name} values must lie in [0,1]")
-            mats.append(mat)
+        _set_pair_laws(self, 2 * len(mu), " over (block, flag) states")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "p", p)
-        for name, mat in zip(("w00", "w01", "w10", "w11"), mats):
-            object.__setattr__(self, name, mat)
 
     @property
     def m(self) -> int:
@@ -311,17 +260,11 @@ def sample_directed_pair_codes(
 
 
 def _graph_from_codes(n: int, loops: np.ndarray, codes: np.ndarray) -> DirectedGraph:
-    rows = [0] * n
-    for i in range(n):
-        if loops[i]:
-            rows[i] |= 1 << i
-    for idx, (i, j) in enumerate(pair_order(n)):
-        c = int(codes[idx])
-        if c >> 1 & 1:  # X_ij = 1
-            rows[i] |= 1 << j
-        if c & 1:  # X_ji = 1
-            rows[j] |= 1 << i
-    return DirectedGraph(n, tuple(rows))
+    a = np.diag(loops.astype(bool))
+    jj, ii = np.tril_indices(n, -1)  # colex pair order, i < j
+    a[ii, jj] = codes >> 1 & 1  # X_ij
+    a[jj, ii] = codes & 1  # X_ji
+    return DirectedGraph(n, pack_rows(a))
 
 
 def sample_directed(kernel: DirectedKernel, n: int, rng: np.random.Generator) -> DirectedGraph:
@@ -342,7 +285,7 @@ def loop_sequence_law(kernel: DirectedKernel, n: int, rng: np.random.Generator) 
 
 def _check_dir_pattern(f: DirectedGraph) -> None:
     if f.n > DIR_PATTERN_CAP:
-        raise CapacityError(f"directed pattern capped at {DIR_PATTERN_CAP} vertices")
+        raise CapacityError(f"directed pattern capped at {DIR_PATTERN_CAP} vertices, got {f.n}")
 
 
 def _dir_count(f: DirectedGraph, g: DirectedGraph, injective: bool, induced: bool) -> int:

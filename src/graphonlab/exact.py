@@ -1,8 +1,8 @@
-"""Exact rational plumbing: conversions, parsing, and decimal formatting."""
+"""Exact rational plumbing: the input-file reader and line parser, conversions, decimals."""
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 from .errors import InputError
 
@@ -31,14 +31,30 @@ def to_fraction(x: Number) -> Fraction:
     raise InputError(f"cannot interpret {type(x).__name__} as a number")
 
 
-def parse_ints(line: str, what: str, count: int | None = None) -> list[int]:
-    """The whitespace-separated integers of one input line, exactly `count`
-    of them when given; anything else raises InputError naming the line."""
+def read_text(path: str) -> str:
+    """The whole of an input file, which must be ASCII; a missing,
+    unreadable or non-ASCII file raises InputError."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def content_lines(text: str) -> list[str]:
+    """The non-blank lines of a text, split as str.splitlines splits them."""
+    return [ln for ln in text.splitlines() if ln.strip()]
+
+
+def parse_line(line: str, what: str, count: int, number: Callable[[str], Number]) -> list:
+    """The `count` whitespace-separated numbers of one input line, each read
+    by `number` (int, or Fraction for exact rationals); anything else raises
+    InputError naming the line."""
     toks = line.split()
-    if count is None or len(toks) == count:
+    if len(toks) == count:
         try:
-            return [int(tok) for tok in toks]
-        except ValueError:
+            return [number(tok) for tok in toks]
+        except (ValueError, ZeroDivisionError):
             pass
     raise InputError(f"expected {what}, got {line!r}")
 

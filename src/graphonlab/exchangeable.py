@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -20,14 +21,15 @@ import numpy as np
 from .densities import TERM_CAP, _as_labelled, t_ind
 from .errors import CapacityError, InputError
 from .exact import Number, to_fraction
-from .graphon import GeneralGraphon, StepGraphon, exact_density, pair_bits, sample_w_random
+from .graphon import (
+    GeneralGraphon, StepGraphon, exact_density, exact_ind_density, pair_bits, sample_w_random,
+)
 from .graphs import (
     LabelledGraph,
     UnlabelledGraph,
     graph_from_pair_bits,
     pair_bits_of,
     pair_index,
-    pair_order,
     restrict_prefix,
 )
 from .rng import CHUNK, run_chunked
@@ -83,30 +85,24 @@ class PrefixLaw:
 
 
 def prefix_law_exact(w: StepGraphon, k: int) -> PrefixLaw:
-    """Exact law of the k-prefix of the W-random graph: per block
-    assignment, each pair contributes its kernel value or its complement."""
+    """Exact law of the k-prefix of the W-random graph. The law is constant
+    on isomorphism classes, so each class gets one exact_ind_density,
+    shared by all its members; codes already met are skipped."""
     if k < 1:
         raise InputError("k must be >= 1")
     npairs = k * (k - 1) // 2
     if w.m**k * 2**npairs > TERM_CAP:
         raise CapacityError(f"{w.m}^{k} * 2^{npairs} terms exceed cap {TERM_CAP}")
-    pairs = pair_order(k)
-    acc: dict[int, Fraction] = {}
-    for z in itertools.product(range(w.m), repeat=k):
-        mass = math.prod((w.mu[b] for b in z), start=Fraction(1))
-        dist = {0: mass}
-        for idx, (i, j) in enumerate(pairs):
-            p = w.w[z[i]][z[j]]
-            nxt: dict[int, Fraction] = {}
-            for code, weight in dist.items():
-                if p:
-                    nxt[code | 1 << idx] = nxt.get(code | 1 << idx, Fraction(0)) + weight * p
-                if p != 1:
-                    nxt[code] = nxt.get(code, Fraction(0)) + weight * (1 - p)
-            dist = nxt
-        for code, weight in dist.items():
-            acc[code] = acc.get(code, Fraction(0)) + weight
-    return PrefixLaw.exact(k, {graph_from_pair_bits(k, c): p for c, p in acc.items()})
+    seen = bytearray(1 << npairs)
+    probs: dict[LabelledGraph, Fraction] = {}
+    for code in range(1 << npairs):
+        if seen[code]:
+            continue
+        p = exact_ind_density(graph_from_pair_bits(k, code), w)
+        for c in _class_codes(k, code).tolist():
+            seen[c] = 1
+            probs[graph_from_pair_bits(k, c)] = p
+    return PrefixLaw.exact(k, probs)
 
 
 @dataclass(frozen=True)
@@ -183,8 +179,10 @@ def prefix_law_empirical(
     """Empirical distribution of the k-prefix over seeded iid samples."""
     if samples < 1:
         raise InputError("samples must be >= 1")
-    if k < 1 or k > PREFIX_CAP:
-        raise InputError(f"prefix size must be in 1..{PREFIX_CAP}")
+    if k < 1:
+        raise InputError(f"prefix size must be >= 1, got {k}")
+    if k > PREFIX_CAP:
+        raise CapacityError(f"prefix size capped at {PREFIX_CAP} vertices, got {k}")
     counts: dict[int, int] = {}
     remaining = samples
     while remaining:
@@ -197,15 +195,36 @@ def prefix_law_empirical(
     return PrefixLaw.empirical(k, {graph_from_pair_bits(k, c): n for c, n in counts.items()})
 
 
+def check_class_size(k: int) -> None:
+    if k > CLASS_CAP:
+        raise CapacityError(f"isomorphism classes capped at {CLASS_CAP} vertices, got {k}")
+
+
+@lru_cache(maxsize=None)
+def _relabel_weights(k: int) -> np.ndarray:
+    """(k!, pairs) int64: 2^(pair index of the image) of every pair under
+    each relabelling of [k], in itertools.permutations order."""
+    perms = np.array(list(itertools.permutations(range(k))), dtype=np.int64).reshape(-1, k)
+    jj, ii = np.tril_indices(k, -1)  # colex pair order
+    a, b = perms[:, ii], perms[:, jj]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return 1 << (hi * (hi - 1) // 2 + lo)
+
+
+def _class_codes(k: int, code: int) -> np.ndarray:
+    """Distinct pair codes of the relabellings of the graph with pair code
+    `code` on [k], in the order the relabellings first reach them."""
+    weights = _relabel_weights(k)
+    codes = weights[:, [i for i in range(weights.shape[1]) if code >> i & 1]].sum(axis=1)
+    _, first = np.unique(codes, return_index=True)
+    return codes[np.sort(first)]
+
+
 def isomorphism_class(g: LabelledGraph) -> list[LabelledGraph]:
-    """All distinct labelled variants of g on its own vertex set."""
-    if g.n > CLASS_CAP:
-        raise CapacityError(f"class enumeration capped at {CLASS_CAP} vertices")
-    seen = {}
-    for perm in itertools.permutations(range(1, g.n + 1)):
-        h = g.permuted(perm)
-        seen[h.rows] = h
-    return list(seen.values())
+    """All distinct labelled variants of g on its own vertex set, the
+    identity labelling first."""
+    check_class_size(g.n)
+    return [graph_from_pair_bits(g.n, c) for c in _class_codes(g.n, pair_bits_of(g)).tolist()]
 
 
 def support_classes(law: PrefixLaw) -> list[list[LabelledGraph]]:
@@ -233,7 +252,7 @@ def chi_square_uniformity(observed: Sequence[int]) -> tuple[float, float]:
     return stat, float(chdtrc(c - 1, stat))
 
 
-def _check_alpha(alpha: float) -> None:
+def check_alpha(alpha: float) -> None:
     if not 0 < alpha < 1:  # NaN fails too
         raise InputError(f"alpha must lie in (0, 1), got {alpha}")
 
@@ -258,7 +277,7 @@ def exchangeability_test(
     correction across classes. `classes` is `support_classes(law)`, for a
     caller that already has it.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if classes is None:
         classes = support_classes(law)
     if not law.is_empirical:
@@ -312,7 +331,7 @@ class PatternPair:
         if self.support(1) & self.support(2):
             raise InputError("pattern vertex sets must be disjoint")
         if self.k() > PREFIX_CAP:
-            raise CapacityError(f"combined pattern size exceeds prefix cap {PREFIX_CAP}")
+            raise CapacityError(f"prefix size capped at {PREFIX_CAP} vertices, got {self.k()}")
 
     def support(self, which: int) -> frozenset[int]:
         edges = self.edges1 if which == 1 else self.edges2
@@ -393,7 +412,7 @@ def extremality_test(
     depend on the thread count. Per pair, a delta-method z-test of
     P(both) = P(first) P(second), with Bonferroni correction across pairs.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if not pairs:
         raise InputError("need at least one pattern pair")
     if samples < 1:

@@ -7,7 +7,6 @@ Monte Carlo only.
 """
 from __future__ import annotations
 
-import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -25,8 +24,8 @@ from .densities import (
     hoeffding_halfwidth,
 )
 from .errors import CapacityError, InputError
-from .exact import Number, format_number, parse_ints, to_fraction
-from .graphs import LabelledGraph, graph_from_bool_matrix, pair_order
+from .exact import Number, content_lines, format_number, parse_line, read_text, to_fraction
+from .graphs import LabelledGraph, graph_from_bool_matrix, pair_order, unpack_rows
 
 CUT_NORM_CAP = 16
 CUT_DIST_CAP = 8
@@ -87,22 +86,15 @@ class StepGraphon:
 
     @classmethod
     def from_text(cls, text: str) -> "StepGraphon":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
+        lines = content_lines(text)
         if len(lines) < 2:
             raise InputError("step-graphon file needs a block count and measures")
-        (m,) = parse_ints(lines[0], "block count", 1)
+        (m,) = parse_line(lines[0], "block count", 1, int)
         if len(lines) != 2 + m:
             raise InputError(f"expected {m} matrix rows, got {len(lines) - 2}")
-        mu = [to_fraction(tok) for tok in lines[1].split()]
-        if len(mu) != m:
-            raise InputError(f"expected {m} measures, got {len(mu)}")
-        w = []
-        for ln in lines[2:]:
-            row = [to_fraction(tok) for tok in ln.split()]
-            if len(row) != m:
-                raise InputError(f"matrix row {ln!r} has wrong length")
-            w.append(tuple(row))
-        return cls(tuple(mu), tuple(w))
+        mu = parse_line(lines[1], f"{m} measures", m, Fraction)
+        rows = [parse_line(ln, f"a matrix row of {m} values", m, Fraction) for ln in lines[2:]]
+        return cls(mu, rows)
 
 
 @dataclass(frozen=True)
@@ -153,11 +145,7 @@ def boys_girls(theta: Number, p: Number, p_prime: Number, p_dblprime: Number) ->
 def graph_as_graphon(g: LabelledGraph) -> StepGraphon:
     """Adjacency-matrix kernel: uniform blocks, 0/1 values; has the same
     density t(F, .) as g for every pattern F."""
-    mu = tuple(Fraction(1, g.n) for _ in range(g.n))
-    w = tuple(
-        tuple(Fraction(1 if g.rows[i] >> j & 1 else 0) for j in range(g.n)) for i in range(g.n)
-    )
-    return StepGraphon(mu, w)
+    return StepGraphon((Fraction(1, g.n),) * g.n, unpack_rows(g.rows, g.n).astype(int).tolist())
 
 
 def exact_density(f: GraphLike, w: StepGraphon) -> Fraction:
@@ -434,10 +422,9 @@ def cut_distance_upper(w1: StepGraphon, w2: StepGraphon) -> Fraction:
 
 
 def read_step_graphon(path: str) -> StepGraphon:
-    with io.open(path, "r", encoding="ascii") as fh:
-        return StepGraphon.from_text(fh.read())
+    return StepGraphon.from_text(read_text(path))
 
 
 def write_step_graphon(w: StepGraphon, path: str) -> None:
-    with io.open(path, "w", encoding="ascii", newline="\n") as fh:
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(w.to_text())

@@ -4,22 +4,25 @@ Vertices are labelled 1..n at the API surface. Internally each graph
 stores one bitmask row per vertex (bit j-1 of rows[i-1] set iff i~j),
 which keeps neighbourhood intersection at one word op per 64 vertices.
 All graph values are immutable and hashable.
+
+The edge-list files of simple, bipartite and directed graphs share one
+core here: edge_rows checks and packs an edge array, row_edges undoes it.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .exact import parse_ints
+from .exact import content_lines, parse_line, read_text
 
 CANON_CAP = 10
 ENUM_CAP = 7
+ROW_BLOCK = 1 << 20  # cells of the boolean strip that rows are packed from or unpacked to
 
 
 def pair_order(k: int) -> list[tuple[int, int]]:
@@ -40,22 +43,7 @@ class LabelledGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "LabelledGraph":
-        if n < 1:
-            raise InputError(f"vertex count must be >= 1, got {n}")
-        rows = [0] * n
-        seen = set()
-        for u, v in edges:
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise InputError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise InputError(f"self edge at vertex {u}")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise InputError(f"duplicate edge {key}")
-            seen.add(key)
-            rows[u - 1] |= 1 << (v - 1)
-            rows[v - 1] |= 1 << (u - 1)
-        return cls(n, tuple(rows))
+        return cls(n, pair_rows(edges, (n, n), True))
 
     @classmethod
     def empty(cls, n: int) -> "LabelledGraph":
@@ -87,16 +75,7 @@ class LabelledGraph:
         return self.rows[u - 1].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for i in range(self.n):
-            r = self.rows[i] >> (i + 1)
-            j = i + 1
-            while r:
-                if r & 1:
-                    out.append((i + 1, j + 1))
-                r >>= 1
-                j += 1
-        return out
+        return [(u, v) for u, v in row_bits(self.rows) if u < v]
 
     @property
     def num_edges(self) -> int:
@@ -119,14 +98,12 @@ class LabelledGraph:
         return _code_for_order(self.rows, range(self.n))
 
     def to_text(self) -> str:
-        edges = self.edges()
-        lines = [f"{self.n} {len(edges)}"]
-        lines += [f"{u} {v}" for u, v in edges]
-        return "\n".join(lines) + "\n"
+        return rows_text(str(self.n), self.rows, self.n, True)
 
     @classmethod
     def from_text(cls, text: str) -> "LabelledGraph":
-        return _parse_graph_text(text)
+        (n, _), rows = text_rows(text, "'n m' header", 2, True)
+        return cls(n, rows)
 
 
 def _code_for_order(rows: Sequence[int], order: Iterable[int]) -> tuple[int, ...]:
@@ -139,22 +116,6 @@ def _code_for_order(rows: Sequence[int], order: Iterable[int]) -> tuple[int, ...
             bits = bits << 1 | (rows[u] >> v & 1)
         chunks.append(bits)
     return tuple(chunks)
-
-
-def _parse_graph_text(text: str) -> LabelledGraph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise InputError("empty graph file")
-    n, m = parse_ints(lines[0], "'n m' header", 2)
-    if len(lines) - 1 != m:
-        raise InputError(f"header declares {m} edges, file has {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
-        u, v = parse_ints(ln, "edge line 'u v'", 2)
-        if not u < v:
-            raise InputError(f"edge line {ln!r} must satisfy u < v")
-        edges.append((u, v))
-    return LabelledGraph.from_edges(n, edges)
 
 
 def induced_pattern(g: LabelledGraph, verts: Sequence[int]) -> LabelledGraph:
@@ -393,18 +354,169 @@ def restrict_prefix(g: LabelledGraph, n: int) -> LabelledGraph:
 def disjoint_union(parts: Sequence[LabelledGraph]) -> LabelledGraph:
     if not parts:
         raise InputError("disjoint union of nothing")
-    n = sum(p.n for p in parts)
-    edges = []
-    offset = 0
+    rows: list[int] = []
     for p in parts:
-        edges += [(u + offset, v + offset) for u, v in p.edges()]
-        offset += p.n
-    return LabelledGraph.from_edges(n, edges)
+        rows += [r << len(rows) for r in p.rows]
+    return LabelledGraph(len(rows), tuple(rows))
 
 
 def pack_rows(a: np.ndarray) -> tuple[int, ...]:
     """Each row of a boolean matrix as a bitmask: bit j of row i is a[i, j]."""
-    return tuple(int.from_bytes(np.packbits(r, bitorder="little").tobytes(), "little") for r in a)
+    packed = np.packbits(a, axis=1, bitorder="little")
+    data, width = packed.tobytes(), packed.shape[1]
+    return tuple(int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width))
+
+
+def unpack_rows(rows: Sequence[int], width: int) -> np.ndarray:
+    """Boolean matrix (len(rows), width) of bitmask rows: the inverse of pack_rows."""
+    nbytes = (width + 7) // 8
+    data = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows), dtype=np.uint8)
+    bits = np.unpackbits(data.reshape(len(rows), nbytes), axis=1, bitorder="little")
+    return bits[:, :width].view(bool)
+
+
+def row_bits(rows: Sequence[int]) -> list[tuple[int, int]]:
+    """1-based (i, j) for every set bit j-1 of rows[i-1], row by row: the
+    edges of a small graph, by a pure-Python bit loop."""
+    out = []
+    for i, r in enumerate(rows, 1):
+        while r:
+            low = r & -r
+            out.append((i, low.bit_length()))
+            r ^= low
+    return out
+
+
+def row_edges(rows: Sequence[int], width: int) -> np.ndarray:
+    """(m, 2) int64 array of 1-based (i, j), one per set bit j-1 of
+    rows[i-1], in row-major order: the inverse of edge_rows. Non-empty rows
+    are unpacked one strip of about ROW_BLOCK cells at a time."""
+    busy = np.flatnonzero(np.fromiter(map(bool, rows), dtype=bool, count=len(rows)))
+    step = max(1, ROW_BLOCK // width)
+    parts = [np.empty((0, 2), dtype=np.int64)]
+    for a in range(0, len(busy), step):
+        idx = busy[a:a + step]
+        i, j = np.nonzero(unpack_rows([rows[k] for k in idx], width))
+        parts.append(np.column_stack([idx[i] + 1, j + 1]))
+    return np.concatenate(parts)
+
+
+def edge_rows(
+    edges: np.ndarray, shape: tuple[int, int], symmetric: bool, name: Callable[[int], str]
+) -> tuple[int, ...]:
+    """Bitmask rows of shape[0] vertices over shape[1] columns from an (m, 2)
+    int64 array of 1-based edges (u, v), scattered into a boolean strip of
+    about ROW_BLOCK cells at a time and packed; strips without edges cost
+    nothing. An edge must lie in range and not repeat an earlier one; in a
+    symmetric graph (u, v) sets both bits, repeats an earlier (v, u), and
+    u = v is a self edge. The first bad edge raises InputError, named by
+    name(i).
+    """
+    n1, n2 = shape
+    if n1 < 1 or n2 < 1:
+        raise InputError(f"vertex count must be >= 1, got {min(n1, n2)}")
+    u, v = edges[:, 0], edges[:, 1]
+    outside = (u < 1) | (u > n1) | (v < 1) | (v > n2)
+    lo, hi = (np.minimum(u, v), np.maximum(u, v)) if symmetric else (u, v)
+    key = np.where(outside, -1 - np.arange(len(u)), lo * (n2 + 1) + hi)
+    order = np.argsort(key, kind="stable")
+    bad = (outside | (u == v)) if symmetric else outside.copy()
+    bad[order[1:][key[order[1:]] == key[order[:-1]]]] = True  # later copies
+    if bad.any():
+        i = int(np.argmax(bad))
+        why = (f"out of range: u must lie in 1..{n1} and v in 1..{n2}" if outside[i]
+               else "is a self edge" if symmetric and u[i] == v[i] else "repeats an earlier edge")
+        raise InputError(f"{name(i)} {why}")
+    if symmetric:
+        u, v = np.concatenate([u, v]), np.concatenate([v, u])
+    order = np.argsort(u, kind="stable")
+    u, v = u[order] - 1, v[order] - 1
+    step = max(1, ROW_BLOCK // n2)
+    rows = [0] * n1
+    for top in (np.unique(u // step) * step).tolist():  # first rows of strips with edges
+        first, last = np.searchsorted(u, [top, top + step])
+        block = np.zeros((min(step, n1 - top), n2), dtype=bool)
+        block[u[first:last] - top, v[first:last]] = True
+        rows[top:top + len(block)] = pack_rows(block)
+    return tuple(rows)
+
+
+def _edge_array(pairs: Iterable[Sequence[int]]) -> np.ndarray:
+    """(m, 2) int64 array of integer pairs; an endpoint beyond int64 becomes
+    +-2^62, which no range check accepts."""
+    pairs = list(pairs)
+    try:
+        return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        return np.clip(np.array(pairs, dtype=object), -2**62, 2**62).astype(np.int64).reshape(-1, 2)
+
+
+def pair_rows(
+    pairs: Iterable[Sequence[int]], shape: tuple[int, int], symmetric: bool
+) -> tuple[int, ...]:
+    """edge_rows of integer pairs (u, v); an error names the pair."""
+    edges = _edge_array(pairs)
+    return edge_rows(edges, shape, symmetric, lambda i: f"edge ({edges[i, 0]},{edges[i, 1]})")
+
+
+def _bulk_edges(text: str, fields: int) -> tuple[list[int], np.ndarray] | None:
+    """(header numbers, (m, 2) edges) of an edge-list text made only of
+    digits, spaces, tabs and newlines, with `fields` numbers on its first
+    non-blank line, two on every other and none over 18 digits; None for
+    any other text."""
+    if not text.isascii():
+        return None
+    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    digit = (b - 48) < 10  # uint8 wraps below '0'
+    newline = b == 10
+    if not (digit | newline | (b == 32) | (b == 9)).all():
+        return None
+    step = np.diff(digit.view(np.int8), prepend=0, append=0)
+    starts, stops = np.flatnonzero(step == 1), np.flatnonzero(step == -1)
+    per_line = np.bincount(np.searchsorted(np.flatnonzero(newline), starts))
+    per_line = per_line[per_line > 0]
+    if (stops - starts > 18).any() or list(per_line[:1]) != [fields] or (per_line[1:] != 2).any():
+        return None
+    numbers = np.fromstring(text, dtype=np.int64, sep=" ")
+    return numbers[:fields].tolist(), numbers[fields:].reshape(-1, 2)
+
+
+def text_rows(
+    text: str, header: str, fields: int, symmetric: bool
+) -> tuple[list[int], tuple[int, ...]]:
+    """(header numbers, edge_rows) of an edge-list file: a header line of
+    `fields` integers, the vertex counts first and the edge count m last,
+    then m lines 'u v', with u < v in a symmetric graph. An error quotes
+    the first bad line.
+
+    A text of digits, blanks and newlines is read in bulk; any other text
+    goes line by line through parse_line.
+    """
+    bulk = _bulk_edges(text, fields)
+    if bulk is None:
+        lines = content_lines(text) or [""]
+        head = parse_line(lines[0], header, fields, int)
+        bulk = head, _edge_array(parse_line(ln, "edge line 'u v'", 2, int) for ln in lines[1:])
+    head, edges = bulk
+
+    def line(i: int) -> str:  # non-blank line i, quoted; only an error reads it
+        return repr(content_lines(text)[i])
+
+    if len(edges) != head[-1]:
+        raise InputError(f"header {line(0)} declares {head[-1]} edges, file has {len(edges)}")
+    down = np.flatnonzero(edges[:, 0] >= edges[:, 1]) if symmetric else []
+    if len(down):
+        raise InputError(f"edge line {line(down[0] + 1)} must satisfy u < v")
+    rows = edge_rows(edges, (head[0], head[-2]), symmetric, lambda i: f"edge line {line(i + 1)}")
+    return head, rows
+
+
+def rows_text(header: str, rows: Sequence[int], width: int, symmetric: bool) -> str:
+    """The edge-list file of bitmask rows: the header, the edge count, then
+    one line 'u v' per edge in row-major order (u < v when symmetric)."""
+    edges = row_edges(rows, width)
+    edges = edges[edges[:, 0] < edges[:, 1]] if symmetric else edges
+    return f"{header} {len(edges)}\n" + ("%d %d\n" * len(edges)) % tuple(edges.ravel().tolist())
 
 
 def graph_from_bool_matrix(a: np.ndarray) -> LabelledGraph:
@@ -413,10 +525,9 @@ def graph_from_bool_matrix(a: np.ndarray) -> LabelledGraph:
 
 
 def read_graph(path: str) -> LabelledGraph:
-    with io.open(path, "r", encoding="ascii") as fh:
-        return _parse_graph_text(fh.read())
+    return LabelledGraph.from_text(read_text(path))
 
 
 def write_graph(g: LabelledGraph, path: str) -> None:
-    with io.open(path, "w", encoding="ascii", newline="\n") as fh:
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(g.to_text())

@@ -14,7 +14,7 @@ from typing import Callable, TypeVar
 import numpy as np
 
 from .errors import InputError
-from .exact import parse_ints
+from .exact import parse_line
 
 CHUNK = 32768
 
@@ -35,7 +35,7 @@ def thread_count(explicit: int | None = None) -> int:
     env = os.environ.get("GRAPHONLAB_THREADS")
     if not env:
         return 1
-    (count,) = parse_ints(env, "an integer GRAPHONLAB_THREADS", 1)
+    (count,) = parse_line(env, "an integer GRAPHONLAB_THREADS", 1, int)
     return max(1, count)
 
 

@@ -18,7 +18,7 @@ from graphonlab.bipartite import (
     bip_t_inj,
     sample_bip_w_random,
 )
-from graphonlab.errors import InputError
+from graphonlab.errors import CapacityError, InputError
 from graphonlab.exchangeable import chi_square_uniformity, covariance_ztest
 from graphonlab.rng import stream
 
@@ -63,6 +63,10 @@ class TestGraphBasics:
 
     def test_text_roundtrip(self):
         assert BipartiteGraph.from_text(MATCHING_22.to_text()) == MATCHING_22
+
+    def test_pattern_cap_names_the_size(self):
+        with pytest.raises(CapacityError, match=r"capped at 6 vertices per part, got 2 and 7"):
+            bip_t(BipartiteGraph.empty(2, 7), MATCHING_22)
 
     def test_canonical_form_invariance(self):
         g = BipartiteGraph.from_edges(2, 3, [(1, 1), (1, 3), (2, 2)])

@@ -7,6 +7,7 @@ from graphonlab import cli
 from graphonlab.cli import main
 from graphonlab.directed import DirectedGraph, tournament_kernel
 from graphonlab.exact import fraction_to_decimal
+from graphonlab.exchangeable import GraphSource
 from graphonlab.graphon import StepGraphon, boys_girls, write_step_graphon
 from graphonlab.graphs import LabelledGraph, write_graph
 
@@ -163,6 +164,42 @@ class TestExitCodes:
         argv = ["density", "-F", "edge.txt", "-G", "k3.txt", "--mc", "10", *extra]
         code, _ = run_main(argv, workdir, capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("name, argv", [
+        ("edge.txt", ["density", "-F", "BAD", "-G", "k3.txt"]),  # graph
+        ("bg.txt", ["density", "-F", "edge.txt", "-W", "BAD"]),  # step kernel
+        ("bip.txt", ["density", "--kind", "bipartite", "-F", "crossedge.txt", "-G", "BAD"]),
+        ("bipk.txt", ["density", "--kind", "bipartite", "-F", "crossedge.txt", "-W", "BAD"]),
+        ("diredge.txt", ["density", "--kind", "directed", "-F", "BAD", "-G", "diredge.txt"]),
+        ("tourn.txt", ["density", "--kind", "directed", "-F", "diredge.txt", "-W", "BAD"]),
+        ("src_det.txt", ["test-exchangeable", "-src", "BAD", "-k", "2"]),  # source
+        ("pairs.txt", ["test-extreme", "-src", "src_det.txt", "--pairs", "BAD", "--samples", "10"]),
+    ])
+    def test_non_ascii_input_exits_2(self, workdir, capsys, name, argv):
+        # one 0xff byte at the end of a line of a valid file of each kind
+        data = (workdir / name).read_bytes()
+        (workdir / "bad.txt").write_bytes(data.replace(b"\n", b"\xff\n", 1))
+        argv = [a.replace("BAD", "bad.txt") for a in argv]
+        code = main([str(workdir / a) if a.endswith(".txt") else a for a in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "input error: cannot read" in err and "bad.txt" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, code", [
+        (["-k", "4", "--samples", "1000000", "--alpha", "2"], 2),
+        (["-k", "4", "--alpha", "0"], 2),  # exact mode
+        (["-k", "8", "--samples", "1000000"], 3),
+        (["-k", "17", "--samples", "10"], 3),
+    ])
+    def test_test_exchangeable_validates_before_any_law(self, workdir, capsys, monkeypatch,
+                                                        argv, code):
+        def no_law(*_args):
+            raise AssertionError("a prefix law was built before the arguments were checked")
+
+        monkeypatch.setattr(GraphSource, "pair_bits_batch", no_law)
+        monkeypatch.setattr(cli, "prefix_law_exact", no_law)
+        got, _ = run_main(["test-exchangeable", "-src", "src_det.txt", *argv], workdir, capsys)
+        assert got == code
 
     def test_internal_fault_exits_4(self, workdir, capsys, monkeypatch):
         def broken(_args):

@@ -18,7 +18,7 @@ from graphonlab.directed import (
     tournament_kernel,
     validate_quintuple,
 )
-from graphonlab.errors import InputError
+from graphonlab.errors import CapacityError, InputError
 from graphonlab.exchangeable import chi_square_uniformity, covariance_ztest
 from graphonlab.rng import stream
 
@@ -62,6 +62,10 @@ class TestValidation:
     def test_unnormalised_rejected(self):
         k = DirectedKernelQuintuple((1,), ((F(1, 2),),), ((0,),), ((0,),), ((0,),), (0,))
         assert not validate_quintuple(k).ok
+
+    def test_pattern_cap_names_the_size(self):
+        with pytest.raises(CapacityError, match=r"capped at 6 vertices, got 7"):
+            directed_t(DirectedGraph.from_edges(7, []), tournament_kernel())
 
     def test_bad_loop_vector(self):
         with pytest.raises(InputError):

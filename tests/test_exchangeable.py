@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy import stats as sps
 
 from graphonlab import exchangeable
-from graphonlab.errors import InputError
+from graphonlab.errors import CapacityError, InputError
 from graphonlab.exchangeable import (
     GraphSource,
     PatternPair,
@@ -25,6 +25,9 @@ from graphonlab.exchangeable import (
 from graphonlab.graphon import StepGraphon, boys_girls
 from graphonlab.graphs import LabelledGraph, enumerate_unlabelled
 from graphonlab.rng import stream
+
+from conftest import all_labelled_graphs
+from oracles import brute_kernel_sum
 
 BG = boys_girls(0.5, 0.2, 0.4, 0.6)
 HALF = StepGraphon.constant(Fraction(1, 2))
@@ -50,6 +53,19 @@ class TestExactPrefixLaw:
         law = prefix_law_exact(BG, 2)
         assert law.probability(LabelledGraph.complete(2)) == Fraction(9, 20)
 
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_every_labelled_graph_matches_brute_force(self, data):
+        m = data.draw(st.integers(1, 3))
+        sizes = data.draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+        mu = [Fraction(x, sum(sizes)) for x in sizes]
+        vals = {(a, b): Fraction(data.draw(st.integers(0, 4)), 4) for a in range(m) for b in range(a, m)}
+        w = [[vals[min(a, b), max(a, b)] for b in range(m)] for a in range(m)]
+        k = data.draw(st.integers(1, 4))
+        law = prefix_law_exact(StepGraphon(mu, w), k)
+        for g in all_labelled_graphs(k):
+            assert law.probability(g) == brute_kernel_sum(g, mu, w, induced=True)
+
     @pytest.mark.parametrize("w", [BG, HALF])
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_sums_to_one_and_class_constant(self, w, k):
@@ -61,6 +77,18 @@ class TestExactPrefixLaw:
 
 
 class TestEmpiricalPrefixLaw:
+    def test_prefix_cap_names_the_size(self):
+        with pytest.raises(CapacityError, match=r"capped at 16 vertices, got 17"):
+            prefix_law_empirical(GraphSource.w_random(HALF), 17, 10, stream(0))
+        with pytest.raises(CapacityError, match=r"capped at 16 vertices, got 17"):
+            PatternPair(((1, 2),), ((3, 17),))
+        with pytest.raises(InputError):
+            prefix_law_empirical(GraphSource.w_random(HALF), 0, 10, stream(0))
+
+    def test_class_cap_names_the_size(self):
+        with pytest.raises(CapacityError, match=r"capped at 7 vertices, got 8"):
+            isomorphism_class(LabelledGraph.empty(8))
+
     def test_zero_kernel_point_mass(self):
         src = GraphSource.w_random(StepGraphon.constant(0))
         law = prefix_law_empirical(src, 3, 500, stream(0))
