@@ -12,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .densities import BoundCheck, _assignment_sum, _count_maps, _transpose, falling
+from .densities import BoundCheck, _count_maps, _transpose, contract, falling, kernel_sum, plan
 from .errors import CapacityError, InputError
 from .exact import Number, content_lines, format_number, parse_line, to_fraction
 from .graphon import _normalized_measures, bernoulli, draw_blocks
@@ -81,9 +81,17 @@ def _bip_count(f: BipartiteGraph, g: BipartiteGraph, injective: bool, induced: b
 
 
 def bip_t(f: BipartiteGraph, g: BipartiteGraph) -> Fraction:
-    """Density over part-respecting maps drawn uniformly with replacement."""
+    """Density over part-respecting maps drawn uniformly with replacement;
+    backtracking when no contraction plan fits the budget."""
     _check_bip_pattern(f)
-    return Fraction(_bip_count(f, g, False, False), g.n1**f.n1 * g.n2**f.n2)
+    sizes = (g.n1,) * f.n1 + (g.n2,) * f.n2
+    pairs = [(u - 1, f.n1 + v - 1) for u, v in f.edges()]
+    if plan(sizes, frozenset(pairs)) is None:
+        homs = _bip_count(f, g, False, False)
+    else:
+        weights = [np.ones(n, dtype=bool) for n in sizes]
+        homs = contract(weights, dict.fromkeys(pairs, unpack_rows(g.rows, g.n2))).numerator
+    return Fraction(homs, g.n1**f.n1 * g.n2**f.n2)
 
 
 def bip_t_inj(f: BipartiteGraph, g: BipartiteGraph) -> Fraction:
@@ -185,7 +193,7 @@ def _bip_kernel_sum(f: BipartiteGraph, w: BipartiteKernel, induced: bool) -> Fra
         for v in range(f.n2)
         if induced or f.rows[u] >> v & 1
     }
-    return _assignment_sum([w.mu1] * f.n1 + [w.mu2] * f.n2, factors)
+    return kernel_sum([w.mu1] * f.n1 + [w.mu2] * f.n2, factors)
 
 
 def bip_exact_density(f: BipartiteGraph, w: BipartiteKernel) -> Fraction:

@@ -53,7 +53,7 @@ from .graphon import (
     read_step_graphon,
     sample_w_random,
 )
-from .graphs import enumerate_unlabelled, pair_bits_of, read_graph
+from .graphs import check_host_size, enumerate_unlabelled, pair_bits_of, read_graph
 from .rng import run_chunked, stream, thread_count
 
 DEC = fraction_to_decimal
@@ -198,6 +198,7 @@ def cmd_density(args) -> tuple[list[str], int]:
 
 
 def cmd_sample(args) -> tuple[list[str], int]:
+    check_host_size(*(n for n in (args.n, args.n2) if n is not None))
     rng = stream(args.seed, 0)
     if args.kind == "simple":
         w = read_step_graphon(args.kernel)

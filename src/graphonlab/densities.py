@@ -1,5 +1,9 @@
 """Homomorphism-density calculus: t, t_inj, t_ind, conversions, embeddings.
 
+Every exact density is a sum over assignments of pattern vertices, which
+contract evaluates by variable elimination for kernels and hosts alike;
+the backtracker _count_maps serves injective and induced host counts.
+
 Exact values are arbitrary-precision rationals (fractions.Fraction); the
 inclusion-exclusion identities and multiplicativity over disjoint unions
 hold exactly, not approximately. Floats appear only in Monte Carlo
@@ -7,10 +11,12 @@ estimates and at the CLI boundary.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -28,6 +34,7 @@ from .graphs import (
 
 PATTERN_CAP = 8
 TERM_CAP = 10**7
+PLAN_BUDGET = 1 << 17  # cells of the largest array a contraction plan may hold
 
 GraphLike = Union[LabelledGraph, UnlabelledGraph]
 
@@ -130,53 +137,152 @@ def _count_maps(
     return rec(0, full)
 
 
-def _assignment_sum(
-    weights: Sequence[Sequence[Fraction]],
-    factors: Mapping[tuple[int, int], Sequence[Sequence[Fraction]]],
-) -> Fraction:
-    """Exact density integral of a step kernel: the sum over block
-    assignments z of prod_u weights[u][z_u] times, for every pattern pair
-    (u, v) in factors, factors[u, v][z_u][z_v].
+def _bits(mask: int) -> list[int]:
+    return [u for u in range(mask.bit_length()) if mask >> u & 1]
 
-    Pairs whose factor is identically 1 drop out; the remaining pairs set
-    the search order, and a zero partial product prunes its subtree.
-    """
+
+class Plan(NamedTuple):
+    """Elimination order, multiply-adds, cells of the largest array held."""
+
+    order: tuple[int, ...]
+    cost: int
+    peak: int
+
+
+def _split(masks: Sequence[int], v: int, cells: Callable[[int], int]) -> tuple[int, int, int]:
+    """(R's position, peak cells, multiply-adds) of the step that sums v out
+    of the tensors (vertex bitmasks) holding it: one tensor R against the
+    broadcast product X of the others, a matrix product over v batched over
+    the vertices both hold; R gives the least peak, then cost."""
+    if len(masks) == 1:
+        return 0, 1, cells(masks[0])
+    lefts = [functools.reduce(operator.or_, masks[:i] + masks[i + 1:]) for i in range(len(masks))]
+    peak, cost, i = min((max(cells(x), cells((x | r) & ~(1 << v))), cells(x | r) + (len(masks) - 2) * cells(x), i)
+                        for i, (x, r) in enumerate(zip(lefts, masks)))
+    return i, peak, cost
+
+
+def _tensors(done: int, v: int, adj: Sequence[int]) -> list[int]:
+    """Vertex sets of the tensors holding v once `done` is summed out: v's
+    weight, its factors to live vertices, and per component of `done` next
+    to v one tensor over the component's live neighbours."""
+    masks = [1 << v] + [1 << v | 1 << u for u in _bits(adj[v] & ~done)]
+    left = adj[v] & done
+    while left:
+        comp = grow = left & -left
+        while grow:
+            grow = functools.reduce(operator.or_, (adj[x] for x in _bits(comp))) & done & ~comp
+            comp |= grow
+        left &= ~comp
+        masks.append(functools.reduce(operator.or_, (adj[x] for x in _bits(comp))) & ~done)
+    return masks
+
+
+@functools.lru_cache(maxsize=None)
+def plan(sizes: tuple[int, ...], pairs: frozenset[tuple[int, int]]) -> Plan | None:
+    """The elimination order of least multiply-adds for a sum over vertices
+    with these domain sizes and one factor per pair, by dynamic programming
+    over the sets of vertices summed out (what is left after a set does not
+    depend on its order); None when every order holds an array of more
+    than PLAN_BUDGET cells."""
+    k = len(sizes)
+    cells = [math.prod(sizes[u] for u in _bits(s)) for s in range(1 << k)]
+    adj = [functools.reduce(operator.or_, (1 << (u ^ v ^ x) for u, v in pairs if x in (u, v)), 0) for x in range(k)]
+    best = {0: Plan((), 0, max([*sizes] + [cells[1 << u | 1 << v] for u, v in pairs], default=1))}
+    for done in range(1, 1 << k):
+        for v in _bits(done):
+            prev = best.get(done ^ 1 << v)
+            if prev is not None:
+                _, peak, cost = _split(_tensors(done ^ 1 << v, v, adj), v, cells.__getitem__)
+                step = Plan(prev.order + (v,), prev.cost + cost, max(prev.peak, peak))
+                if step.peak <= PLAN_BUDGET and (done not in best or step[1:] < best[done][1:]):
+                    best[done] = step
+    return best.get((1 << k) - 1)
+
+
+def _align(axes: Sequence[int], arr: np.ndarray, target: Sequence[int], sizes: Sequence[int]) -> np.ndarray:
+    """arr, whose dimensions are the vertices `axes`, transposed to follow
+    `target`, with a unit dimension for each target vertex it lacks."""
+    arr = arr.transpose(sorted(range(len(axes)), key=lambda i: target.index(axes[i])))
+    return arr.reshape([sizes[a] if a in axes else 1 for a in target])
+
+
+def _eliminate(v: int, mine: list, sizes: Sequence[int]) -> tuple[tuple[int, ...], np.ndarray]:
+    """The (vertices, array) tensor left when v is summed out of the
+    tensors holding it, by the step _split chooses."""
+    if len(mine) == 1:
+        return (), mine[0][1].sum()
+    i, _, _ = _split([sum(1 << a for a in axes) for axes, _ in mine], v,
+                     lambda s: math.prod(sizes[a] for a in _bits(s)))
+    (raxes, r), left = mine[i], mine[:i] + mine[i + 1:]
+    lset = {a for axes, _ in left for a in axes if a != v}
+    both = [a for a in raxes if a in lset]
+    lonly = sorted(lset.difference(both))
+    ronly = [a for a in raxes if a != v and a not in lset]
+    nb, nl, nr = (math.prod(sizes[a] for a in ax) for ax in (both, lonly, ronly))
+    parts = sorted((_align(axes, arr, both + lonly + [v], sizes) for axes, arr in left), key=lambda a: -a.size)
+    x = parts[0]
+    for part in parts[1:]:  # in place once x is a full-sized product of its own
+        x = np.multiply(x, part, out=x if x is not parts[0] and x.size == nb * nl * sizes[v] else None)
+    y = _align(raxes, r, both + [v] + ronly, sizes)
+    z = np.matmul(x.reshape(nb, nl, sizes[v]), y.reshape(nb, sizes[v], nr))
+    return tuple(both + lonly + ronly), z.reshape([sizes[a] for a in both + lonly + ronly])
+
+
+def _sum(weights: list[np.ndarray], factors: Mapping[tuple[int, int], np.ndarray]) -> int:
+    """The sum over assignments in the planned order; when no order fits
+    PLAN_BUDGET, the sum of the sums with the largest domain fixed."""
+    sizes = tuple(len(w) for w in weights)
+    p = plan(sizes, frozenset(factors))
+    if p is None:
+        u = max(range(len(weights)), key=lambda i: len(weights[i]))
+        return sum(_sum(weights[:u] + [weights[u][b:b + 1]] + weights[u + 1:],
+                        {(x, y): f[b:b + 1] if x == u else f[:, b:b + 1] if y == u else f
+                         for (x, y), f in factors.items()})
+                   for b in range(len(weights[u])))
+    tensors = [((u,), w) for u, w in enumerate(weights)] + list(factors.items())
+    for v in p.order:
+        mine = [t for t in tensors if v in t[0]]
+        tensors = [t for t in tensors if v not in t[0]] + [_eliminate(v, mine, sizes)]
+    return math.prod(int(arr) for _, arr in tensors)
+
+
+def _numerators(arrays: Sequence) -> tuple[list[np.ndarray], int]:
+    """The arrays over one denominator: numpy arrays as they are, nested
+    sequences of Fractions as object arrays of Python-int numerators."""
+    exact = {id(a): np.array(a, dtype=object) for a in arrays if not isinstance(a, np.ndarray)}
+    den = math.lcm(*(x.denominator for a in exact.values() for x in a.flat))
+    for key, a in exact.items():
+        exact[key] = np.array([int(x * den) for x in a.flat], dtype=object).reshape(a.shape)
+    return [a if isinstance(a, np.ndarray) else exact[id(a)] for a in arrays], den
+
+
+def contract(weights: Sequence, factors: Mapping[tuple[int, int], object]) -> Fraction:
+    """Sum over assignments z of prod_u weights[u][z_u] * prod over pairs
+    (u, v) of factors[u, v][z_u][z_v]; values are non-negative numpy
+    integers or bools (a host) or nested sequences of Fractions (a kernel).
+
+    Exact: weights are scaled to integers over one denominator, factors
+    over another, and factors identically 1 drop out. No partial sum
+    exceeds the product of the weight sums and factor maxima; below 2^53
+    it runs in float64 BLAS, below 2^63 in int64, else in Python ints."""
+    ws, dw = _numerators(weights)
+    fs, df = _numerators(list(factors.values()))
+    kept = {p: f for p, f in zip(factors, fs) if not (f == df).all()}
+    bound = math.prod(max(1, int(a.sum())) for a in ws) * math.prod(max(1, int(a.max())) for a in kept.values())
+    dtype = np.float64 if bound < 2**53 else np.int64 if bound < 2**63 else object
+    cast = {key: (a.astype(np.int64) if dtype is object and a.dtype != object else a).astype(dtype)
+            for key, a in {id(a): a for a in [*ws, *kept.values()]}.items()}
+    total = _sum([cast[id(a)] for a in ws], {p: cast[id(a)] for p, a in kept.items()})
+    return Fraction(total, dw ** len(ws) * df ** len(kept))
+
+
+def kernel_sum(weights: Sequence, factors: Mapping[tuple[int, int], object]) -> Fraction:
+    """contract for a kernel, charged m^k terms against TERM_CAP first."""
     terms = math.prod(len(wts) for wts in weights)
     if terms > TERM_CAP:
         raise CapacityError(f"{terms} assignment terms exceed cap {TERM_CAP}")
-    k = len(weights)
-    factors = {p: mat for p, mat in factors.items() if any(x != 1 for row in mat for x in row)}
-    links = [0] * k
-    for u, v in factors:
-        links[u] |= 1 << v
-        links[v] |= 1 << u
-    order = _search_order(links)
-    depth = {u: d for d, u in enumerate(order)}
-    steps = []
-    for d, u in enumerate(order):
-        mats = [(depth[a], mat) for (a, b), mat in factors.items() if b == u and depth[a] < d]
-        mats += [(depth[b], tuple(zip(*mat))) for (a, b), mat in factors.items()
-                 if a == u and depth[b] < d]
-        steps.append(([(b, x) for b, x in enumerate(weights[u]) if x], mats))
-    assigned = [0] * k
-
-    def rec(d: int, weight: Fraction) -> Fraction:
-        if d == k:
-            return weight
-        choices, mats = steps[d]
-        total = Fraction(0)
-        for b, x in choices:
-            wgt = weight * x
-            for e, mat in mats:
-                wgt *= mat[assigned[e]][b]
-                if not wgt:
-                    break
-            if wgt:
-                assigned[d] = b
-                total += rec(d + 1, wgt)
-        return total
-
-    return rec(0, Fraction(1))
+    return contract(weights, factors)
 
 
 def _simple_count(f: LabelledGraph, g: LabelledGraph, injective: bool, induced: bool) -> int:
@@ -192,10 +298,16 @@ def inj_count(f: GraphLike, g: LabelledGraph) -> int:
 
 
 def t(f: GraphLike, g: LabelledGraph) -> Fraction:
-    """Probability that a uniform map V(f)->V(g) is a homomorphism."""
+    """Probability that a uniform map V(f)->V(g) is a homomorphism;
+    backtracking when no contraction plan fits PLAN_BUDGET."""
     f = _as_labelled(f)
     _check_pattern(f)
-    return Fraction(_simple_count(f, g, False, False), g.n ** f.n)
+    pairs = [(u - 1, v - 1) for u, v in f.edges()]
+    if plan((g.n,) * f.n, frozenset(pairs)) is None:
+        homs = _simple_count(f, g, False, False)
+    else:
+        homs = contract([np.ones(g.n, dtype=bool)] * f.n, dict.fromkeys(pairs, g.adjacency)).numerator
+    return Fraction(homs, g.n ** f.n)
 
 
 def t_inj(f: GraphLike, g: LabelledGraph) -> Fraction:
@@ -298,7 +410,7 @@ class DensityEstimate:
 def mc_containment_hits(f: GraphLike, g: LabelledGraph, count: int, rng: np.random.Generator) -> int:
     """Number of uniform with-replacement k-samples whose pattern contains f."""
     f = _as_labelled(f)
-    a = unpack_rows(g.rows, g.n)
+    a = g.adjacency
     draws = rng.integers(0, g.n, size=(count, f.n))
     ok = np.ones(count, dtype=bool)
     for u, v in f.edges():

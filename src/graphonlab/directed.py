@@ -14,11 +14,11 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .densities import _assignment_sum, _count_maps, _transpose, falling
+from .densities import _count_maps, _transpose, contract, falling, kernel_sum, plan
 from .errors import CapacityError, InputError
 from .exact import Number, content_lines, format_number, parse_line, to_fraction
 from .graphon import _normalized_measures, draw_blocks
-from .graphs import pack_rows, pair_order, pair_rows, row_bits, rows_text, text_rows
+from .graphs import pack_rows, pair_order, pair_rows, row_bits, rows_text, text_rows, unpack_rows
 
 DIR_PATTERN_CAP = 6
 
@@ -303,6 +303,19 @@ def _dir_count(f: DirectedGraph, g: DirectedGraph, injective: bool, induced: boo
     return _count_maps(f.rows, g.rows, _transpose(g.rows, g.n), masks, injective, induced)
 
 
+def _host_homs(f: DirectedGraph, g: DirectedGraph) -> int:
+    """Homomorphisms of f into g by contraction: per pair of f the arcs it
+    asks for, a looped vertex weighted by g's loops; else backtracking."""
+    arcs = {(i, j): (f.rows[i] >> j & 1, f.rows[j] >> i & 1) for i, j in pair_order(f.n)}
+    arcs = {p: need for p, need in arcs.items() if any(need)}
+    if plan((g.n,) * f.n, frozenset(arcs)) is None:
+        return _dir_count(f, g, False, False)
+    a = unpack_rows(g.rows, g.n)
+    mats = {(1, 0): a, (0, 1): a.T, (1, 1): a & a.T}
+    weights = [np.diagonal(a) if f.has_loop(u + 1) else np.ones(g.n, dtype=bool) for u in range(f.n)]
+    return contract(weights, {p: mats[need] for p, need in arcs.items()}).numerator
+
+
 def _kernel_sum(f: DirectedGraph, kernel: DirectedKernel, induced: bool) -> Fraction:
     """Block-assignment sum: one latent state per pattern vertex, weighted
     by its measure where its loop flag meets f's loop requirement, and per
@@ -324,7 +337,7 @@ def _kernel_sum(f: DirectedGraph, kernel: DirectedKernel, induced: bool) -> Frac
         laws = [kernel.pair_matrix(a, b) for a, b in PAIR_STATES
                 if (a, b) == req or not induced and a >= req[0] and b >= req[1]]
         factors[i, j] = [[sum(law[s][r] for law in laws) for r in states] for s in states]
-    return _assignment_sum(weights, factors)
+    return kernel_sum(weights, factors)
 
 
 DirectedHost = Union[DirectedGraph, DirectedKernelQuintuple, DirectedKernelQuadruplePlusP]
@@ -335,7 +348,7 @@ def directed_t(f: DirectedGraph, host: DirectedHost) -> Fraction:
     limit object of a kernel."""
     if isinstance(host, DirectedGraph):
         _check_dir_pattern(f)
-        return Fraction(_dir_count(f, host, False, False), host.n**f.n)
+        return Fraction(_host_homs(f, host), host.n**f.n)
     return _kernel_sum(f, host, induced=False)
 
 

@@ -19,9 +19,9 @@ from .densities import (
     DensityEstimate,
     GraphLike,
     _as_labelled,
-    _assignment_sum,
     _check_pattern,
     hoeffding_halfwidth,
+    kernel_sum,
 )
 from .errors import CapacityError, InputError
 from .exact import Number, content_lines, format_number, parse_line, read_text, to_fraction
@@ -31,6 +31,7 @@ CUT_NORM_CAP = 16
 CUT_DIST_CAP = 8
 MEASURE_TOL = Fraction(1, 10**12)
 STRIP = 1 << 15  # uniforms per Bernoulli strip
+CUT_CELLS = 1 << 18  # column sums per block of the all-subsets cut norm
 
 
 def _normalized_measures(raw: Sequence[Number]) -> tuple[Fraction, ...]:
@@ -153,7 +154,7 @@ def exact_density(f: GraphLike, w: StepGraphon) -> Fraction:
     of mu-weights times edge factors, in rational arithmetic."""
     fl = _as_labelled(f)
     _check_pattern(fl)
-    return _assignment_sum([w.mu] * fl.n, {(u - 1, v - 1): w.w for u, v in fl.edges()})
+    return kernel_sum([w.mu] * fl.n, {(u - 1, v - 1): w.w for u, v in fl.edges()})
 
 
 def exact_ind_density(f: GraphLike, w: StepGraphon) -> Fraction:
@@ -162,7 +163,7 @@ def exact_ind_density(f: GraphLike, w: StepGraphon) -> Fraction:
     fl = _as_labelled(f)
     _check_pattern(fl)
     comp = tuple(tuple(1 - x for x in row) for row in w.w)
-    return _assignment_sum(
+    return kernel_sum(
         [w.mu] * fl.n,
         {(i, j): w.w if fl.has_edge(i + 1, j + 1) else comp for i, j in pair_order(fl.n)},
     )
@@ -367,58 +368,58 @@ def kernel_difference(w1: StepGraphon, w2: StepGraphon) -> SignedStepKernel:
     return SignedStepKernel(w1.mu, vals)
 
 
-def cut_norm(d: SignedStepKernel) -> Fraction:
-    """Exact cut norm: max over block-set pairs S,T of |sum mu_a mu_b d(a,b)|.
+def _scaled_q(mu: Sequence[Fraction], mats: Sequence[Sequence[Sequence[Fraction]]]) -> tuple[np.ndarray, int]:
+    """The stack of q = mu mu^T o d over the d in mats, as integers over one
+    denominator (also returned): int64 if the sum of |q| fits, else objects."""
+    q = [[mu[a] * mu[b] * x for b, x in enumerate(row)] for d in mats for a, row in enumerate(d)]
+    den = math.lcm(*(x.denominator for row in q for x in row))
+    ints = [[int(x * den) for x in row] for row in q]
+    big = sum(abs(x) for row in ints for x in row) >= 2**63
+    return np.array(ints, dtype=object if big else np.int64).reshape(len(mats), len(mu), len(mu)), den
 
-    Enumerates S (Gray code, one row update per step); for fixed S the
-    optimal T collects the positive or the negative column sums, so the
-    inner maximisation is closed-form. Equivalent to the full S,T search.
-    """
-    m = d.m
-    if m > CUT_NORM_CAP:
-        raise CapacityError(f"cut norm capped at {CUT_NORM_CAP} blocks, got {m}")
-    q = [[d.mu[a] * d.mu[b] * d.values[a][b] for b in range(m)] for a in range(m)]
-    col = [Fraction(0)] * m
-    best = Fraction(0)
-    prev_gray = 0
-    for i in range(1, 1 << m):
-        gray = i ^ (i >> 1)
-        flipped = (gray ^ prev_gray).bit_length() - 1
-        sign = 1 if gray >> flipped & 1 else -1
-        row = q[flipped]
-        for b in range(m):
-            col[b] += row[b] if sign > 0 else -row[b]
-        pos = sum((c for c in col if c > 0), Fraction(0))
-        neg = -sum((c for c in col if c < 0), Fraction(0))
-        best = max(best, pos, neg)
-        prev_gray = gray
+
+def _cut_norms(q: np.ndarray) -> np.ndarray:
+    """Cut norms of a stack q (p, m, m) of integer matrices: for a row set S
+    the best column set takes the positive or the negative column sums of
+    q over S, and all 2^m sets S go at once, as the subset matrix times q,
+    in blocks of about CUT_CELLS column sums."""
+    p, m, _ = q.shape
+    step = max(1, CUT_CELLS // (p * m))
+    best = np.zeros(p, dtype=q.dtype)
+    for lo in range(0, 1 << m, step):
+        sets = (np.arange(lo, min(lo + step, 1 << m))[:, None] >> np.arange(m) & 1).astype(q.dtype)
+        cols = sets @ q  # (p, sets, m)
+        pos = (cols * (cols > 0)).sum(axis=-1)
+        best = np.maximum(best, np.maximum(pos, pos - cols.sum(axis=-1)).max(axis=-1))
     return best
 
 
-def _measure_preserving_perms(mu: Sequence[Fraction]) -> Sequence[tuple[int, ...]]:
-    m = len(mu)
-    return [p for p in itertools.permutations(range(m)) if all(mu[p[a]] == mu[a] for a in range(m))]
+def cut_norm(d: SignedStepKernel) -> Fraction:
+    """Exact cut norm: max over block-set pairs S,T of |sum mu_a mu_b d(a,b)|."""
+    if d.m > CUT_NORM_CAP:
+        raise CapacityError(f"cut norm capped at {CUT_NORM_CAP} blocks, got {d.m}")
+    q, den = _scaled_q(d.mu, [d.values])
+    return Fraction(int(_cut_norms(q)[0]), den)
 
 
 def cut_distance_upper(w1: StepGraphon, w2: StepGraphon) -> Fraction:
     """Upper bound on the cut distance: min cut norm of w1 - w2 over block
-    permutations. Exact whenever an optimal overlay is a permutation."""
+    permutations. Exact whenever an optimal overlay is a permutation.
+    Permutations are scored in blocks in scaled integers; cut_norm gives
+    the value of the best."""
     if w1.m != w2.m or w1.mu != w2.mu:
         raise InputError("cut distance needs matching block counts and measures")
-    if w1.m > CUT_DIST_CAP:
-        raise CapacityError(f"cut distance capped at {CUT_DIST_CAP} blocks, got {w1.m}")
-    best: Fraction | None = None
-    for perm in _measure_preserving_perms(w1.mu):
-        permuted = StepGraphon(
-            w1.mu, tuple(tuple(w2.w[perm[a]][perm[b]] for b in range(w2.m)) for a in range(w2.m))
-        )
-        val = cut_norm(kernel_difference(w1, permuted))
-        if best is None or val < best:
-            best = val
-        if best == 0:
-            break
-    assert best is not None
-    return best
+    m = w1.m
+    if m > CUT_DIST_CAP:
+        raise CapacityError(f"cut distance capped at {CUT_DIST_CAP} blocks, got {m}")
+    (q1, q2), _ = _scaled_q(w1.mu, [w1.w, w2.w])
+    perms = np.array([p for p in itertools.permutations(range(m)) if all(w1.mu[p[a]] == w1.mu[a] for a in range(m))])
+    step = max(1, CUT_CELLS // (m << m))
+    norms = np.concatenate([_cut_norms(q1 - q2[p[:, :, None], p[:, None, :]])
+                            for p in (perms[lo:lo + step] for lo in range(0, len(perms), step))])
+    perm = perms[min(range(len(norms)), key=norms.__getitem__)]
+    permuted = StepGraphon(w1.mu, tuple(tuple(w2.w[perm[a]][perm[b]] for b in range(m)) for a in range(m)))
+    return cut_norm(kernel_difference(w1, permuted))
 
 
 def read_step_graphon(path: str) -> StepGraphon:

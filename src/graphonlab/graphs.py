@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -22,6 +22,7 @@ from .exact import content_lines, parse_line, read_text
 
 CANON_CAP = 10
 ENUM_CAP = 7
+HOST_CAP = 1 << 16  # vertices per part of a host graph, read or sampled
 ROW_BLOCK = 1 << 20  # cells of the boolean strip that rows are packed from or unpacked to
 
 
@@ -76,6 +77,13 @@ class LabelledGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u, v in row_bits(self.rows) if u < v]
+
+    @cached_property
+    def adjacency(self) -> np.ndarray:
+        """Read-only boolean adjacency matrix, unpacked once and shared."""
+        a = unpack_rows(self.rows, self.n)
+        a.flags.writeable = False
+        return a
 
     @property
     def num_edges(self) -> int:
@@ -401,6 +409,12 @@ def row_edges(rows: Sequence[int], width: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
+def check_host_size(*sizes: int) -> None:
+    """CapacityError for a part over HOST_CAP, before any allocation."""
+    if max(sizes, default=0) > HOST_CAP:
+        raise CapacityError(f"host graphs capped at {HOST_CAP} vertices per part, got {max(sizes)}")
+
+
 def edge_rows(
     edges: np.ndarray, shape: tuple[int, int], symmetric: bool, name: Callable[[int], str]
 ) -> tuple[int, ...]:
@@ -415,6 +429,7 @@ def edge_rows(
     n1, n2 = shape
     if n1 < 1 or n2 < 1:
         raise InputError(f"vertex count must be >= 1, got {min(n1, n2)}")
+    check_host_size(n1, n2)
     u, v = edges[:, 0], edges[:, 1]
     outside = (u < 1) | (u > n1) | (v < 1) | (v > n2)
     lo, hi = (np.minimum(u, v), np.maximum(u, v)) if symmetric else (u, v)

@@ -9,7 +9,7 @@ from graphonlab.directed import DirectedGraph, tournament_kernel
 from graphonlab.exact import fraction_to_decimal
 from graphonlab.exchangeable import GraphSource
 from graphonlab.graphon import StepGraphon, boys_girls, write_step_graphon
-from graphonlab.graphs import LabelledGraph, write_graph
+from graphonlab.graphs import HOST_CAP, LabelledGraph, write_graph
 
 from cli_child import exit_fault, run_cli
 from oracles import brute_kernel_sum
@@ -210,6 +210,37 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 4
         assert "Traceback" in err and "internal error: not an input problem" in err
+
+
+class TestHostCap:
+    """Host and sample sizes beyond HOST_CAP exit 3 before anything of that
+    size is allocated, naming the requested size next to the cap."""
+
+    HUGE = 10_000_000_000_000
+
+    @pytest.mark.parametrize("kind, header", [
+        ("simple", f"{HUGE} 0"),
+        ("directed", f"{HUGE} 0"),
+        ("bipartite", f"3 {HUGE} 0"),
+    ])
+    def test_huge_host_file_exits_3(self, workdir, capsys, kind, header):
+        (workdir / "huge.txt").write_text(header + "\n")
+        pattern = {"simple": "edge.txt", "directed": "diredge.txt", "bipartite": "crossedge.txt"}[kind]
+        code = main(["density", "--kind", kind, "-F", str(workdir / pattern), "-G", str(workdir / "huge.txt")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"capped at {HOST_CAP} vertices per part, got {self.HUGE}" in err
+
+    @pytest.mark.parametrize("kind, kernel, sizes", [
+        ("simple", "bg.txt", ["-n", str(HUGE)]),
+        ("directed", "tourn.txt", ["-n", str(HOST_CAP + 1)]),
+        ("bipartite", "bipk.txt", ["-n", "3", "--n2", str(HUGE)]),
+    ])
+    def test_huge_sample_exits_3(self, workdir, capsys, kind, kernel, sizes):
+        code = main(["sample", "--kind", kind, "-W", str(workdir / kernel), *sizes])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"capped at {HOST_CAP} vertices per part, got {sizes[-1]}" in err
 
 
 class TestSampleCommand:

@@ -1,0 +1,169 @@
+"""The contraction engine and its planner.
+
+contract is checked against the bitset backtracker _count_maps and the
+brute-force oracles, for patterns up to 6 vertices and hosts up to 12, on
+simple, bipartite and directed hosts and kernels. Host weights are
+scaled so that the same counts run once in float64, once in int64 and
+once in Python-int object arrays; kernels with large denominators run
+in object arrays.
+"""
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from graphonlab.bipartite import BipartiteKernel, _bip_count, bip_exact_ind_density, bip_t
+from graphonlab.densities import PLAN_BUDGET, _count_maps, contract, plan, t
+from graphonlab.directed import directed_t
+from graphonlab.graphon import StepGraphon, exact_density, exact_ind_density
+from graphonlab.graphs import LabelledGraph, unpack_rows
+
+from oracles import brute_bip, brute_bip_kernel_sum, brute_directed, brute_kernel_sum, brute_t
+from test_engines import bipartite_graphs, directed_graphs, measures, simple_graphs
+
+BIG = 10**12 + 39  # a prime: scaled products of a few such values leave int64
+
+
+def scales(n: int, k: int) -> dict[str, int]:
+    """Weight multipliers c that put the bound (n c)^k of a k-vertex count
+    in an n-vertex host under 2^53 (float64), in [2^53, 2^63) (int64) and
+    beyond 2^63 (object)."""
+    c = 1
+    while (n * c) ** k < 2**53:
+        c *= 2
+    assert 2**53 <= (n * c) ** k < 2**63
+    return {"float64": 1, "int64": c, "object": 2**64}
+
+
+def scaled_counts(weights, factors, k: int) -> set[int]:
+    """contract's count at every scale, each divided back by c^k."""
+    n = max(len(w) for w in weights)
+    out = set()
+    for c in scales(n, k).values():
+        total = contract([np.asarray(w, dtype=np.int64).astype(object) * c for w in weights], factors)
+        assert total.denominator == 1 and total.numerator % c**k == 0
+        out.add(total.numerator // c**k)
+    return out
+
+
+def backtrack(prows, hrows, masks) -> int:
+    return _count_maps(prows, hrows, list(hrows), masks, False, False)
+
+
+@given(simple_graphs(6), simple_graphs(12))
+@settings(max_examples=60, deadline=None)
+def test_simple_host(f, g):
+    a = unpack_rows(g.rows, g.n)
+    factors = {(u - 1, v - 1): a for u, v in f.edges()}
+    count = backtrack(f.rows, g.rows, [(1 << g.n) - 1] * f.n)
+    assert scaled_counts([np.ones(g.n)] * f.n, factors, f.n) == {count}
+    assert t(f, g) == Fraction(count, g.n ** f.n)
+
+
+@given(simple_graphs(4), simple_graphs(6))
+@settings(max_examples=40, deadline=None)
+def test_simple_host_oracle(f, g):
+    a = unpack_rows(g.rows, g.n)
+    count = contract([np.ones(g.n, dtype=bool)] * f.n, {(u - 1, v - 1): a for u, v in f.edges()})
+    assert count / g.n ** f.n == brute_t(f, g)
+
+
+@given(bipartite_graphs(3), bipartite_graphs(6))
+@settings(max_examples=60, deadline=None)
+def test_bipartite_host(f, g):
+    a = unpack_rows(g.rows, g.n2)
+    factors = {(u - 1, f.n1 + v - 1): a for u, v in f.edges()}
+    weights = [np.ones(g.n1)] * f.n1 + [np.ones(g.n2)] * f.n2
+    count = _bip_count(f, g, False, False)
+    assert scaled_counts(weights, factors, f.n1 + f.n2) == {count}
+    assert bip_t(f, g) == Fraction(count, g.n1**f.n1 * g.n2**f.n2)
+    if g.n1 + g.n2 <= 6:
+        assert bip_t(f, g) == brute_bip(f, g)
+
+
+@given(directed_graphs(6), directed_graphs(12))
+@settings(max_examples=60, deadline=None)
+def test_directed_host(f, g):
+    """Each arc u -> v of f is its own factor, (u, v) or (v, u) as it
+    comes; f's loops weight a vertex by the host's loop indicator."""
+    a = unpack_rows(g.rows, g.n)
+    factors = {(u - 1, v - 1): a for u, v in f.edges() if u != v}
+    weights = [np.diagonal(a) if f.has_loop(u + 1) else np.ones(g.n) for u in range(f.n)]
+    loops = sum(1 << i for i in range(g.n) if g.rows[i] >> i & 1)
+    masks = [loops if f.has_loop(u + 1) else (1 << g.n) - 1 for u in range(f.n)]
+    count = _count_maps(f.rows, g.rows, [sum((r >> j & 1) << i for i, r in enumerate(g.rows)) for j in range(g.n)],
+                        masks, False, False)
+    assert scaled_counts(weights, factors, f.n) == {count}
+    assert directed_t(f, g) == Fraction(count, g.n ** f.n)
+    if f.n <= 3 and g.n <= 5:
+        assert directed_t(f, g) == brute_directed(f, g)
+
+
+@st.composite
+def step_graphons(draw, max_m, den):
+    mu = draw(measures(max_m))
+    m = len(mu)
+    upper = {(a, b): Fraction(draw(st.integers(0, den)), den) for a in range(m) for b in range(a, m)}
+    return StepGraphon(mu, tuple(tuple(upper[min(a, b), max(a, b)] for b in range(m)) for a in range(m)))
+
+
+@given(simple_graphs(6), st.sampled_from([4, BIG]).flatmap(lambda den: step_graphons(3, den)))
+@settings(max_examples=60, deadline=None)
+def test_simple_kernel(f, w):
+    assert exact_density(f, w) == brute_kernel_sum(f, w.mu, w.w)
+    assert exact_ind_density(f, w) == brute_kernel_sum(f, w.mu, w.w, induced=True)
+
+
+@given(bipartite_graphs(3), st.sampled_from([4, BIG]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_bipartite_kernel(f, den, data):
+    mu1, mu2 = data.draw(measures(3)), data.draw(measures(3))
+    vals = [[Fraction(data.draw(st.integers(0, den)), den) for _ in mu2] for _ in mu1]
+    w = BipartiteKernel(mu1, mu2, vals)
+    assert bip_exact_ind_density(f, w) == brute_bip_kernel_sum(f, mu1, mu2, w.w, induced=True)
+    assert contract([w.mu1] * f.n1 + [w.mu2] * f.n2,
+                    {(u - 1, f.n1 + v - 1): w.w for u, v in f.edges()}) == brute_bip_kernel_sum(f, mu1, mu2, w.w)
+
+
+def test_kernel_sum_beyond_the_budget_is_sliced():
+    """An operand larger than PLAN_BUDGET leaves no plan; the sum is then
+    taken over the values of one vertex, each a contraction that fits."""
+    rng = np.random.default_rng(5)
+    m = 400
+    assert m * m > PLAN_BUDGET
+    w0, w1 = rng.integers(0, 1000, m), rng.integers(0, 1000, m)
+    f = rng.integers(0, 1000, (m, m))
+    expected = sum(int(w0[a]) * int(f[a, b]) * int(w1[b]) for a in range(m) for b in range(m))
+    assert plan((m, m), frozenset({(0, 1)})) is None
+    assert contract([w0, w1], {(0, 1): f}) == expected
+
+
+def test_k4_on_300_vertices_plans_the_backtracker():
+    k4 = frozenset((i, j) for j in range(4) for i in range(j))
+    assert plan((300,) * 4, k4) is None
+    assert plan((60,) * 4, k4) is None
+    assert plan((35,) * 4, k4) is not None
+
+
+def test_c6_on_10_blocks_is_cubic():
+    m = 10
+    p = plan((m,) * 6, frozenset((i, (i + 1) % 6) for i in range(6)))
+    assert p is not None and p.cost <= 6 * m**3 and p.peak <= m * m
+
+
+def test_isolated_vertices_factor_out():
+    m = 7
+    path = frozenset({(0, 1), (1, 2)})
+    alone = plan((m,) * 3, path)
+    padded = plan((m,) * 5, path)
+    assert padded.cost == alone.cost + 2 * m
+    assert padded.peak == alone.peak
+    g = LabelledGraph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 3)])
+    iso = LabelledGraph.from_edges(5, [(1, 2), (2, 3)])
+    assert t(iso, g) == t(LabelledGraph.path(3), g)
+
+
+def test_planned_order_is_cheaper_than_naive():
+    """C4 on a 300-vertex host costs O(n^3), not the n^4 of enumeration."""
+    p = plan((300,) * 4, frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}))
+    assert p is not None and p.cost < 3 * 300**3

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -286,6 +287,18 @@ class TestCutNorm:
             d = SignedStepKernel(tuple(mu), tuple(tuple(row) for row in vals))
             assert cut_norm(d) == brute_cut_norm(list(d.mu), [list(r) for r in d.values])
 
+    def test_large_denominators_match_brute_oracle(self):
+        """Denominators this large push the scaled q past int64, so the
+        subset sums run on Python ints."""
+        big = 10**12 + 39
+        rng = stream(13)
+        for m in (1, 2, 3, 4):
+            mu_raw = [int(x) for x in rng.integers(1, big, size=m)]
+            mu = [Fraction(x, sum(mu_raw)) for x in mu_raw]
+            vals = [[Fraction(int(rng.integers(-big, big)), big) for _ in range(m)] for _ in range(m)]
+            d = SignedStepKernel(tuple(mu), tuple(tuple(row) for row in vals))
+            assert cut_norm(d) == brute_cut_norm(list(d.mu), [list(r) for r in d.values])
+
     def test_cap(self):
         d = SignedStepKernel(tuple(Fraction(1, 17) for _ in range(17)),
                              tuple(tuple(Fraction(0) for _ in range(17)) for _ in range(17)))
@@ -305,6 +318,27 @@ class TestCutDistance:
         w1 = StepGraphon.constant(Fraction(1, 5))
         w2 = StepGraphon.constant(Fraction(4, 5))
         assert cut_distance_upper(w1, w2) == Fraction(3, 5)
+
+    @pytest.mark.parametrize("den", [100, 10**12 + 39])
+    def test_matches_brute_over_permutations(self, den):
+        """The minimum over measure-preserving block permutations of the
+        brute-force cut norm, blocks of equal and of unequal measure."""
+        rng = stream(14)
+        for mu in ([Fraction(1, 4)] * 4, [Fraction(1, 6), Fraction(1, 3), Fraction(1, 6), Fraction(1, 3)]):
+            m = len(mu)
+            pair = []
+            for _ in range(2):
+                vals = [[None] * m for _ in range(m)]
+                for a in range(m):
+                    for b in range(a, m):
+                        vals[a][b] = vals[b][a] = Fraction(int(rng.integers(0, den + 1)), den)
+                pair.append(vals)
+            w1, w2 = StepGraphon(tuple(mu), pair[0]), StepGraphon(tuple(mu), pair[1])
+            want = min(
+                brute_cut_norm(mu, [[w1.w[a][b] - w2.w[p[a]][p[b]] for b in range(m)] for a in range(m)])
+                for p in itertools.permutations(range(m)) if all(mu[p[a]] == mu[a] for a in range(m))
+            )
+            assert cut_distance_upper(w1, w2) == want
 
     def test_rejects_mismatch(self):
         with pytest.raises(InputError):
