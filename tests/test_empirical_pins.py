@@ -1,0 +1,94 @@
+"""Input-to-bytes pins for the seeded empirical test reports.
+
+A report of empirical `test-exchangeable` ends in the smallest chi-square
+p-value over the isomorphism classes, printed to six significant digits,
+and its verdict compares that p-value with a Bonferroni threshold. A
+change to how the chi-square tail is computed must not move either. The
+cases below cover prefix sizes 3 to 6 and smallest p-values from about
+0.5 down to about 1e-7, plus one `test-extreme` report (normal tail).
+Each case writes small fixed inputs, runs one seeded command in process
+and compares the sha256 of its exit code and report with a recorded value.
+
+Run this file as a script to print the digests of the current code.
+"""
+from __future__ import annotations
+
+import hashlib
+import os
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from graphonlab.cli import main
+
+FILES = {
+    "half.txt": "1\n1\n1/2\n",
+    "half_src.txt": "wrandom half.txt\n",
+    "two.txt": "2\n1/3 2/3\n3/5 1/5\n1/5 1/2\n",
+    "two_src.txt": "wrandom two.txt\n",
+    "sparse_a.txt": "1\n1\n3/100\n",
+    "sparse_b.txt": "1\n1\n1/10\n",
+    "sparse.txt": "mixture\n1/2 sparse_a.txt\n1/2 sparse_b.txt\n",
+    "low.txt": "1\n1\n3/10\n",
+    "high.txt": "1\n1\n3/5\n",
+    "separated.txt": "mixture\n1/2 low.txt\n1/2 high.txt\n",
+    "pairs.txt": "1-2 | 3-4\n1-3 2-3 | 4-5\n",
+}
+
+
+def _exchangeable(src: str, k: int, samples: int, seed: int) -> list[str]:
+    return ["test-exchangeable", "-src", src, "-k", str(k), "--samples", str(samples), "--seed", str(seed)]
+
+
+# the smallest p-value each case reported when it was pinned, in the comment
+CASES = {
+    "exchangeable/k3": _exchangeable("half_src.txt", 3, 2000, 0),  # 0.534189
+    "exchangeable/k4": _exchangeable("two_src.txt", 4, 5000, 2),  # 0.0369577
+    "exchangeable/k5": _exchangeable("sparse.txt", 5, 8000, 3),  # 0.0101812
+    "exchangeable/k6": _exchangeable("two_src.txt", 6, 6000, 8),  # 0.00012816
+    "exchangeable/k6-rejected": _exchangeable("half_src.txt", 6, 3000, 6),  # 1.97657e-05
+    "exchangeable/k6-deep": _exchangeable("two_src.txt", 6, 6000, 9),  # 6.724e-08
+    "extreme": ["test-extreme", "-src", "separated.txt", "--pairs", "pairs.txt",
+                "--samples", "20000", "--seed", "5"],
+}
+
+
+def report(name: str, d: Path) -> bytes:
+    """The exit code and report of case `name`, run in d after writing every input file there."""
+    for fname, text in FILES.items():
+        (d / fname).write_text(text)
+    old = os.getcwd()
+    os.chdir(d)
+    try:
+        code = main([*CASES[name], "-o", "report.txt"])
+    finally:
+        os.chdir(old)
+    return f"exit {code}\n".encode() + (d / "report.txt").read_bytes()
+
+
+DIGESTS = {
+    "exchangeable/k3": "c06678339446d0bfc4de52385ef5ff74420228ce9b8c9f8ca7584e7d89475f7e",
+    "exchangeable/k4": "a57ac547f848f31d162e5a77cf6917b8da64e4f9a87432fbb27bcba2cd780110",
+    "exchangeable/k5": "8e5e9af09b2d961bbb0f38472621897a81b450b6e800353e3c09445c9b86e74a",
+    "exchangeable/k6": "c1f91a1c41eb268e0ce88d7d263aece7f4becc4048d8cba3c898b429f5cd6b26",
+    "exchangeable/k6-deep": "05c3a66edaa2dec37313143cef88230ea23561c88e6f2936cdeb042c18f030a9",
+    "exchangeable/k6-rejected": "bf49f566e716b60df250a81165a36de3ddb3a9fb0a89a3376537e6478c1931e1",
+    "extreme": "dedf338a0d6c4dccd8134407d356657fc69d15576bd8a3f443fbdda2519c7196",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_empirical_report_keeps_its_bytes(name, tmp_path):
+    assert hashlib.sha256(report(name, tmp_path)).hexdigest() == DIGESTS[name]
+
+
+def test_every_case_is_pinned():
+    assert sorted(DIGESTS) == sorted(CASES)
+
+
+if __name__ == "__main__":
+    for name in sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            data = report(name, Path(tmp))
+        print(f'    "{name}": "{hashlib.sha256(data).hexdigest()}",')

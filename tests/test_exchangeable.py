@@ -1,9 +1,9 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from scipy import stats as sps
 
 from graphonlab import exchangeable
 from graphonlab.errors import CapacityError, InputError
@@ -11,6 +11,7 @@ from graphonlab.exchangeable import (
     GraphSource,
     PatternPair,
     PrefixLaw,
+    chi_square_tail,
     chi_square_uniformity,
     correspondence_check,
     covariance_ztest,
@@ -179,11 +180,69 @@ def cell_counts(draw):
     return counts
 
 
-@settings(max_examples=300, deadline=None)
-@given(cell_counts())
-def test_chi_square_p_value_equals_scipy_stats(observed):
-    stat, p = chi_square_uniformity(observed)
-    assert p == float(sps.chi2.sf(stat, len(observed) - 1))
+MAX_DF = math.factorial(exchangeable.CLASS_CAP) - 1  # the widest class's degrees of freedom
+
+
+@st.composite
+def df_and_x(draw):
+    """Degrees of freedom up to the widest class, and x across the body
+    (in standard deviations of the chi-square) and both tails."""
+    df = draw(st.integers(1, MAX_DF))
+    x = draw(st.one_of(
+        st.floats(-6, 80).map(lambda z: df + z * math.sqrt(2 * df)),
+        st.floats(0, 12_000),
+    ))
+    return df, max(x, 0.0)
+
+
+class TestChiSquareTail:
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0, 3000))
+    def test_one_df_is_erfc(self, x):
+        assert chi_square_tail(x, 1) == math.erfc(math.sqrt(x / 2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0, 3000))
+    def test_two_df_is_exp(self, x):
+        # numpy's exp may differ from libm's in the last bit
+        assert abs(chi_square_tail(x, 2) - math.exp(-x / 2)) <= 2 * math.ulp(math.exp(-x / 2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(df_and_x())
+    def test_relative_error_against_mpmath(self, case):
+        mpmath = pytest.importorskip("mpmath")
+        df, x = case
+        with mpmath.workdps(40):
+            ref = mpmath.gammainc(mpmath.mpf(df) / 2, mpmath.mpf(x) / 2, mpmath.inf, regularized=True)
+            assume(ref >= mpmath.mpf("1e-300"))
+            assert abs(chi_square_tail(x, df) - ref) <= mpmath.mpf("1e-11") * ref
+
+    @settings(max_examples=300, deadline=None)
+    @given(cell_counts())
+    def test_uniformity_p_value_matches_scipy(self, observed):
+        special = pytest.importorskip("scipy.special")
+        stat, p = chi_square_uniformity(observed)
+        # the relative bound holds down to p = 1e-300; below that, near underflow, it is not promised
+        assert p == pytest.approx(float(special.chdtrc(len(observed) - 1, stat)), rel=1e-10, abs=1e-300)
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 4, 7, 100, 719, 2520, MAX_DF])
+    def test_edges(self, df):
+        assert chi_square_tail(0.0, df) == 1.0
+        assert chi_square_tail(math.inf, df) == 0.0
+        assert chi_square_tail(1e6, df) == 0.0
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 4, 7, 100, 719, 2520, MAX_DF])
+    def test_in_unit_interval_and_not_increasing(self, df):
+        p = [chi_square_tail(x, df) for x in np.linspace(0, 4 * df + 200, 4001).tolist()]
+        assert all(0.0 <= q <= 1.0 for q in p)
+        # exactly where p < 1 - 1e-9; above that the true decrease from one
+        # grid point to the next is below the sum's rounding, so only the
+        # error bound holds
+        assert all(b <= a if a < 1 - 1e-9 else b <= a * (1 + 1e-11) for a, b in zip(p, p[1:]))
+
+    def test_needs_a_degree_of_freedom(self):
+        with pytest.raises(InputError):
+            chi_square_tail(1.0, 0)
 
 
 class TestSupportClasses:

@@ -1,11 +1,13 @@
-"""Start-up guard: the package and every command but the empirical
-chi-square test run in an interpreter that cannot import scipy.
+"""Start-up guard: the package and every command run in an interpreter
+that cannot import scipy, and none loads scipy where it could.
 
-The child process puts a `sys.meta_path` finder in front of the import
+One child process puts a `sys.meta_path` finder in front of the import
 system that refuses `scipy` and all its submodules, then imports
 `graphonlab` and runs each command through `cli.main` on tiny inputs.
-This module imports neither scipy nor hypothesis at module level, so it
-also runs where only numpy and pytest are installed.
+Another runs the same commands where scipy is importable and lists the
+scipy modules left in `sys.modules`. This module imports neither scipy
+nor hypothesis at module level, so it also runs where only numpy and
+pytest are installed.
 """
 import json
 import subprocess
@@ -33,7 +35,9 @@ class RefuseScipy:
         return None
 
 
-sys.meta_path.insert(0, RefuseScipy())
+refuse = sys.argv[2] == "refuse"
+if refuse:
+    sys.meta_path.insert(0, RefuseScipy())
 import graphonlab  # noqa: E402
 from graphonlab.cli import main  # noqa: E402
 
@@ -46,7 +50,14 @@ for name, argv in json.loads(sys.argv[1]).items():
         except SystemExit as stop:
             code = stop.code
     results[name] = [code, err.getvalue()]
-print(json.dumps(results))
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+control = ""
+if refuse:
+    try:
+        import scipy  # noqa: F401
+    except ImportError as exc:
+        control = str(exc)
+print(json.dumps({"results": results, "scipy_modules": loaded, "control": control}))
 '''
 
 # name -> argv; each report goes to <name>.out
@@ -66,7 +77,6 @@ COMMANDS = {
     "test-exchangeable-empirical": ["test-exchangeable", "-src", "src.txt", "-k", "3",
                                     "--samples", "500"],
 }
-NEEDS_SCIPY = "test-exchangeable-empirical"  # its chi-square p-value
 
 
 def argv_of(name: str) -> list[str]:
@@ -88,38 +98,37 @@ def workdir(tmp_path_factory):
     return d
 
 
-@pytest.fixture(scope="module")
-def without_scipy(workdir):
-    """Exit code and stderr of each command, run in one child that refuses scipy."""
+def run_child(workdir, mode: str) -> dict:
+    """Every command in one child; mode "refuse" installs the finder, "allow" does not."""
     runs = {name: argv_of(name) for name in COMMANDS}
-    res = subprocess.run([sys.executable, "-c", CHILD, json.dumps(runs)], cwd=workdir,
+    res = subprocess.run([sys.executable, "-c", CHILD, json.dumps(runs), mode], cwd=workdir,
                          env=child_env(), capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, f"child failed (import graphonlab?):\n{res.stderr}"
     return json.loads(res.stdout.splitlines()[-1])
 
 
-@pytest.mark.parametrize("name", [name for name in COMMANDS if name != NEEDS_SCIPY])
+@pytest.fixture(scope="module")
+def without_scipy(workdir):
+    """Exit code and stderr of each command, run in one child that refuses scipy."""
+    return run_child(workdir, "refuse")
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
 def test_command_runs_without_scipy(workdir, without_scipy, name):
-    code, err = without_scipy[name]
+    code, err = without_scipy["results"][name]
     args = argv_of(name)
     fault = exit_fault(args, subprocess.CompletedProcess(args, code, "", err), workdir / f"{name}.out")
     assert not fault, fault
 
 
-def test_empirical_chi_square_is_what_needs_scipy(without_scipy):
-    # the control: the finder does refuse scipy, at the one p-value that uses it
-    code, err = without_scipy[NEEDS_SCIPY]
-    assert code == 4 and "import of scipy refused" in err, err
+def test_finder_refuses_scipy(without_scipy):
+    # the control: the same child could not have imported scipy had a command tried
+    assert without_scipy["control"] == "import of scipy refused", without_scipy["control"]
+    assert without_scipy["scipy_modules"] == []
 
 
-def test_empirical_mode_loads_scipy_special_not_stats(workdir):
-    pytest.importorskip("scipy.special")
-    script = ("import json, sys\nfrom graphonlab.cli import main\n"
-              f"code = main({argv_of(NEEDS_SCIPY)!r})\n"
-              "print(json.dumps([code, [m for m in sys.modules if m.split('.')[0] == 'scipy']]))")
-    res = subprocess.run([sys.executable, "-c", script], cwd=workdir, env=child_env(),
-                         capture_output=True, text=True, timeout=300)
-    assert res.returncode == 0, res.stderr
-    code, modules = json.loads(res.stdout)
-    assert code in (0, 1)
-    assert "scipy.special" in modules and "scipy.stats" not in modules, modules
+def test_no_command_loads_scipy(workdir):
+    pytest.importorskip("scipy")
+    child = run_child(workdir, "allow")
+    assert all(code in (0, 1) for code, _ in child["results"].values()), child["results"]
+    assert child["scipy_modules"] == [], child["scipy_modules"]
