@@ -4,8 +4,11 @@ A report of empirical `test-exchangeable` ends in the smallest chi-square
 p-value over the isomorphism classes, printed to six significant digits,
 and its verdict compares that p-value with a Bonferroni threshold. A
 change to how the chi-square tail is computed must not move either. The
-cases below cover prefix sizes 3 to 6 and smallest p-values from about
+cases below cover prefix sizes 3 to 7 and smallest p-values from about
 0.5 down to about 1e-7, plus one `test-extreme` report (normal tail).
+The k = 7 case draws more than one chunk of samples, so its support
+order is "sorted within each chunk, new codes appended", and it is
+rejected, so its report names the first support graph of a class.
 Each case writes small fixed inputs, runs one seeded command in process
 and compares the sha256 of its exit code and report with a recorded value.
 
@@ -49,6 +52,7 @@ CASES = {
     "exchangeable/k6": _exchangeable("two_src.txt", 6, 6000, 8),  # 0.00012816
     "exchangeable/k6-rejected": _exchangeable("half_src.txt", 6, 3000, 6),  # 1.97657e-05
     "exchangeable/k6-deep": _exchangeable("two_src.txt", 6, 6000, 9),  # 6.724e-08
+    "exchangeable/k7-chunks": _exchangeable("half_src.txt", 7, 40000, 0),  # 6.29982e-09
     "extreme": ["test-extreme", "-src", "separated.txt", "--pairs", "pairs.txt",
                 "--samples", "20000", "--seed", "5"],
 }
@@ -74,6 +78,7 @@ DIGESTS = {
     "exchangeable/k6": "c1f91a1c41eb268e0ce88d7d263aece7f4becc4048d8cba3c898b429f5cd6b26",
     "exchangeable/k6-deep": "05c3a66edaa2dec37313143cef88230ea23561c88e6f2936cdeb042c18f030a9",
     "exchangeable/k6-rejected": "bf49f566e716b60df250a81165a36de3ddb3a9fb0a89a3376537e6478c1931e1",
+    "exchangeable/k7-chunks": "4d0ece1a55bf85ae02b597c8a4fa8c00d72b193b53cc1fccf78016fe54edfbbf",
     "extreme": "dedf338a0d6c4dccd8134407d356657fc69d15576bd8a3f443fbdda2519c7196",
 }
 

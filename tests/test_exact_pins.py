@@ -107,6 +107,7 @@ CASES = {
     "cutdist/unequal": ["cutdist", "-W", "cut_c.txt", "-W2", "cut_d.txt"],
     "cutdist/big": ["cutdist", "-W", "wbig.txt", "-W2", "cut_big.txt"],
     "test-exchangeable/exact": ["test-exchangeable", "-src", "exch_src.txt", "-k", "4"],
+    "test-exchangeable/exact-k6": ["test-exchangeable", "-src", "exch_src.txt", "-k", "6"],
 }
 
 
@@ -137,6 +138,7 @@ DIGESTS = {
     "density/simple/kernel": "024c0e3d33a3b170627a1e5fb25fffbd12a0fa40f5cd035fd76ece85de1fdfed",
     "density/simple/kernel-big": "7a1b41b765e98c2a65371c94b780deda4caa2a0528d4c3ce15086e3b499379cb",
     "test-exchangeable/exact": "7f0bd2f0bb290d79a663627a0e52ba2c444e930262942b58eb9eec3bcda8ef90",
+    "test-exchangeable/exact-k6": "50c6c6b3cecd10b9e86dfab97cf762cb2085e19527cf5523064ae51e153b2c3b",
 }
 
 
