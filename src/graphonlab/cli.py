@@ -53,7 +53,7 @@ from .graphon import (
     read_step_graphon,
     sample_w_random,
 )
-from .graphs import check_host_size, enumerate_unlabelled, pair_bits_of, read_graph
+from .graphs import check_host_size, enumerate_unlabelled, read_graph
 from .rng import run_chunked, stream, thread_count
 
 DEC = fraction_to_decimal
@@ -249,14 +249,11 @@ def cmd_test_exchangeable(args) -> tuple[list[str], int]:
     classes = support_classes(law)
     verdict = exchangeability_test(law, args.alpha, classes)
     lines = ["class_code,cells,count,probability"]
-    class_of = {m: i for i, members in enumerate(classes) for m in members}
-    # one row per class, in order of its first support graph by pair bits
-    for i in dict.fromkeys(class_of[g] for g in sorted(law.support(), key=pair_bits_of)):
-        members = classes[i]
-        key = min(pair_bits_of(m) for m in members)
-        count = sum(law.counts.get(m, 0) for m in members) if law.is_empirical else ""
-        prob = sum((law.probability(m) for m in members), Fraction(0))
-        lines.append(f"{key},{len(members)},{count},{DEC(prob)}")
+    # one row per class, keyed by its smallest code, in order of its smallest support code
+    for members in sorted(classes, key=lambda ms: min(filter(law.mass.__contains__, ms))):
+        mass = sum(law.mass.get(m, 0) for m in members)
+        count = mass if law.is_empirical else ""
+        lines.append(f"{min(members)},{len(members)},{count},{DEC(Fraction(mass, law.total))}")
     p_txt = "" if verdict.p_min is None else format(verdict.p_min, ".6g")
     if verdict.consistent:
         lines.append(f"VERDICT consistent p_min={p_txt}")

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, KeysView, Mapping, Sequence
 
 import numpy as np
 
@@ -28,9 +28,11 @@ from .graphs import (
     LabelledGraph,
     UnlabelledGraph,
     graph_from_pair_bits,
+    pack_rows,
     pair_bits_of,
     pair_index,
     restrict_prefix,
+    unpack_rows,
 )
 from .rng import CHUNK, run_chunked
 
@@ -40,48 +42,52 @@ CLASS_CAP = 7  # isomorphism-class grouping enumerates k! relabellings
 
 @dataclass(frozen=True)
 class PrefixLaw:
-    """Distribution of the first-k restriction, over labelled graphs on [k].
+    """Distribution of the first-k restriction, over labelled graphs on [k]
+    named by their pair codes (bit pair_index(u, v) per edge).
 
-    Exact laws store rational probabilities; empirical laws store counts
-    with their total. Graphs absent from the mapping have probability 0.
+    Each code carries an integer mass over one common `total`: the least
+    common denominator of an exact law, the sample count of an empirical
+    one. Codes absent from `mass` have probability 0.
     """
 
     k: int
-    probs: dict[LabelledGraph, Fraction] | None
-    counts: dict[LabelledGraph, int] | None
-    total: int | None
+    mass: dict[int, int]
+    total: int
+    is_empirical: bool
 
     @classmethod
-    def exact(cls, k: int, probs: Mapping[LabelledGraph, Fraction]) -> "PrefixLaw":
-        clean = {g: Fraction(p) for g, p in probs.items() if p != 0}
-        if any(p < 0 or p > 1 for p in clean.values()):
+    def exact(cls, k: int, probs: Mapping[int, Fraction | int]) -> "PrefixLaw":
+        _check_codes(k, probs)
+        total = math.lcm(*{p.denominator for p in probs.values()})
+        mass = {c: p.numerator * (total // p.denominator) for c, p in probs.items() if p}
+        if any(n < 0 or n > total for n in mass.values()):
             raise InputError("probabilities must lie in [0,1]")
-        if sum(clean.values()) != 1:
+        if sum(mass.values()) != total:
             raise InputError("exact prefix law must sum to exactly 1")
-        return cls(k, clean, None, None)
+        return cls(k, mass, total, False)
 
     @classmethod
-    def empirical(cls, k: int, counts: Mapping[LabelledGraph, int]) -> "PrefixLaw":
-        clean = {g: int(c) for g, c in counts.items() if c}
-        total = sum(clean.values())
+    def empirical(cls, k: int, counts: Mapping[int, int]) -> "PrefixLaw":
+        mass = {c: int(n) for c, n in counts.items() if n}
+        _check_codes(k, mass)
+        total = sum(mass.values())
         if total < 1:
             raise InputError("empirical law needs at least one sample")
-        return cls(k, None, clean, total)
+        return cls(k, mass, total, True)
 
-    @property
-    def is_empirical(self) -> bool:
-        return self.counts is not None
+    def probability(self, code: int) -> Fraction:
+        _check_codes(self.k, (code,))
+        return Fraction(self.mass.get(code, 0), self.total)
 
-    def probability(self, g: LabelledGraph) -> Fraction:
-        if g.n != self.k:
-            raise InputError(f"graph on {g.n} vertices queried against a {self.k}-prefix law")
-        if self.probs is not None:
-            return self.probs.get(g, Fraction(0))
-        assert self.counts is not None and self.total is not None
-        return Fraction(self.counts.get(g, 0), self.total)
+    def support(self) -> KeysView[int]:
+        return self.mass.keys()
 
-    def support(self) -> Iterable[LabelledGraph]:
-        return (self.probs or self.counts or {}).keys()
+
+def _check_codes(k: int, codes: Iterable[int]) -> None:
+    """Every code must name a graph on [k]: 0 <= code < 2^(k(k-1)/2)."""
+    bad = [c for c in codes if not 0 <= c < 1 << k * (k - 1) // 2]
+    if bad:
+        raise InputError(f"pair code {bad[0]} is not a graph on {k} vertices")
 
 
 def prefix_law_exact(w: StepGraphon, k: int) -> PrefixLaw:
@@ -93,15 +99,14 @@ def prefix_law_exact(w: StepGraphon, k: int) -> PrefixLaw:
     npairs = k * (k - 1) // 2
     if w.m**k * 2**npairs > TERM_CAP:
         raise CapacityError(f"{w.m}^{k} * 2^{npairs} terms exceed cap {TERM_CAP}")
-    seen = bytearray(1 << npairs)
-    probs: dict[LabelledGraph, Fraction] = {}
+    probs: dict[int, Fraction] = {}
     for code in range(1 << npairs):
-        if seen[code]:
+        if code in probs:
             continue
-        p = exact_ind_density(graph_from_pair_bits(k, code), w)
-        for c in _class_codes(k, code).tolist():
-            seen[c] = 1
-            probs[graph_from_pair_bits(k, c)] = p
+        g = graph_from_pair_bits(k, code)
+        p = exact_ind_density(g, w)
+        for c in isomorphism_class(g):
+            probs[c] = p
     return PrefixLaw.exact(k, probs)
 
 
@@ -164,19 +169,15 @@ class GraphSource:
                 if n_c:
                     out[mask] = pair_bits(w, k, n_c, ii, jj, rng)
             return out
-        rows = [pair_bits_of(restrict_prefix(self.sampler(k, rng), k)) for _ in range(count)]
-        return np.array([[code >> i & 1 for i in range(len(ii))] for code in rows], dtype=bool)
-
-
-def _codes_of_bits(bits: np.ndarray) -> np.ndarray:
-    powers = 1 << np.arange(bits.shape[1], dtype=np.int64)
-    return bits @ powers
+        return unpack_rows([pair_bits_of(restrict_prefix(self.sampler(k, rng), k)) for _ in range(count)],
+                           len(ii))
 
 
 def prefix_law_empirical(
     src: GraphSource, k: int, samples: int, rng: np.random.Generator
 ) -> PrefixLaw:
-    """Empirical distribution of the k-prefix over seeded iid samples."""
+    """Empirical distribution of the k-prefix over seeded iid samples. The
+    support lists each chunk's new codes in increasing order, chunk by chunk."""
     if samples < 1:
         raise InputError("samples must be >= 1")
     if k < 1:
@@ -187,12 +188,16 @@ def prefix_law_empirical(
     remaining = samples
     while remaining:
         batch = min(remaining, CHUNK)
-        codes = _codes_of_bits(src.pair_bits_batch(k, batch, rng))
-        vals, cnts = np.unique(codes, return_counts=True)
-        for v, c in zip(vals, cnts):
-            counts[int(v)] = counts.get(int(v), 0) + int(c)
+        bits = src.pair_bits_batch(k, batch, rng)
+        if bits.shape[1] < 64:  # the codes fit in int64
+            codes = bits @ (1 << np.arange(bits.shape[1], dtype=np.int64))
+        else:
+            codes = np.array(pack_rows(bits), dtype=object)
+        vals, cnts = np.unique(codes, return_counts=True)  # in increasing code order
+        for v, c in zip(vals.tolist(), cnts.tolist()):
+            counts[v] = counts.get(v, 0) + c
         remaining -= batch
-    return PrefixLaw.empirical(k, {graph_from_pair_bits(k, c): n for c, n in counts.items()})
+    return PrefixLaw.empirical(k, counts)
 
 
 def check_class_size(k: int) -> None:
@@ -211,32 +216,29 @@ def _relabel_weights(k: int) -> np.ndarray:
     return 1 << (hi * (hi - 1) // 2 + lo)
 
 
-def _class_codes(k: int, code: int) -> np.ndarray:
-    """Distinct pair codes of the relabellings of the graph with pair code
-    `code` on [k], in the order the relabellings first reach them."""
-    weights = _relabel_weights(k)
+def isomorphism_class(g: LabelledGraph) -> list[int]:
+    """Distinct pair codes of the relabellings of g on its own vertex set,
+    in the order the relabellings first reach them: g's own code first."""
+    check_class_size(g.n)
+    code = pair_bits_of(g)
+    weights = _relabel_weights(g.n)
     codes = weights[:, [i for i in range(weights.shape[1]) if code >> i & 1]].sum(axis=1)
     _, first = np.unique(codes, return_index=True)
-    return codes[np.sort(first)]
+    return codes[np.sort(first)].tolist()
 
 
-def isomorphism_class(g: LabelledGraph) -> list[LabelledGraph]:
-    """All distinct labelled variants of g on its own vertex set, the
-    identity labelling first."""
-    check_class_size(g.n)
-    return [graph_from_pair_bits(g.n, c) for c in _class_codes(g.n, pair_bits_of(g)).tolist()]
-
-
-def support_classes(law: PrefixLaw) -> list[list[LabelledGraph]]:
-    """Isomorphism classes that meet the support, in order of first
-    appearance in `law.support()`; each class is enumerated once, from
-    that first support graph, which heads its list."""
-    classes: list[list[LabelledGraph]] = []
-    found: set[LabelledGraph] = set()
-    for g in law.support():
-        if g not in found:
-            members = isomorphism_class(g)
-            found.update(members)
+def support_classes(law: PrefixLaw) -> list[list[int]]:
+    """Isomorphism classes, as pair codes, that meet the support, in order
+    of first appearance in `law.support()`; each class is enumerated once,
+    from that first support code, which heads its list."""
+    check_class_size(law.k)
+    found = bytearray(1 << law.k * (law.k - 1) // 2)
+    classes: list[list[int]] = []
+    for code in law.support():
+        if not found[code]:
+            members = isomorphism_class(graph_from_pair_bits(law.k, code))
+            for m in members:
+                found[m] = 1
             classes.append(members)
     return classes
 
@@ -305,7 +307,7 @@ class ExchangeabilityVerdict:
 def exchangeability_test(
     law: PrefixLaw,
     alpha: float = 0.01,
-    classes: Sequence[Sequence[LabelledGraph]] | None = None,
+    classes: Sequence[Sequence[int]] | None = None,
 ) -> ExchangeabilityVerdict:
     """Check that the prefix law depends only on isomorphism type.
 
@@ -319,9 +321,8 @@ def exchangeability_test(
         classes = support_classes(law)
     if not law.is_empirical:
         for members in classes:
-            values = {law.probability(m) for m in members}
-            if len(values) > 1:
-                bad = members[0]
+            if len({law.mass.get(m, 0) for m in members}) > 1:
+                bad = graph_from_pair_bits(law.k, members[0])
                 return ExchangeabilityVerdict(
                     False,
                     f"class of graph with edges {bad.edges()} has unequal probabilities",
@@ -334,7 +335,7 @@ def exchangeability_test(
         return ExchangeabilityVerdict(True, None, None, 0)
     p_min, worst = 1.0, None
     for members in testable:
-        observed = [law.counts.get(m, 0) for m in members]
+        observed = [law.mass.get(m, 0) for m in members]
         if sum(observed) == 0:
             continue
         _, p = chi_square_uniformity(observed)
@@ -342,9 +343,10 @@ def exchangeability_test(
             p_min, worst = p, members[0]
     threshold = alpha / len(testable)
     if p_min < threshold:
+        bad = graph_from_pair_bits(law.k, worst)
         return ExchangeabilityVerdict(
             False,
-            f"class of graph with edges {worst.edges()} fails homogeneity (p={p_min:.3g})",
+            f"class of graph with edges {bad.edges()} fails homogeneity (p={p_min:.3g})",
             p_min,
             len(testable),
         )
@@ -486,10 +488,7 @@ def correspondence_check(
     lhs = exact_density(fl, w)
     law = prefix_law_exact(w, k)
     f_mask = pair_bits_of(fl)
-    rhs = Fraction(0)
-    for g in law.support():
-        if pair_bits_of(g) & f_mask == f_mask:
-            rhs += law.probability(g)
+    rhs = Fraction(sum(n for c, n in law.mass.items() if c & f_mask == f_mask), law.total)
     return CorrespondenceResult(lhs, rhs, abs(lhs - rhs))
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from graphonlab.bipartite import BipartiteGraph, BipartiteKernel
-from graphonlab import cli
+from graphonlab import cli, exchangeable
 from graphonlab.cli import main
 from graphonlab.directed import DirectedGraph, tournament_kernel
 from graphonlab.exact import fraction_to_decimal
@@ -327,6 +327,22 @@ class TestVerdictCommands:
         assert out.splitlines() == [
             "class_code,cells,count,probability", "0,1,500,1.000000000000", "VERDICT consistent p_min=",
         ]
+
+    def test_exchangeable_builds_graphs_only_per_class(self, workdir, capsys, monkeypatch):
+        # the law and its classes stay pair codes: one graph per class, one more for a detail
+        (workdir / "sparse_a.txt").write_text("1\n1\n3/100\n")
+        (workdir / "sparse_b.txt").write_text("1\n1\n8/100\n")
+        (workdir / "sparse.txt").write_text("mixture\n1/2 sparse_a.txt\n1/2 sparse_b.txt\n")
+        calls = []
+        for name in ("graph_from_pair_bits", "pair_bits_of"):
+            spy = (lambda fn: lambda *a: calls.append(fn.__name__) or fn(*a))(getattr(exchangeable, name))
+            monkeypatch.setattr(exchangeable, name, spy)
+        code, out = run_main(["test-exchangeable", "-src", "sparse.txt", "-k", "6",
+                              "--samples", "4000", "--seed", "0"], workdir, capsys)
+        classes = len(out.splitlines()) - 2
+        assert code in (0, 1) and classes > 1
+        assert 0 < calls.count("graph_from_pair_bits") <= classes + 1
+        assert calls.count("pair_bits_of") <= classes
 
     @pytest.mark.parametrize("alpha", ["0", "1", "-1", "1.5", "nan"])
     @pytest.mark.parametrize("argv", [

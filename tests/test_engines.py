@@ -24,7 +24,7 @@ from graphonlab.directed import (
 )
 from graphonlab.exchangeable import prefix_law_exact
 from graphonlab.graphon import StepGraphon, exact_density, exact_ind_density
-from graphonlab.graphs import LabelledGraph
+from graphonlab.graphs import LabelledGraph, pair_bits_of
 
 from oracles import (
     brute_bip,
@@ -147,7 +147,7 @@ def test_simple_kernel_sums(f, w):
     assert exact_density(f, w) == brute_kernel_sum(f, w.mu, w.w)
     ind = exact_ind_density(f, w)
     assert ind == brute_kernel_sum(f, w.mu, w.w, induced=True)
-    assert ind == prefix_law_exact(w, f.n).probability(f)
+    assert ind == prefix_law_exact(w, f.n).probability(pair_bits_of(f))
 
 
 @given(bipartite_graphs(3), bipartite_kernels())

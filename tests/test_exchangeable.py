@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,7 @@ from graphonlab.exchangeable import (
     support_classes,
 )
 from graphonlab.graphon import StepGraphon, boys_girls
-from graphonlab.graphs import LabelledGraph, enumerate_unlabelled
+from graphonlab.graphs import LabelledGraph, enumerate_unlabelled, graph_from_pair_bits, pair_bits_of
 from graphonlab.rng import stream
 
 from conftest import all_labelled_graphs
@@ -42,8 +43,8 @@ DISJOINT_EDGES = PatternPair(((1, 2),), ((3, 4),))
 class TestExactPrefixLaw:
     def test_constant_kernel_k2(self):
         law = prefix_law_exact(StepGraphon.constant(Fraction(3, 10)), 2)
-        assert law.probability(LabelledGraph.complete(2)) == Fraction(3, 10)
-        assert law.probability(LabelledGraph.empty(2)) == Fraction(7, 10)
+        assert law.probability(pair_bits_of(LabelledGraph.complete(2))) == Fraction(3, 10)
+        assert law.probability(pair_bits_of(LabelledGraph.empty(2))) == Fraction(7, 10)
 
     def test_fair_kernel_k3_uniform(self):
         law = prefix_law_exact(HALF, 3)
@@ -52,7 +53,14 @@ class TestExactPrefixLaw:
 
     def test_boys_girls_edge_mass(self):
         law = prefix_law_exact(BG, 2)
-        assert law.probability(LabelledGraph.complete(2)) == Fraction(9, 20)
+        assert law.probability(pair_bits_of(LabelledGraph.complete(2))) == Fraction(9, 20)
+
+    def test_exact_mass_over_least_common_denominator(self):
+        law = prefix_law_exact(BG, 2)
+        assert (law.mass, law.total, law.is_empirical) == ({0: 11, 1: 9}, 20, False)
+        law = PrefixLaw.exact(3, {5: Fraction(1, 6), 0: Fraction(1, 3), 7: Fraction(1, 2)})
+        assert (law.mass, law.total) == ({5: 1, 0: 2, 7: 3}, 6)
+        assert list(law.support()) == [5, 0, 7]  # insertion order, not sorted
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)
@@ -65,15 +73,15 @@ class TestExactPrefixLaw:
         k = data.draw(st.integers(1, 4))
         law = prefix_law_exact(StepGraphon(mu, w), k)
         for g in all_labelled_graphs(k):
-            assert law.probability(g) == brute_kernel_sum(g, mu, w, induced=True)
+            assert law.probability(pair_bits_of(g)) == brute_kernel_sum(g, mu, w, induced=True)
 
     @pytest.mark.parametrize("w", [BG, HALF])
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_sums_to_one_and_class_constant(self, w, k):
         law = prefix_law_exact(w, k)
-        assert sum((law.probability(g) for g in law.support()), Fraction(0)) == 1
-        for g in law.support():
-            members = isomorphism_class(g)
+        assert sum((law.probability(c) for c in law.support()), Fraction(0)) == 1
+        for c in law.support():
+            members = isomorphism_class(graph_from_pair_bits(k, c))
             assert len({law.probability(m) for m in members}) == 1
 
 
@@ -93,23 +101,45 @@ class TestEmpiricalPrefixLaw:
     def test_zero_kernel_point_mass(self):
         src = GraphSource.w_random(StepGraphon.constant(0))
         law = prefix_law_empirical(src, 3, 500, stream(0))
-        assert law.counts == {LabelledGraph.empty(3): 500}
+        assert (law.mass, law.total, law.is_empirical) == ({pair_bits_of(LabelledGraph.empty(3)): 500}, 500, True)
 
     def test_fair_kernel_edge_frequency(self):
         src = GraphSource.w_random(HALF)
         law = prefix_law_empirical(src, 2, 100_000, stream(1))
-        freq = float(law.probability(LabelledGraph.complete(2)))
+        freq = float(law.probability(pair_bits_of(LabelledGraph.complete(2))))
         assert abs(freq - 0.5) <= 3 / (2 * math.sqrt(100_000))
 
     def test_mixture_edge_frequency(self):
         law = prefix_law_empirical(MIX, 2, 100_000, stream(2))
-        freq = float(law.probability(LabelledGraph.complete(2)))
+        freq = float(law.probability(pair_bits_of(LabelledGraph.complete(2))))
         assert abs(freq - 0.5) <= 3 / (2 * math.sqrt(100_000))
 
     def test_sampler_hook_source(self):
         src = GraphSource.from_sampler(lambda n, rng: LabelledGraph.complete(n))
         law = prefix_law_empirical(src, 3, 50, stream(3))
-        assert law.counts == {LabelledGraph.complete(3): 50}
+        assert law.mass == {pair_bits_of(LabelledGraph.complete(3)): 50}
+
+    @pytest.mark.parametrize("k", [12, 16])
+    def test_codes_stay_exact_past_63_pairs(self, k):
+        # every code decodes to a row the sampler draws from the same stream, as often
+        src = GraphSource.w_random(HALF)
+        law = prefix_law_empirical(src, k, 2000, stream(3))
+        drawn = Counter(map(tuple, src.pair_bits_batch(k, 2000, stream(3)).tolist()))
+        jj, ii = np.tril_indices(k, -1)  # colex pair order
+        decoded = Counter()
+        for code, n in law.mass.items():
+            rows = graph_from_pair_bits(k, code).rows
+            decoded[tuple(bool(rows[i] >> j & 1) for i, j in zip(ii.tolist(), jj.tolist()))] += n
+        assert decoded == drawn
+
+    def test_support_sorted_within_each_chunk_new_codes_appended(self):
+        src = GraphSource.w_random(HALF)
+        law = prefix_law_empirical(src, 7, exchangeable.CHUNK + 500, stream(4))
+        rng, weights = stream(4), 1 << np.arange(21)
+        first = set((src.pair_bits_batch(7, exchangeable.CHUNK, rng) @ weights).tolist())
+        second = set((src.pair_bits_batch(7, 500, rng) @ weights).tolist())
+        expected = sorted(first) + sorted(second - first)
+        assert list(law.support()) == expected != sorted(expected)
 
     def test_tv_distance_shrinks(self):
         exact = prefix_law_exact(BG, 3)
@@ -132,7 +162,7 @@ class TestExchangeabilityTest:
             assert exchangeability_test(prefix_law_exact(w, 3)).consistent
 
     def test_handbuilt_asymmetric_law_rejected(self):
-        law = PrefixLaw.exact(3, {LabelledGraph.path(3): Fraction(1)})
+        law = PrefixLaw.exact(3, {pair_bits_of(LabelledGraph.path(3)): Fraction(1)})
         verdict = exchangeability_test(law)
         assert not verdict.consistent
         assert "unequal" in verdict.detail
@@ -160,11 +190,11 @@ class TestExchangeabilityTest:
 
     def test_exact_rejection_names_first_support_graph_of_class(self):
         p3, other = LabelledGraph.path(3), LabelledGraph.from_edges(3, [(1, 3), (2, 3)])
-        law = PrefixLaw.exact(3, {other: Fraction(1, 3), p3: Fraction(2, 3)})
-        first = next(iter(law.support()))
+        law = PrefixLaw.exact(3, {pair_bits_of(other): Fraction(1, 3), pair_bits_of(p3): Fraction(2, 3)})
+        assert next(iter(law.support())) == pair_bits_of(other)
         verdict = exchangeability_test(law)
         assert not verdict.consistent and verdict.classes_tested == 1
-        assert verdict.detail.startswith(f"class of graph with edges {first.edges()} ")
+        assert verdict.detail.startswith(f"class of graph with edges {other.edges()} ")
 
 
 @st.composite
@@ -254,15 +284,14 @@ class TestSupportClasses:
         calls = []
         enumerate_class = exchangeable.isomorphism_class
         monkeypatch.setattr(exchangeable, "isomorphism_class",
-                            lambda g: calls.append(g) or enumerate_class(g))
+                            lambda g: calls.append(pair_bits_of(g)) or enumerate_class(g))
         classes = support_classes(law)
         assert len(calls) == len(classes) == 11  # unlabelled graphs on 4 vertices
-        first_of_class = {}  # class key -> its first support graph
-        for g in law.support():
-            first_of_class.setdefault(min(m.rows for m in enumerate_class(g)), g)
+        first_of_class = {}  # class key -> its first support code
+        for code in law.support():
+            first_of_class.setdefault(min(enumerate_class(graph_from_pair_bits(4, code))), code)
         assert calls == [members[0] for members in classes] == list(first_of_class.values())
-        members = [m.rows for c in classes for m in c]
-        assert len(members) == len(set(members)) == 2**6
+        assert sorted(m for c in classes for m in c) == list(range(2**6))  # a partition of all codes
         calls.clear()
         assert exchangeability_test(law, 0.01, classes) == exchangeability_test(law, 0.01)
         assert len(calls) == len(classes)
@@ -368,9 +397,16 @@ class TestMartingaleTrace:
 class TestPrefixLawValidation:
     def test_exact_law_must_sum_to_one(self):
         with pytest.raises(InputError):
-            PrefixLaw.exact(2, {LabelledGraph.complete(2): Fraction(1, 2)})
+            PrefixLaw.exact(2, {pair_bits_of(LabelledGraph.complete(2)): Fraction(1, 2)})
 
     def test_probability_checks_size(self):
+        # a code names a graph on [k] only if 0 <= code < 2^(k(k-1)/2)
         law = prefix_law_exact(HALF, 2)
+        for code in (-1, 2, pair_bits_of(LabelledGraph.complete(3))):
+            with pytest.raises(InputError, match=f"pair code {code} is not a graph on 2 vertices"):
+                law.probability(code)
         with pytest.raises(InputError):
-            law.probability(LabelledGraph.complete(3))
+            PrefixLaw.exact(2, {0: Fraction(1, 2), 2: Fraction(1, 2)})
+        with pytest.raises(InputError):
+            PrefixLaw.empirical(2, {1: 3, -1: 3})
+        assert PrefixLaw.empirical(2, {1: 3, 0: 1}).probability(1) == Fraction(3, 4)
