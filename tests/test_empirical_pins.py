@@ -1,11 +1,13 @@
-"""Input-to-bytes pins for the seeded empirical test reports.
+"""Input-to-bytes pins for the seeded empirical reports.
 
 A report of empirical `test-exchangeable` ends in the smallest chi-square
 p-value over the isomorphism classes, printed to six significant digits,
 and its verdict compares that p-value with a Bonferroni threshold. A
 change to how the chi-square tail is computed must not move either. The
 cases below cover prefix sizes 3 to 7 and smallest p-values from about
-0.5 down to about 1e-7, plus one `test-extreme` report (normal tail).
+0.5 down to about 1e-7, plus one `test-extreme` report (normal tail)
+and two Monte Carlo `density --mc` reports, one against a host graph and
+one against a two-block kernel.
 The k = 7 case draws more than one chunk of samples, so its support
 order is "sorted within each chunk, new codes appended", and it is
 rejected, so its report names the first support graph of a class.
@@ -37,6 +39,9 @@ FILES = {
     "high.txt": "1\n1\n3/5\n",
     "separated.txt": "mixture\n1/2 low.txt\n1/2 high.txt\n",
     "pairs.txt": "1-2 | 3-4\n1-3 2-3 | 4-5\n",
+    "edge.txt": "2 1\n1 2\n",
+    "triangle.txt": "3 3\n1 2\n1 3\n2 3\n",
+    "host.txt": "6 8\n1 2\n1 3\n1 5\n2 3\n3 4\n4 5\n4 6\n5 6\n",
 }
 
 
@@ -55,6 +60,10 @@ CASES = {
     "exchangeable/k7-chunks": _exchangeable("half_src.txt", 7, 40000, 0),  # 6.29982e-09
     "extreme": ["test-extreme", "-src", "separated.txt", "--pairs", "pairs.txt",
                 "--samples", "20000", "--seed", "5"],
+    "density-mc/host": ["density", "-F", "edge.txt", "-F", "triangle.txt", "-G", "host.txt",
+                        "--mc", "40000", "--seed", "3"],
+    "density-mc/kernel": ["density", "-F", "edge.txt", "-F", "triangle.txt", "-W", "two.txt",
+                          "--mc", "40000", "--seed", "3"],
 }
 
 
@@ -72,6 +81,8 @@ def report(name: str, d: Path) -> bytes:
 
 
 DIGESTS = {
+    "density-mc/host": "6beecfa6ea36027a49ac8d6fa313218155806200298e288255abfc1c837f5f0d",
+    "density-mc/kernel": "2667f929a88884fe7bf9057dd9dce5e59a324a34a9cdad1b513cd7cf52285da9",
     "exchangeable/k3": "c06678339446d0bfc4de52385ef5ff74420228ce9b8c9f8ca7584e7d89475f7e",
     "exchangeable/k4": "a57ac547f848f31d162e5a77cf6917b8da64e4f9a87432fbb27bcba2cd780110",
     "exchangeable/k5": "8e5e9af09b2d961bbb0f38472621897a81b450b6e800353e3c09445c9b86e74a",
