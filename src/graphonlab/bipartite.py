@@ -12,7 +12,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .densities import BoundCheck, _count_maps, _transpose, contract, falling, kernel_sum, plan
+from .densities import BoundCheck, _transpose, falling, host_count, kernel_sum
 from .errors import CapacityError, InputError
 from .exact import Number, content_lines, format_number, parse_line, to_fraction
 from .graphon import _normalized_measures, bernoulli, draw_blocks
@@ -77,21 +77,13 @@ def _bip_count(f: BipartiteGraph, g: BipartiteGraph, injective: bool, induced: b
     optionally reflecting non-edges): a side mask per pattern vertex."""
     rows = _as_one_graph(g)
     sides = [(1 << g.n1) - 1] * f.n1 + [((1 << g.n2) - 1) << g.n1] * f.n2
-    return _count_maps(_as_one_graph(f), rows, rows, sides, injective, induced)
+    return host_count(_as_one_graph(f), rows, rows, sides, injective, induced)
 
 
 def bip_t(f: BipartiteGraph, g: BipartiteGraph) -> Fraction:
-    """Density over part-respecting maps drawn uniformly with replacement;
-    backtracking when no contraction plan fits the budget."""
+    """Density over part-respecting maps drawn uniformly with replacement."""
     _check_bip_pattern(f)
-    sizes = (g.n1,) * f.n1 + (g.n2,) * f.n2
-    pairs = [(u - 1, f.n1 + v - 1) for u, v in f.edges()]
-    if plan(sizes, frozenset(pairs)) is None:
-        homs = _bip_count(f, g, False, False)
-    else:
-        weights = [np.ones(n, dtype=bool) for n in sizes]
-        homs = contract(weights, dict.fromkeys(pairs, unpack_rows(g.rows, g.n2))).numerator
-    return Fraction(homs, g.n1**f.n1 * g.n2**f.n2)
+    return Fraction(_bip_count(f, g, False, False), g.n1**f.n1 * g.n2**f.n2)
 
 
 def bip_t_inj(f: BipartiteGraph, g: BipartiteGraph) -> Fraction:

@@ -53,7 +53,7 @@ from .graphon import (
     read_step_graphon,
     sample_w_random,
 )
-from .graphs import check_host_size, enumerate_unlabelled, read_graph
+from .graphs import LabelledGraph, check_host_size, enumerate_unlabelled, read_graph
 from .rng import run_chunked, stream, thread_count
 
 DEC = fraction_to_decimal
@@ -128,72 +128,37 @@ def cmd_density(args) -> tuple[list[str], int]:
         raise InputError("density needs at least one -F pattern file")
     if bool(args.hosts) == bool(args.kernel):
         raise InputError("density needs -G host files or a -W kernel, not both")
-    mc = args.mc
-    kind = args.kind
-    lines = ["pattern_id,host_id,t,t_inj,t_ind,bound,bound_check"]
-    if mc is not None:
-        lines[0] += ",hoeffding_halfwidth"
-    row = 0
-    threads = thread_count(args.threads)
-
-    def emit(pid, hid, tv, tiv, tdv, bound, halfwidth=None):
-        cells = [pid, hid, DEC(tv), DEC(tiv), DEC(tdv), DEC(bound),
-                 "bound_ok" if abs(tv - tiv) <= bound else "bound_violated"]
-        if mc is not None:
-            cells.append("" if halfwidth is None else DEC(halfwidth))
-        lines.append(",".join(cells))
-
-    if kind == "simple":
-        patterns = [(p, read_graph(p)) for p in args.patterns]
-        if args.hosts:
-            for hpath in args.hosts:
-                host = read_graph(hpath)
-                for ppath, pat in patterns:
-                    if mc is not None:
-                        est = _mc_row(lambda _i, count, gen: mc_containment_hits(pat, host, count, gen),
-                                      mc, args.seed, threads, row)
-                        tv, halfwidth = to_fraction(est.point), est.confidence_halfwidth
-                    else:
-                        tv, halfwidth = t(pat, host), None
-                    emit(_stem(ppath), _stem(hpath), tv, t_inj(pat, host), t_ind(pat, host),
-                         sampling_bound(pat, host), halfwidth)
-                    row += 1
-        else:
-            w = read_step_graphon(args.kernel)
-            for ppath, pat in patterns:
-                if mc is not None:
-                    est = _mc_row(lambda _i, count, gen: mc_density_product_sum(pat, w, count, gen),
-                                  mc, args.seed, threads, row)
-                    tv, halfwidth = to_fraction(est.point), est.confidence_halfwidth
-                else:
-                    tv, halfwidth = exact_density(pat, w), None
-                emit(_stem(ppath), _stem(args.kernel), tv, tv, exact_ind_density(pat, w),
-                     Fraction(0), halfwidth)
-                row += 1
-    else:
-        if mc is not None:
-            raise InputError("--mc is only available for simple graphs and kernels")
-        # graph class, kernel class, host cells (t, t_inj, t_ind, bound), kernel cells (t, t_ind)
-        graph, kernel, host_cells, kernel_cells = {
-            "bipartite": (bip.BipartiteGraph, bip.BipartiteKernel,
-                          lambda f, g: (bip.bip_t(f, g), bip.bip_t_inj(f, g), bip.bip_t_ind(f, g),
-                                        bip.bip_sampling_bound(f, g)),
-                          lambda f, w: (bip.bip_exact_density(f, w), bip.bip_exact_ind_density(f, w))),
-            "directed": (dg.DirectedGraph, dg.DirectedKernelQuintuple,
-                         lambda f, g: (dg.directed_t(f, g), dg.directed_t_inj(f, g),
-                                       dg.directed_t_ind(f, g), sampling_bound(f, g)),
-                         lambda f, w: (dg.directed_t(f, w), dg.directed_t_ind(f, w))),
-        }[kind]
-        patterns = [(p, graph.from_text(read_text(p))) for p in args.patterns]
-        for hpath in args.hosts:
-            host = graph.from_text(read_text(hpath))
-            for ppath, pat in patterns:
-                emit(_stem(ppath), _stem(hpath), *host_cells(pat, host))
-        if args.kernel:
-            w = kernel.from_text(read_text(args.kernel))
-            for ppath, pat in patterns:
-                tv, tdv = kernel_cells(pat, w)
-                emit(_stem(ppath), _stem(args.kernel), tv, tv, tdv, Fraction(0))
+    mc, threads = args.mc, thread_count(args.threads)
+    # per kind, for a host graph and for a kernel: class, t, t_inj (None: t), t_ind,
+    # bound (None: 0), Monte Carlo t sum (None: no --mc)
+    host_kind, kernel_kind = {
+        "simple": ((LabelledGraph, t, t_inj, t_ind, sampling_bound, mc_containment_hits),
+                   (StepGraphon, exact_density, None, exact_ind_density, None, mc_density_product_sum)),
+        "bipartite": ((bip.BipartiteGraph, bip.bip_t, bip.bip_t_inj, bip.bip_t_ind, bip.bip_sampling_bound, None),
+                      (bip.BipartiteKernel, bip.bip_exact_density, None, bip.bip_exact_ind_density, None, None)),
+        "directed": ((dg.DirectedGraph, dg.directed_t, dg.directed_t_inj, dg.directed_t_ind, sampling_bound, None),
+                     (dg.DirectedKernelQuintuple, dg.directed_t, None, dg.directed_t_ind, None, None)),
+    }[args.kind]
+    if mc is not None and host_kind[-1] is None:
+        raise InputError("--mc is only available for simple graphs and kernels")
+    patterns = [(_stem(p), host_kind[0].from_text(read_text(p))) for p in args.patterns]
+    lines = ["pattern_id,host_id,t,t_inj,t_ind,bound,bound_check" + ("" if mc is None else ",hoeffding_halfwidth")]
+    for path, (cls, t_of, inj_of, ind_of, bound_of, mc_sum) in (
+            [(h, host_kind) for h in args.hosts] or [(args.kernel, kernel_kind)]):
+        host = cls.from_text(read_text(path))
+        for pid, pat in patterns:
+            if mc is None:
+                tv, halfwidth = t_of(pat, host), None
+            else:
+                est = _mc_row(lambda _i, count, gen: mc_sum(pat, host, count, gen),
+                              mc, args.seed, threads, row=len(lines) - 1)
+                tv, halfwidth = to_fraction(est.point), est.confidence_halfwidth
+            tiv = tv if inj_of is None else inj_of(pat, host)
+            tdv = ind_of(pat, host)
+            bound = Fraction(0) if bound_of is None else bound_of(pat, host)
+            cells = [pid, _stem(path), DEC(tv), DEC(tiv), DEC(tdv), DEC(bound),
+                     "bound_ok" if abs(tv - tiv) <= bound else "bound_violated"]
+            lines.append(",".join(cells + ([] if mc is None else [DEC(halfwidth)])))
     return lines, 0
 
 

@@ -2,7 +2,9 @@
 
 Every exact density is a sum over assignments of pattern vertices, which
 contract evaluates by variable elimination for kernels and hosts alike;
-the backtracker _count_maps serves injective and induced host counts.
+host_count decides for every finite host, simple, bipartite or directed,
+and leaves to the backtracker _count_maps the injective and induced
+counts and the hom counts no plan fits.
 
 Exact values are arbitrary-precision rationals (fractions.Fraction); the
 inclusion-exclusion identities and multiplicativity over disjoint unions
@@ -29,6 +31,7 @@ from .graphs import (
     graph_from_pair_bits,
     pack_rows,
     pair_bits_of,
+    pair_order,
     unpack_rows,
 )
 
@@ -285,8 +288,36 @@ def kernel_sum(weights: Sequence, factors: Mapping[tuple[int, int], object]) -> 
     return contract(weights, factors)
 
 
+def host_count(
+    prows: Sequence[int],
+    hout: Sequence[int],
+    hin: Sequence[int],
+    masks: Sequence[int],
+    injective: bool,
+    induced: bool,
+) -> int:
+    """_count_maps's count; a hom count is contracted when a plan fits, over
+    the host vertices each mask allows, with per pattern pair the arcs it
+    asks for: A, its transpose or both, restricted to the two domains."""
+    arcs = {(u, v): (prows[u] >> v & 1, prows[v] >> u & 1) for u, v in pair_order(len(prows))}
+    arcs = {p: need for p, need in arcs.items() if any(need)}
+    sizes = tuple(m.bit_count() for m in masks)
+    if injective or induced or plan(sizes, frozenset(arcs)) is None:
+        return _count_maps(prows, hout, hin, masks, injective, induced)
+    a = unpack_rows(hout, len(hout))
+    doms = {m: np.flatnonzero(unpack_rows([m], len(hout))[0]) for m in set(masks)}
+    blocks, factors = {}, {}  # one array per distinct (arcs, domain, domain): contract casts each once
+    for (u, v), need in arcs.items():
+        key = need, masks[u], masks[v]
+        if key not in blocks:
+            mat = a if hin is hout or need == (1, 0) else a.T if need == (0, 1) else a & a.T
+            blocks[key] = mat[np.ix_(doms[masks[u]], doms[masks[v]])]
+        factors[u, v] = blocks[key]
+    return contract([np.ones(size, dtype=bool) for size in sizes], factors).numerator
+
+
 def _simple_count(f: LabelledGraph, g: LabelledGraph, injective: bool, induced: bool) -> int:
-    return _count_maps(f.rows, g.rows, g.rows, [(1 << g.n) - 1] * f.n, injective, induced)
+    return host_count(f.rows, g.rows, g.rows, [(1 << g.n) - 1] * f.n, injective, induced)
 
 
 def inj_count(f: GraphLike, g: LabelledGraph) -> int:
@@ -298,16 +329,10 @@ def inj_count(f: GraphLike, g: LabelledGraph) -> int:
 
 
 def t(f: GraphLike, g: LabelledGraph) -> Fraction:
-    """Probability that a uniform map V(f)->V(g) is a homomorphism;
-    backtracking when no contraction plan fits PLAN_BUDGET."""
+    """Probability that a uniform map V(f)->V(g) is a homomorphism."""
     f = _as_labelled(f)
     _check_pattern(f)
-    pairs = [(u - 1, v - 1) for u, v in f.edges()]
-    if plan((g.n,) * f.n, frozenset(pairs)) is None:
-        homs = _simple_count(f, g, False, False)
-    else:
-        homs = contract([np.ones(g.n, dtype=bool)] * f.n, dict.fromkeys(pairs, g.adjacency)).numerator
-    return Fraction(homs, g.n ** f.n)
+    return Fraction(_simple_count(f, g, False, False), g.n ** f.n)
 
 
 def t_inj(f: GraphLike, g: LabelledGraph) -> Fraction:

@@ -14,11 +14,11 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .densities import _count_maps, _transpose, contract, falling, kernel_sum, plan
+from .densities import _transpose, falling, host_count, kernel_sum
 from .errors import CapacityError, InputError
 from .exact import Number, content_lines, format_number, parse_line, to_fraction
 from .graphon import _normalized_measures, draw_blocks
-from .graphs import pack_rows, pair_order, pair_rows, row_bits, rows_text, text_rows, unpack_rows
+from .graphs import pack_rows, pair_order, pair_rows, row_bits, rows_text, text_rows
 
 DIR_PATTERN_CAP = 6
 
@@ -300,20 +300,7 @@ def _dir_count(f: DirectedGraph, g: DirectedGraph, injective: bool, induced: boo
     loops = sum(1 << i for i in range(g.n) if g.rows[i] >> i & 1)
     unlooped = full ^ loops if induced else full
     masks = [loops if f.has_loop(u + 1) else unlooped for u in range(f.n)]
-    return _count_maps(f.rows, g.rows, _transpose(g.rows, g.n), masks, injective, induced)
-
-
-def _host_homs(f: DirectedGraph, g: DirectedGraph) -> int:
-    """Homomorphisms of f into g by contraction: per pair of f the arcs it
-    asks for, a looped vertex weighted by g's loops; else backtracking."""
-    arcs = {(i, j): (f.rows[i] >> j & 1, f.rows[j] >> i & 1) for i, j in pair_order(f.n)}
-    arcs = {p: need for p, need in arcs.items() if any(need)}
-    if plan((g.n,) * f.n, frozenset(arcs)) is None:
-        return _dir_count(f, g, False, False)
-    a = unpack_rows(g.rows, g.n)
-    mats = {(1, 0): a, (0, 1): a.T, (1, 1): a & a.T}
-    weights = [np.diagonal(a) if f.has_loop(u + 1) else np.ones(g.n, dtype=bool) for u in range(f.n)]
-    return contract(weights, {p: mats[need] for p, need in arcs.items()}).numerator
+    return host_count(f.rows, g.rows, _transpose(g.rows, g.n), masks, injective, induced)
 
 
 def _kernel_sum(f: DirectedGraph, kernel: DirectedKernel, induced: bool) -> Fraction:
@@ -348,7 +335,7 @@ def directed_t(f: DirectedGraph, host: DirectedHost) -> Fraction:
     limit object of a kernel."""
     if isinstance(host, DirectedGraph):
         _check_dir_pattern(f)
-        return Fraction(_host_homs(f, host), host.n**f.n)
+        return Fraction(_dir_count(f, host, False, False), host.n**f.n)
     return _kernel_sum(f, host, induced=False)
 
 

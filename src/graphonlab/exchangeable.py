@@ -27,6 +27,7 @@ from .graphon import (
 from .graphs import (
     LabelledGraph,
     UnlabelledGraph,
+    check_host_size,
     graph_from_pair_bits,
     pack_rows,
     pair_bits_of,
@@ -509,5 +510,6 @@ def martingale_trace(
         raise InputError("n_grid must be strictly increasing")
     if grid[0] < fl.n:
         raise InputError(f"grid starts below the pattern size {fl.n}")
+    check_host_size(grid[-1])
     top = src.sample_prefix(grid[-1], rng)
     return [t_ind(fl, restrict_prefix(top, n)) for n in grid]

@@ -372,7 +372,7 @@ def pack_rows(a: np.ndarray) -> tuple[int, ...]:
     """Each row of a boolean matrix as a bitmask: bit j of row i is a[i, j]."""
     packed = np.packbits(a, axis=1, bitorder="little")
     data, width = packed.tobytes(), packed.shape[1]
-    return tuple(int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width))
+    return tuple(int.from_bytes(data[i * width:(i + 1) * width], "little") for i in range(len(a)))
 
 
 def unpack_rows(rows: Sequence[int], width: int) -> np.ndarray:

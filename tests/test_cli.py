@@ -242,6 +242,14 @@ class TestHostCap:
         assert code == 3
         assert f"capped at {HOST_CAP} vertices per part, got {sizes[-1]}" in err
 
+    def test_huge_martingale_grid_exits_3(self, workdir, capsys):
+        """The last grid size is sampled as one host, so it is capped too."""
+        code = main(["trace-martingale", "-src", str(workdir / "src_det.txt"), "-F", str(workdir / "k3.txt"),
+                     "--grid", f"3,{self.HUGE}"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"host graphs capped at {HOST_CAP} vertices per part, got {self.HUGE}" in err
+
 
 class TestSampleCommand:
     def test_simple_sample_roundtrips(self, workdir, capsys):

@@ -2,19 +2,20 @@
 
 contract is checked against the bitset backtracker _count_maps and the
 brute-force oracles, for patterns up to 6 vertices and hosts up to 12, on
-simple, bipartite and directed hosts and kernels. Host weights are
-scaled so that the same counts run once in float64, once in int64 and
-once in Python-int object arrays; kernels with large denominators run
-in object arrays.
+simple, bipartite and directed hosts and kernels, and host_count, which
+contracts over the host vertices each mask allows, against _count_maps on
+masks that are not full. Host weights are scaled so that the same counts
+run once in float64, once in int64 and once in Python-int object arrays;
+kernels with large denominators run in object arrays.
 """
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from graphonlab.bipartite import BipartiteKernel, _bip_count, bip_exact_ind_density, bip_t
-from graphonlab.densities import PLAN_BUDGET, _count_maps, contract, plan, t
-from graphonlab.directed import directed_t
+from graphonlab.bipartite import BipartiteKernel, _as_one_graph, _bip_count, bip_exact_ind_density, bip_t
+from graphonlab.densities import PLAN_BUDGET, _count_maps, _transpose, contract, host_count, plan, t
+from graphonlab.directed import DirectedGraph, directed_t
 from graphonlab.graphon import StepGraphon, exact_density, exact_ind_density
 from graphonlab.graphs import LabelledGraph, unpack_rows
 
@@ -97,6 +98,45 @@ def test_directed_host(f, g):
     assert directed_t(f, g) == Fraction(count, g.n ** f.n)
     if f.n <= 3 and g.n <= 5:
         assert directed_t(f, g) == brute_directed(f, g)
+
+
+@given(bipartite_graphs(3), bipartite_graphs(7))
+@settings(max_examples=60, deadline=None)
+def test_host_count_on_side_masks(f, g):
+    """Each pattern vertex ranges over its own part of the one-graph host."""
+    prows, rows = _as_one_graph(f), _as_one_graph(g)
+    sides = [(1 << g.n1) - 1] * f.n1 + [((1 << g.n2) - 1) << g.n1] * f.n2
+    assert host_count(prows, rows, rows, sides, False, False) == _count_maps(prows, rows, rows, sides, False, False)
+
+
+@given(directed_graphs(5), directed_graphs(10), st.data())
+@settings(max_examples=80, deadline=None)
+def test_host_count_on_looped_vertices(f, g, data):
+    """A looped pattern vertex ranges over the host's looped vertices, any
+    other over a drawn subset (possibly empty, possibly all)."""
+    loops = sum(1 << i for i in range(g.n) if g.rows[i] >> i & 1)
+    masks = [loops if f.has_loop(u + 1) else data.draw(st.integers(0, (1 << g.n) - 1)) for u in range(f.n)]
+    hin = _transpose(g.rows, g.n)
+    assert host_count(f.rows, g.rows, hin, masks, False, False) == _count_maps(f.rows, g.rows, hin, masks, False, False)
+
+
+def test_looped_domains_let_a_plan_fit():
+    """An all-looped directed path on 400 vertices: full domains leave no
+    plan, the host's 6 looped vertices do, and the count is the backtracker's."""
+    rng = np.random.default_rng(7)
+    n, looped = 400, [3, 50, 51, 120, 200, 399]
+    a = rng.random((n, n)) < 0.5
+    np.fill_diagonal(a, False)
+    a[looped, looped] = True
+    g = DirectedGraph.from_edges(n, [(int(i) + 1, int(j) + 1) for i, j in zip(*np.nonzero(a))])
+    f = DirectedGraph.from_edges(4, [(1, 2), (3, 2), (3, 4)] + [(u, u) for u in range(1, 5)])
+    path = frozenset({(0, 1), (1, 2), (2, 3)})
+    assert plan((n,) * 4, path) is None and plan((len(looped),) * 4, path) is not None
+    masks, hin = [sum(1 << i for i in looped)] * 4, _transpose(g.rows, n)
+    count = _count_maps(f.rows, g.rows, hin, masks, False, False)
+    assert count > 0
+    assert host_count(f.rows, g.rows, hin, masks, False, False) == count
+    assert directed_t(f, g) == Fraction(count, n**4)
 
 
 @st.composite

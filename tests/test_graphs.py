@@ -16,11 +16,13 @@ from graphonlab.graphs import (
     graph_from_pair_bits,
     induced_pattern,
     is_isomorphic,
+    pack_rows,
     pair_bits_of,
     random_relabel,
     restrict_prefix,
     sample_with_replacement,
     sample_without_replacement,
+    unpack_rows,
 )
 from graphonlab.rng import stream
 
@@ -244,3 +246,10 @@ class TestHelpers:
         for i in range(7):
             for j in range(7):
                 assert g.has_edge(i + 1, j + 1) == bool(a[i, j])
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 5), (4, 9)])
+    def test_pack_rows_roundtrip(self, shape):
+        a = stream(4).random(shape) < 0.5
+        rows = pack_rows(a)
+        assert len(rows) == shape[0] and (shape[1] or rows == (0,) * shape[0])
+        assert (unpack_rows(rows, shape[1]) == a).all() and unpack_rows(rows, shape[1]).shape == shape
