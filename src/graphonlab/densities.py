@@ -304,14 +304,18 @@ def host_count(
     sizes = tuple(m.bit_count() for m in masks)
     if injective or induced or plan(sizes, frozenset(arcs)) is None:
         return _count_maps(prows, hout, hin, masks, injective, induced)
-    a = unpack_rows(hout, len(hout))
-    doms = {m: np.flatnonzero(unpack_rows([m], len(hout))[0]) for m in set(masks)}
+    n = len(hout)
+    doms = {m: np.flatnonzero(unpack_rows([m], n)[0]) for m in set(masks)}
     blocks, factors = {}, {}  # one array per distinct (arcs, domain, domain): contract casts each once
     for (u, v), need in arcs.items():
-        key = need, masks[u], masks[v]
+        key = (1, 0) if hin is hout else need, masks[u], masks[v]
         if key not in blocks:
-            mat = a if hin is hout or need == (1, 0) else a.T if need == (0, 1) else a & a.T
-            blocks[key] = mat[np.ix_(doms[masks[u]], doms[masks[v]])]
+            # unpack only the smaller domain's rows (arcs out, in or both), then the other's columns
+            flip = sizes[v] < sizes[u]
+            (out, inn), mr, mc = (key[0][::-1], key[2], key[1]) if flip else key
+            mat = unpack_rows([(hout[i] if out else -1) & (hin[i] if inn else -1) for i in doms[mr]], n)
+            mat = mat if mc == (1 << n) - 1 else mat[:, doms[mc]]
+            blocks[key] = mat.T if flip else mat
         factors[u, v] = blocks[key]
     return contract([np.ones(size, dtype=bool) for size in sizes], factors).numerator
 

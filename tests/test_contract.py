@@ -8,12 +8,14 @@ masks that are not full. Host weights are scaled so that the same counts
 run once in float64, once in int64 and once in Python-int object arrays;
 kernels with large denominators run in object arrays.
 """
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from graphonlab.bipartite import BipartiteKernel, _as_one_graph, _bip_count, bip_exact_ind_density, bip_t
+from graphonlab import densities
+from graphonlab.bipartite import BipartiteGraph, BipartiteKernel, _as_one_graph, _bip_count, bip_exact_ind_density, bip_t
 from graphonlab.densities import PLAN_BUDGET, _count_maps, _transpose, contract, host_count, plan, t
 from graphonlab.directed import DirectedGraph, directed_t
 from graphonlab.graphon import StepGraphon, exact_density, exact_ind_density
@@ -136,6 +138,63 @@ def test_looped_domains_let_a_plan_fit():
     count = _count_maps(f.rows, g.rows, hin, masks, False, False)
     assert count > 0
     assert host_count(f.rows, g.rows, hin, masks, False, False) == count
+    assert directed_t(f, g) == Fraction(count, n**4)
+
+
+def _block_shapes(monkeypatch) -> list:
+    """Record the shape of every factor host_count hands to contract."""
+    shapes = []
+
+    def spy(weights, factors):
+        shapes.extend(a.shape for a in factors.values())
+        return contract(weights, factors)
+
+    monkeypatch.setattr(densities, "contract", spy)
+    return shapes
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak bytes Python and numpy allocated meanwhile."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lopsided_bipartite_host_blocks_are_its_sides(monkeypatch):
+    """A two-leaf star into a 1 x 6000 host: each block is 1 x 6000, the count is
+    the backtracker's, and no n^2 array of the 6001-vertex one-graph is made."""
+    rng = np.random.default_rng(11)
+    n2 = 6000
+    g = BipartiteGraph.from_edges(1, n2, [(1, int(j) + 1) for j in np.flatnonzero(rng.random(n2) < 0.3)])
+    f = BipartiteGraph.from_edges(1, 2, [(1, 1), (1, 2)])
+    prows, rows = _as_one_graph(f), _as_one_graph(g)
+    sides = [1] + [((1 << n2) - 1) << 1] * 2
+    shapes = _block_shapes(monkeypatch)
+    count, peak = _traced_peak(host_count, prows, rows, rows, sides, False, False)
+    assert peak < len(rows) ** 2 // 32
+    assert count == _count_maps(prows, rows, rows, sides, False, False) == bin(g.rows[0]).count("1") ** 2
+    assert shapes == [(1, n2)] * 2
+    assert bip_t(f, g) == Fraction(count, n2**2)
+
+
+def test_few_loops_on_a_large_directed_host_give_small_blocks(monkeypatch):
+    """An all-looped directed path on a sparse 4000-vertex host with 5
+    looped vertices: every block is 5 x 5, the count is the backtracker's,
+    and no n^2 array is made."""
+    rng = np.random.default_rng(13)
+    n, looped = 4000, [7, 900, 901, 2500, 3999]
+    arcs = {(int(i), int(j)) for i, j in rng.integers(0, n, size=(4 * n, 2)) if i != j}
+    arcs |= {(i, j) for i in looped for j in looped if i == j or rng.random() < 0.7}
+    g = DirectedGraph.from_edges(n, [(i + 1, j + 1) for i, j in arcs])
+    f = DirectedGraph.from_edges(4, [(1, 2), (3, 2), (3, 4), (4, 3)] + [(u, u) for u in range(1, 5)])
+    masks, hin = [sum(1 << i for i in looped)] * 4, _transpose(g.rows, n)
+    shapes = _block_shapes(monkeypatch)
+    count, peak = _traced_peak(host_count, f.rows, g.rows, hin, masks, False, False)
+    assert peak < n**2 // 32
+    assert count == _count_maps(f.rows, g.rows, hin, masks, False, False) > 0
+    assert shapes == [(5, 5)] * 3
     assert directed_t(f, g) == Fraction(count, n**4)
 
 
