@@ -304,8 +304,8 @@ def host_count(
     sizes = tuple(m.bit_count() for m in masks)
     if injective or induced or plan(sizes, frozenset(arcs)) is None:
         return _count_maps(prows, hout, hin, masks, injective, induced)
-    n = len(hout)
-    doms = {m: np.flatnonzero(unpack_rows([m], n)[0]) for m in set(masks)}
+    n, full = len(hout), (1 << len(hout)) - 1
+    doms = {m: range(n) if m == full else np.flatnonzero(unpack_rows([m], n)[0]) for m in set(masks)}
     blocks, factors = {}, {}  # one array per distinct (arcs, domain, domain): contract casts each once
     for (u, v), need in arcs.items():
         key = (1, 0) if hin is hout else need, masks[u], masks[v]
@@ -314,10 +314,11 @@ def host_count(
             flip = sizes[v] < sizes[u]
             (out, inn), mr, mc = (key[0][::-1], key[2], key[1]) if flip else key
             mat = unpack_rows([(hout[i] if out else -1) & (hin[i] if inn else -1) for i in doms[mr]], n)
-            mat = mat if mc == (1 << n) - 1 else mat[:, doms[mc]]
+            mat = mat if mc == full else mat[:, doms[mc]]
             blocks[key] = mat.T if flip else mat
         factors[u, v] = blocks[key]
-    return contract([np.ones(size, dtype=bool) for size in sizes], factors).numerator
+    ones = {size: np.ones(size, dtype=bool) for size in set(sizes)}
+    return contract([ones[size] for size in sizes], factors).numerator
 
 
 def _simple_count(f: LabelledGraph, g: LabelledGraph, injective: bool, induced: bool) -> int:
