@@ -12,11 +12,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .densities import BoundCheck, _transpose, falling, host_count, kernel_sum
+from .densities import BoundCheck, falling, host_count, kernel_sum
 from .errors import CapacityError, InputError
 from .exact import Number, content_lines, format_number, parse_line, to_fraction
 from .graphon import _normalized_measures, bernoulli, draw_blocks
-from .graphs import pack_rows, pair_rows, row_bits, rows_text, text_rows, unpack_rows
+from .graphs import column_rows, pack_rows, pair_rows, row_bits, rows_text, text_rows, unpack_rows
 
 BIP_PATTERN_CAP = 6
 
@@ -69,7 +69,7 @@ def _check_bip_pattern(f: BipartiteGraph) -> None:
 
 def _as_one_graph(g: BipartiteGraph) -> list[int]:
     """Both parts as one symmetric graph on n1 + n2 vertices, part 1 first."""
-    return [r << g.n1 for r in g.rows] + _transpose(g.rows, g.n2)
+    return [*(r << g.n1 for r in g.rows), *column_rows(g.rows, g.n2)]
 
 
 def _bip_count(f: BipartiteGraph, g: BipartiteGraph, injective: bool, induced: bool) -> int:

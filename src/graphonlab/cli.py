@@ -163,6 +163,8 @@ def cmd_density(args) -> tuple[list[str], int]:
 
 
 def cmd_sample(args) -> tuple[list[str], int]:
+    if (args.n2 is None) == (args.kind == "bipartite"):
+        raise InputError("--n2 is needed for bipartite sampling and taken by no other kind")
     check_host_size(*(n for n in (args.n, args.n2) if n is not None))
     rng = stream(args.seed, 0)
     if args.kind == "simple":
@@ -171,8 +173,6 @@ def cmd_sample(args) -> tuple[list[str], int]:
         text = g.to_text()
     elif args.kind == "bipartite":
         w = bip.BipartiteKernel.from_text(read_text(args.kernel))
-        if args.n2 is None:
-            raise InputError("bipartite sampling needs --n2")
         text = bip.sample_bip_w_random(w, args.n, args.n2, rng).to_text()
     else:
         w = dg.DirectedKernelQuintuple.from_text(read_text(args.kernel))
@@ -183,6 +183,8 @@ def cmd_sample(args) -> tuple[list[str], int]:
 def cmd_converge(args) -> tuple[list[str], int]:
     if not args.graphs:
         raise InputError("converge needs at least one -G graph file")
+    if args.ref and args.ref_graphon:
+        raise InputError("converge takes --ref or --ref-graphon, not both")
     enum = enumerate_unlabelled(args.max_pattern)
     if args.ref_graphon:
         w = read_step_graphon(args.ref_graphon)

@@ -3,8 +3,8 @@
 Every exact density is a sum over assignments of pattern vertices, which
 contract evaluates by variable elimination for kernels and hosts alike;
 host_count decides for every finite host, simple, bipartite or directed,
-and leaves to the backtracker _count_maps the injective and induced
-counts and the hom counts no plan fits.
+and leaves to the backtracker _count_maps, on the same pair-row tables,
+the injective and induced counts and the hom counts no plan fits.
 
 Exact values are arbitrary-precision rationals (fractions.Fraction); the
 inclusion-exclusion identities and multiplicativity over disjoint unions
@@ -14,6 +14,7 @@ estimates and at the CLI boundary.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -29,7 +30,6 @@ from .graphs import (
     UnlabelledGraph,
     disjoint_union,
     graph_from_pair_bits,
-    pack_rows,
     pair_bits_of,
     pair_order,
     unpack_rows,
@@ -58,74 +58,26 @@ def falling(n: int, k: int) -> int:
     return out
 
 
-def _search_order(rows: Sequence[int]) -> list[int]:
-    """Order pattern vertices so each one touches as many predecessors as
-    possible; keeps the backtracking candidate sets tight."""
-    n = len(rows)
-    order: list[int] = []
-    chosen = 0
-    for _ in range(n):
-        best = max(
-            (v for v in range(n) if not chosen >> v & 1),
-            key=lambda v: ((rows[v] & chosen).bit_count(), rows[v].bit_count(), -v),
-        )
+def _count_maps(masks: Sequence[int], tables: Mapping[tuple[int, int], list], injective: bool,
+                adj: Sequence[int]) -> int:
+    """Count maps phi, phi(u) in masks[u], with phi(v) in row phi(u) of
+    every row table in tables[u, v]; optionally injective. The pattern
+    vertices are placed in turn, each one touching as many placed ones in
+    adj (symmetric bitmask rows) as it can, so candidate sets stay tight."""
+    k, order, placed = len(masks), [], 0
+    for _ in range(k):
+        best = max((v for v in range(k) if not placed >> v & 1),
+                   key=lambda v: ((adj[v] & placed).bit_count(), adj[v].bit_count(), -v))
         order.append(best)
-        chosen |= 1 << best
-    return order
-
-
-def _undirected(rows: Sequence[int]) -> list[int]:
-    """Symmetric, loopless closure of out-neighbour rows."""
-    return [(r | c) & ~(1 << u) for u, (r, c) in enumerate(zip(rows, _transpose(rows, len(rows))))]
-
-
-def _transpose(rows: Sequence[int], width: int) -> list[int]:
-    """In-neighbour rows (bit i of column j) of out-rows over `width` columns."""
-    return list(pack_rows(unpack_rows(rows, width).T))
-
-
-def _count_maps(
-    prows: Sequence[int],
-    hout: Sequence[int],
-    hin: Sequence[int],
-    masks: Sequence[int],
-    injective: bool,
-    induced: bool,
-) -> int:
-    """Count maps phi from the pattern's vertices to the host's, phi(u) in
-    masks[u], that send every pattern arc u->v (u != v) to a host arc;
-    optionally injective, optionally (induced) also sending non-arcs to
-    non-arcs.
-
-    Rows are bitmasks: prows and hout of out-neighbours, hin of the host's
-    in-neighbours, which is hout itself when the host is symmetric; then a
-    symmetric pattern costs one AND per adjacent predecessor. Loops are
-    the callers' business: pattern loops belong in masks, host loops stay
-    in the rows, where a non-injective map may send an arc onto one.
-    """
-    k = len(prows)
-    full = (1 << len(hout)) - 1
-    nout = nin = None
-    if induced:
-        nout = [full ^ r for r in hout]
-        nin = nout if hin is hout else [full ^ r for r in hin]
-    order = _search_order(_undirected(prows))
-    steps = []
-    for d, u in enumerate(order):
-        tables = []
-        for e, v in enumerate(order[:d]):
-            fwd, back = prows[v] >> u & 1, prows[u] >> v & 1
-            sides = [(fwd, hout, nout)]
-            if hin is not hout or fwd != back:
-                sides.append((back, hin, nin))
-            tables += [(e, yes if arc else no) for arc, yes, no in sides if arc or induced]
-        steps.append((masks[u], tables))
+        placed |= 1 << best
+    steps = [(masks[u], [(e, table) for e, v in enumerate(order[:d]) for table in tables.get((v, u), ())])
+             for d, u in enumerate(order)]
     assigned = [0] * k
 
     def rec(d: int, free: int) -> int:
-        mask, tables = steps[d]
+        mask, checks = steps[d]
         cand = mask & free
-        for e, table in tables:
+        for e, table in checks:
             cand &= table[assigned[e]]
         if d == k - 1:
             return cand.bit_count()
@@ -137,7 +89,7 @@ def _count_maps(
             total += rec(d + 1, free ^ low if injective else free)
         return total
 
-    return rec(0, full)
+    return rec(0, functools.reduce(operator.or_, masks))
 
 
 def _bits(mask: int) -> list[int]:
@@ -296,26 +248,47 @@ def host_count(
     injective: bool,
     induced: bool,
 ) -> int:
-    """_count_maps's count; a hom count is contracted when a plan fits, over
-    the host vertices each mask allows, with per pattern pair the arcs it
-    asks for: A, its transpose or both, restricted to the two domains."""
-    arcs = {(u, v): (prows[u] >> v & 1, prows[v] >> u & 1) for u, v in pair_order(len(prows))}
-    arcs = {p: need for p, need in arcs.items() if any(need)}
+    """Count maps phi from the pattern's vertices to the host's, phi(u) in
+    masks[u], that send every pattern arc u->v (u != v) to a host arc;
+    optionally injective, optionally (induced) also sending non-arcs to
+    non-arcs. Rows are bitmasks: prows and hout of out-neighbours, hin of
+    the host's in-neighbours, hout itself when the host is symmetric.
+    Pattern loops belong in masks; host loops stay in the rows, where a
+    non-injective map may send an arc onto one.
+
+    Per ordered pattern pair (u, v), tables[u, v] lists the row tables
+    whose row i holds the host vertices allowed for phi(v) when phi(u) = i:
+    hout for an arc u->v, hin for an arc v->u (left out when hin is hout
+    and both arcs agree), their complements for non-arcs when induced. A
+    hom count is contracted when a plan fits, over the host vertices each
+    mask allows, each block the AND of a pair's tables over the smaller
+    domain's rows; any other count is searched by _count_maps."""
+    k, n, full = len(prows), len(hout), (1 << len(hout)) - 1
+    nout = nin = None
+    if induced:
+        nout = [full ^ r for r in hout]
+        nin = nout if hin is hout else [full ^ r for r in hin]
+    tables = {}
+    for u, v in itertools.permutations(range(k), 2):
+        fwd, back = prows[u] >> v & 1, prows[v] >> u & 1
+        sides = [(fwd, hout, nout)] + ([(back, hin, nin)] if hin is not hout or fwd != back else [])
+        if allowed := [yes if arc else no for arc, yes, no in sides if arc or induced]:
+            tables[u, v] = allowed
+    pairs = [p for p in pair_order(k) if p in tables]
     sizes = tuple(m.bit_count() for m in masks)
-    if injective or induced or plan(sizes, frozenset(arcs)) is None:
-        return _count_maps(prows, hout, hin, masks, injective, induced)
-    n, full = len(hout), (1 << len(hout)) - 1
+    if injective or induced or plan(sizes, frozenset(pairs)) is None:
+        adj = [(prows[u] | sum((r >> u & 1) << v for v, r in enumerate(prows))) & ~(1 << u) for u in range(k)]
+        return _count_maps(masks, tables, injective, adj)
     doms = {m: range(n) if m == full else np.flatnonzero(unpack_rows([m], n)[0]) for m in set(masks)}
-    blocks, factors = {}, {}  # one array per distinct (arcs, domain, domain): contract casts each once
-    for (u, v), need in arcs.items():
-        key = (1, 0) if hin is hout else need, masks[u], masks[v]
-        if key not in blocks:
-            # unpack only the smaller domain's rows (arcs out, in or both), then the other's columns
-            flip = sizes[v] < sizes[u]
-            (out, inn), mr, mc = (key[0][::-1], key[2], key[1]) if flip else key
-            mat = unpack_rows([(hout[i] if out else -1) & (hin[i] if inn else -1) for i in doms[mr]], n)
-            mat = mat if mc == full else mat[:, doms[mc]]
-            blocks[key] = mat.T if flip else mat
+    blocks, factors = {}, {}  # one array per distinct (tables, domain, domain): contract casts each once
+    for u, v in pairs:
+        key = tuple(map(id, tables[u, v])), masks[u], masks[v]
+        if key not in blocks:  # the smaller domain's rows, unpacked, then the other's columns
+            a, b = (v, u) if sizes[v] < sizes[u] else (u, v)
+            rows = [functools.reduce(operator.and_, (t[i] for t in tables[a, b])) for i in doms[masks[a]]]
+            mat = unpack_rows(rows, n)
+            mat = mat if masks[b] == full else mat[:, doms[masks[b]]]
+            blocks[key] = mat if a == u else mat.T
         factors[u, v] = blocks[key]
     ones = {size: np.ones(size, dtype=bool) for size in set(sizes)}
     return contract([ones[size] for size in sizes], factors).numerator

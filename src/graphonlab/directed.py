@@ -14,11 +14,11 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .densities import _transpose, falling, host_count, kernel_sum
+from .densities import falling, host_count, kernel_sum
 from .errors import CapacityError, InputError
 from .exact import Number, content_lines, format_number, parse_line, to_fraction
 from .graphon import _normalized_measures, draw_blocks
-from .graphs import pack_rows, pair_order, pair_rows, row_bits, rows_text, text_rows
+from .graphs import column_rows, pack_rows, pair_order, pair_rows, row_bits, rows_text, text_rows
 
 DIR_PATTERN_CAP = 6
 
@@ -300,7 +300,7 @@ def _dir_count(f: DirectedGraph, g: DirectedGraph, injective: bool, induced: boo
     loops = sum(1 << i for i in range(g.n) if g.rows[i] >> i & 1)
     unlooped = full ^ loops if induced else full
     masks = [loops if f.has_loop(u + 1) else unlooped for u in range(f.n)]
-    return host_count(f.rows, g.rows, _transpose(g.rows, g.n), masks, injective, induced)
+    return host_count(f.rows, g.rows, column_rows(g.rows, g.n), masks, injective, induced)
 
 
 def _kernel_sum(f: DirectedGraph, kernel: DirectedKernel, induced: bool) -> Fraction:

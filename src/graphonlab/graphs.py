@@ -456,6 +456,13 @@ def edge_rows(
     return tuple(rows)
 
 
+def column_rows(rows: Sequence[int], width: int) -> tuple[int, ...]:
+    """Rows of the transpose, `width` rows over len(rows) columns: the edges
+    of row_edges with their columns swapped, repacked by edge_rows, so no
+    len(rows) x width matrix is made."""
+    return edge_rows(row_edges(rows, width)[:, ::-1], (width, len(rows)), False, str)
+
+
 def _edge_array(pairs: Iterable[Sequence[int]]) -> np.ndarray:
     """(m, 2) int64 array of integer pairs; an endpoint beyond int64 becomes
     +-2^62, which no range check accepts."""

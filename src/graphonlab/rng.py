@@ -28,15 +28,12 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
 
 def thread_count(explicit: int | None = None) -> int:
     """Resolve a thread cap: explicit flag, else GRAPHONLAB_THREADS, else 1."""
-    if explicit is not None:
-        if explicit < 1:
-            raise InputError(f"thread count must be >= 1, got {explicit}")
-        return explicit
     env = os.environ.get("GRAPHONLAB_THREADS")
-    if not env:
-        return 1
-    (count,) = parse_line(env, "an integer GRAPHONLAB_THREADS", 1, int)
-    return max(1, count)
+    if explicit is None and env:
+        (explicit,) = parse_line(env, "an integer GRAPHONLAB_THREADS", 1, int)
+    if explicit is not None and explicit < 1:
+        raise InputError(f"thread count must be >= 1, got {explicit}")
+    return explicit or 1
 
 
 def chunk_sizes(total: int, chunk: int = CHUNK) -> list[int]:

@@ -150,6 +150,20 @@ def brute_directed(f, g, injective: bool = False, induced: bool = False) -> Frac
     return Fraction(hits, total)
 
 
+def brute_masked_count(prows, hrows, masks, injective: bool = False, induced: bool = False) -> int:
+    """Maps phi, phi(u) a set bit of masks[u], that keep every arc u -> v
+    (u != v) of the pattern's bitmask rows prows as an arc of the host's
+    rows hrows (and, induced, every non-arc as a non-arc), by enumerating
+    every such map, injective when asked."""
+    k = len(prows)
+    hits = 0
+    for phi in itertools.product(*([i for i in range(m.bit_length()) if m >> i & 1] for m in masks)):
+        cells = [(hrows[phi[u]] >> phi[v] & 1, prows[u] >> v & 1) for u in range(k) for v in range(k) if u != v]
+        hits += (not injective or len(set(phi)) == k) and all(
+            got == want if induced else got or not want for got, want in cells)
+    return hits
+
+
 def brute_kernel_sum(f: LabelledGraph, mu, w, induced: bool = False) -> Fraction:
     """Step-kernel t(f, W), or with induced the prefix-law mass of f, as the
     sum over every block tuple of the mu product times w per edge (and

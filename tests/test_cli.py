@@ -158,7 +158,7 @@ class TestExitCodes:
         assert stop.value.code == 2
         assert "must be >= 1, got 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("env, extra", [("", ["--threads", "0"]), ("two", [])])
+    @pytest.mark.parametrize("env, extra", [("", ["--threads", "0"]), ("two", []), ("0", []), ("-3", [])])
     def test_bad_thread_count_exits_2(self, workdir, capsys, monkeypatch, env, extra):
         monkeypatch.setenv("GRAPHONLAB_THREADS", env)
         argv = ["density", "-F", "edge.txt", "-G", "k3.txt", "--mc", "10", *extra]
@@ -262,6 +262,11 @@ class TestSampleCommand:
         code, _ = run_main(["sample", "--kind", "bipartite", "-W", "bipk.txt", "-n", "3"], workdir, capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("kind, kernel", [("simple", "bg.txt"), ("directed", "tourn.txt")])
+    def test_n2_without_bipartite_exits_2(self, workdir, capsys, kind, kernel):
+        code, _ = run_main(["sample", "--kind", kind, "-W", kernel, "-n", "5", "--n2", "7"], workdir, capsys)
+        assert code == 2
+
     def test_directed_sample(self, workdir, capsys):
         code, out = run_main(
             ["sample", "--kind", "directed", "-W", "tourn.txt", "-n", "4", "--seed", "1"],
@@ -288,6 +293,11 @@ class TestConvergeCommand:
         assert code == 0
         assert out.splitlines()[1] == "graph_id,d"
         assert len(out.splitlines()) == 4
+
+    def test_both_references_exit_2(self, workdir, capsys):
+        code, _ = run_main(["converge", "-G", "k3.txt", "--ref", "edge.txt", "--ref-graphon", "w05.txt"],
+                           workdir, capsys)
+        assert code == 2
 
 
 class TestVerdictCommands:

@@ -1,10 +1,11 @@
 """The contraction engine and its planner.
 
-contract is checked against the bitset backtracker _count_maps and the
-brute-force oracles, for patterns up to 6 vertices and hosts up to 12, on
-simple, bipartite and directed hosts and kernels, and host_count, which
-contracts over the host vertices each mask allows, against _count_maps on
-masks that are not full. Host weights are scaled so that the same counts
+contract is checked against the bitset backtracker (host_count with no
+plan, so it contracts nothing) and the brute-force oracles, for patterns
+up to 6 vertices and hosts up to 12, on simple, bipartite and directed
+hosts and kernels, and host_count, which contracts over the host vertices
+each mask allows, against the backtracker and the oracles on masks that
+are not full. Host weights are scaled so that the same counts
 run once in float64, once in int64 and once in Python-int object arrays;
 kernels with large denominators run in object arrays.
 """
@@ -12,16 +13,18 @@ import tracemalloc
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphonlab import densities
 from graphonlab.bipartite import BipartiteGraph, BipartiteKernel, _as_one_graph, _bip_count, bip_exact_ind_density, bip_t
-from graphonlab.densities import PLAN_BUDGET, _count_maps, _transpose, contract, host_count, plan, t
+from graphonlab.densities import PLAN_BUDGET, contract, host_count, plan, t
 from graphonlab.directed import DirectedGraph, directed_t
 from graphonlab.graphon import StepGraphon, exact_density, exact_ind_density
-from graphonlab.graphs import LabelledGraph, unpack_rows
+from graphonlab.graphs import LabelledGraph, column_rows, unpack_rows
 
-from oracles import brute_bip, brute_bip_kernel_sum, brute_directed, brute_kernel_sum, brute_t
+from oracles import (brute_bip, brute_bip_kernel_sum, brute_directed, brute_kernel_sum, brute_masked_count,
+                     brute_t)
 from test_engines import bipartite_graphs, directed_graphs, measures, simple_graphs
 
 BIG = 10**12 + 39  # a prime: scaled products of a few such values leave int64
@@ -49,8 +52,11 @@ def scaled_counts(weights, factors, k: int) -> set[int]:
     return out
 
 
-def backtrack(prows, hrows, masks) -> int:
-    return _count_maps(prows, hrows, list(hrows), masks, False, False)
+def backtrack(*args) -> int:
+    """host_count by the backtracker alone: with no plan nothing is contracted."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(densities, "plan", lambda sizes, pairs: None)
+        return host_count(*args)
 
 
 @given(simple_graphs(6), simple_graphs(12))
@@ -58,7 +64,7 @@ def backtrack(prows, hrows, masks) -> int:
 def test_simple_host(f, g):
     a = unpack_rows(g.rows, g.n)
     factors = {(u - 1, v - 1): a for u, v in f.edges()}
-    count = backtrack(f.rows, g.rows, [(1 << g.n) - 1] * f.n)
+    count = backtrack(f.rows, g.rows, list(g.rows), [(1 << g.n) - 1] * f.n, False, False)
     assert scaled_counts([np.ones(g.n)] * f.n, factors, f.n) == {count}
     assert t(f, g) == Fraction(count, g.n ** f.n)
 
@@ -94,8 +100,7 @@ def test_directed_host(f, g):
     weights = [np.diagonal(a) if f.has_loop(u + 1) else np.ones(g.n) for u in range(f.n)]
     loops = sum(1 << i for i in range(g.n) if g.rows[i] >> i & 1)
     masks = [loops if f.has_loop(u + 1) else (1 << g.n) - 1 for u in range(f.n)]
-    count = _count_maps(f.rows, g.rows, [sum((r >> j & 1) << i for i, r in enumerate(g.rows)) for j in range(g.n)],
-                        masks, False, False)
+    count = backtrack(f.rows, g.rows, column_rows(g.rows, g.n), masks, False, False)
     assert scaled_counts(weights, factors, f.n) == {count}
     assert directed_t(f, g) == Fraction(count, g.n ** f.n)
     if f.n <= 3 and g.n <= 5:
@@ -108,7 +113,7 @@ def test_host_count_on_side_masks(f, g):
     """Each pattern vertex ranges over its own part of the one-graph host."""
     prows, rows = _as_one_graph(f), _as_one_graph(g)
     sides = [(1 << g.n1) - 1] * f.n1 + [((1 << g.n2) - 1) << g.n1] * f.n2
-    assert host_count(prows, rows, rows, sides, False, False) == _count_maps(prows, rows, rows, sides, False, False)
+    assert host_count(prows, rows, rows, sides, False, False) == backtrack(prows, rows, rows, sides, False, False)
 
 
 @given(directed_graphs(5), directed_graphs(10), st.data())
@@ -118,8 +123,25 @@ def test_host_count_on_looped_vertices(f, g, data):
     other over a drawn subset (possibly empty, possibly all)."""
     loops = sum(1 << i for i in range(g.n) if g.rows[i] >> i & 1)
     masks = [loops if f.has_loop(u + 1) else data.draw(st.integers(0, (1 << g.n) - 1)) for u in range(f.n)]
-    hin = _transpose(g.rows, g.n)
-    assert host_count(f.rows, g.rows, hin, masks, False, False) == _count_maps(f.rows, g.rows, hin, masks, False, False)
+    hin = column_rows(g.rows, g.n)
+    count = host_count(f.rows, g.rows, hin, masks, False, False)
+    assert count == backtrack(f.rows, g.rows, hin, masks, False, False)
+    if np.prod([m.bit_count() for m in masks]) <= 2000:
+        assert count == brute_masked_count(f.rows, g.rows, masks)
+
+
+@given(directed_graphs(4), directed_graphs(6), st.data())
+@settings(max_examples=80, deadline=None)
+def test_host_count_on_masks_against_the_oracle(f, g, data):
+    """Hom, injective and induced counts with each pattern vertex ranging
+    over a drawn subset, on a directed host (out- and in-rows) and on its
+    symmetric closure (one table per pair)."""
+    masks = [data.draw(st.integers(0, (1 << g.n) - 1)) for _ in range(f.n)]
+    sym = [r | c for r, c in zip(g.rows, column_rows(g.rows, g.n))]
+    for hout, hin in [(g.rows, column_rows(g.rows, g.n)), (sym, sym)]:
+        for injective, induced in [(False, False), (True, False), (True, True)]:
+            assert host_count(f.rows, hout, hin, masks, injective, induced) == brute_masked_count(
+                f.rows, hout, masks, injective, induced)
 
 
 def test_looped_domains_let_a_plan_fit():
@@ -134,8 +156,8 @@ def test_looped_domains_let_a_plan_fit():
     f = DirectedGraph.from_edges(4, [(1, 2), (3, 2), (3, 4)] + [(u, u) for u in range(1, 5)])
     path = frozenset({(0, 1), (1, 2), (2, 3)})
     assert plan((n,) * 4, path) is None and plan((len(looped),) * 4, path) is not None
-    masks, hin = [sum(1 << i for i in looped)] * 4, _transpose(g.rows, n)
-    count = _count_maps(f.rows, g.rows, hin, masks, False, False)
+    masks, hin = [sum(1 << i for i in looped)] * 4, column_rows(g.rows, n)
+    count = backtrack(f.rows, g.rows, hin, masks, False, False)
     assert count > 0
     assert host_count(f.rows, g.rows, hin, masks, False, False) == count
     assert directed_t(f, g) == Fraction(count, n**4)
@@ -174,7 +196,7 @@ def test_lopsided_bipartite_host_blocks_are_its_sides(monkeypatch):
     shapes = _block_shapes(monkeypatch)
     count, peak = _traced_peak(host_count, prows, rows, rows, sides, False, False)
     assert peak < len(rows) ** 2 // 32
-    assert count == _count_maps(prows, rows, rows, sides, False, False) == bin(g.rows[0]).count("1") ** 2
+    assert count == backtrack(prows, rows, rows, sides, False, False) == bin(g.rows[0]).count("1") ** 2
     assert shapes == [(1, n2)] * 2
     assert bip_t(f, g) == Fraction(count, n2**2)
 
@@ -189,13 +211,45 @@ def test_few_loops_on_a_large_directed_host_give_small_blocks(monkeypatch):
     arcs |= {(i, j) for i in looped for j in looped if i == j or rng.random() < 0.7}
     g = DirectedGraph.from_edges(n, [(i + 1, j + 1) for i, j in arcs])
     f = DirectedGraph.from_edges(4, [(1, 2), (3, 2), (3, 4), (4, 3)] + [(u, u) for u in range(1, 5)])
-    masks, hin = [sum(1 << i for i in looped)] * 4, _transpose(g.rows, n)
+    masks, hin = [sum(1 << i for i in looped)] * 4, column_rows(g.rows, n)
     shapes = _block_shapes(monkeypatch)
     count, peak = _traced_peak(host_count, f.rows, g.rows, hin, masks, False, False)
     assert peak < n**2 // 32
-    assert count == _count_maps(f.rows, g.rows, hin, masks, False, False) > 0
+    assert count == backtrack(f.rows, g.rows, hin, masks, False, False) > 0
     assert shapes == [(5, 5)] * 3
     assert directed_t(f, g) == Fraction(count, n**4)
+
+
+def test_directed_path_on_a_sparse_host_makes_no_n_by_n_matrix():
+    """directed_t of a 3-vertex path on a sparse 10,000-vertex host: the
+    in-rows come from the arcs, so the traced peak stays below half the
+    n x n boolean matrix an unpacked transpose would take."""
+    rng = np.random.default_rng(17)
+    n = 10_000
+    arcs = np.unique(rng.integers(0, n, size=(3 * n, 2)), axis=0)
+    arcs = arcs[arcs[:, 0] != arcs[:, 1]]
+    g = DirectedGraph.from_edges(n, (arcs + 1).tolist())
+    f = DirectedGraph.from_edges(3, [(1, 2), (2, 3)])
+    value, peak = _traced_peak(directed_t, f, g)
+    assert peak < n**2 // 2
+    through = np.bincount(arcs[:, 1], minlength=n) @ np.bincount(arcs[:, 0], minlength=n)
+    assert value == Fraction(int(through), n**3)
+
+
+def test_bipartite_star_on_a_sparse_host_makes_no_n1_by_n2_matrix():
+    """bip_t of a two-leaf star on a sparse 10,000 x 10,000 host: the
+    one-graph's second part comes from the edges, so the traced peak
+    stays below half the n1 x n2 boolean matrix an unpacked transpose
+    would take."""
+    rng = np.random.default_rng(19)
+    n1 = n2 = 10_000
+    edges = np.unique(rng.integers(0, n1, size=(3 * n1, 2)), axis=0)
+    g = BipartiteGraph.from_edges(n1, n2, (edges + 1).tolist())
+    f = BipartiteGraph.from_edges(1, 2, [(1, 1), (1, 2)])
+    value, peak = _traced_peak(bip_t, f, g)
+    assert peak < n1 * n2 // 2
+    degrees = np.bincount(edges[:, 0], minlength=n1)
+    assert value == Fraction(int(degrees @ degrees), n1 * n2**2)
 
 
 @st.composite

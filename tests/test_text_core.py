@@ -13,7 +13,7 @@ from graphonlab.bipartite import BipartiteGraph, BipartiteKernel
 from graphonlab.directed import DirectedGraph, DirectedKernelQuintuple
 from graphonlab.errors import InputError
 from graphonlab.graphon import StepGraphon
-from graphonlab.graphs import LabelledGraph, pack_rows, row_edges, unpack_rows
+from graphonlab.graphs import LabelledGraph, column_rows, pack_rows, row_edges, unpack_rows
 
 
 @st.composite
@@ -75,6 +75,15 @@ def test_rows_round_trip_through_boolean_matrix():
     assert np.array_equal(unpack_rows(rows, 70), a)
     i, j = np.nonzero(a)
     assert np.array_equal(row_edges(rows, 70), np.column_stack([i, j]) + 1)
+
+
+@given(st.integers(1, 12), st.integers(1, 80), st.data())
+@settings(max_examples=60, deadline=None)
+def test_column_rows_is_the_transpose(n, width, data):
+    """In-rows from the swapped edges equal the unpacked transpose, rows
+    with no edges and width != row count included."""
+    rows = data.draw(st.lists(st.just(0) | st.integers(0, (1 << width) - 1), min_size=n, max_size=n))
+    assert column_rows(rows, width) == pack_rows(unpack_rows(rows, width).T)
 
 
 def test_many_vertices_without_edges():
