@@ -15,47 +15,11 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
-from . import bipartite as bip
-from . import directed as dg
-from .densities import (
-    DensityEstimate,
-    DensityVector,
-    TauPlus,
-    hoeffding_halfwidth,
-    mc_containment_hits,
-    metric_d,
-    sampling_bound,
-    t,
-    t_ind,
-    t_inj,
-    tau_plus,
-)
 from .errors import CapacityError, InputError, InvariantError
 from .exact import content_lines, fraction_to_decimal, parse_line, read_text, to_fraction
-from .exchangeable import (
-    GraphSource,
-    PatternPair,
-    check_alpha,
-    check_class_size,
-    exchangeability_test,
-    extremality_test,
-    martingale_trace,
-    prefix_law_empirical,
-    prefix_law_exact,
-    support_classes,
-)
-from .graphon import (
-    StepGraphon,
-    cut_distance_upper,
-    exact_density,
-    exact_ind_density,
-    mc_density_product_sum,
-    read_step_graphon,
-    sample_w_random,
-)
-from .graphs import LabelledGraph, check_host_size, enumerate_unlabelled, read_graph
-from .rng import run_chunked, stream, thread_count
 
+# Each command imports the modules it runs when it runs, so `--help` loads
+# no numpy and a command loads no module it does not use.
 DEC = fraction_to_decimal
 
 
@@ -66,6 +30,9 @@ def _stem(path: str) -> str:
 def load_source(path: str) -> GraphSource:
     """Source file: 'wrandom FILE' or 'mixture' followed by 'WEIGHT FILE'
     lines. Kernel paths resolve relative to the source file."""
+    from .exchangeable import GraphSource
+    from .graphon import read_step_graphon
+
     base = Path(path).parent
     lines = [ln.strip() for ln in content_lines(read_text(path)) if not ln.strip().startswith("#")]
     if not lines:
@@ -90,6 +57,8 @@ def load_source(path: str) -> GraphSource:
 
 def load_pairs(path: str) -> list[PatternPair]:
     """Pattern-pair file: one pair per line, 'u-v u-v ... | u-v ...'."""
+    from .exchangeable import PatternPair
+
     pairs = []
     for ln in read_text(path).splitlines():
         ln = ln.strip()
@@ -119,32 +88,60 @@ ROW_STRIDE = 1 << 20  # stream indices per CSV row; chunks never collide
 
 def _mc_row(chunk_sum, samples: int, seed: int, threads: int, row: int) -> DensityEstimate:
     """Mean of chunk_sum(index, count, rng) over fixed chunks of the row's streams."""
+    from .densities import DensityEstimate, hoeffding_halfwidth
+    from .rng import run_chunked
+
     parts = run_chunked(chunk_sum, samples, seed, threads, stream_base=row * ROW_STRIDE)
     return DensityEstimate(sum(parts) / samples, samples, hoeffding_halfwidth(samples))
 
 
+def _density_row(kind: str, kernel: bool) -> tuple:
+    """The pattern class of a kind, then for its host graphs (or, with
+    `kernel`, for its kernels): class, t, t_inj (None: t), t_ind, bound
+    (None: 0), Monte Carlo t sum (None: no --mc). Only that row's modules
+    are imported."""
+    if kind == "bipartite":
+        from .bipartite import (BipartiteGraph, BipartiteKernel, bip_exact_density, bip_exact_ind_density,
+                                bip_sampling_bound, bip_t, bip_t_ind, bip_t_inj)
+
+        return BipartiteGraph, (
+            (BipartiteKernel, bip_exact_density, None, bip_exact_ind_density, None, None) if kernel
+            else (BipartiteGraph, bip_t, bip_t_inj, bip_t_ind, bip_sampling_bound, None))
+    if kind == "directed":
+        from .densities import sampling_bound
+        from .directed import (DirectedGraph, DirectedKernelQuintuple, directed_t, directed_t_ind,
+                               directed_t_inj)
+
+        return DirectedGraph, (
+            (DirectedKernelQuintuple, directed_t, None, directed_t_ind, None, None) if kernel
+            else (DirectedGraph, directed_t, directed_t_inj, directed_t_ind, sampling_bound, None))
+    from .graphs import LabelledGraph
+
+    if kernel:
+        from .graphon import StepGraphon, exact_density, exact_ind_density, mc_density_product_sum
+
+        return LabelledGraph, (StepGraphon, exact_density, None, exact_ind_density, None,
+                               mc_density_product_sum)
+    from .densities import mc_containment_hits, sampling_bound, t, t_ind, t_inj
+
+    return LabelledGraph, (LabelledGraph, t, t_inj, t_ind, sampling_bound, mc_containment_hits)
+
+
 def cmd_density(args) -> tuple[list[str], int]:
+    from .rng import thread_count
+
     if not args.patterns:
         raise InputError("density needs at least one -F pattern file")
     if bool(args.hosts) == bool(args.kernel):
         raise InputError("density needs -G host files or a -W kernel, not both")
     mc, threads = args.mc, thread_count(args.threads)
-    # per kind, for a host graph and for a kernel: class, t, t_inj (None: t), t_ind,
-    # bound (None: 0), Monte Carlo t sum (None: no --mc)
-    host_kind, kernel_kind = {
-        "simple": ((LabelledGraph, t, t_inj, t_ind, sampling_bound, mc_containment_hits),
-                   (StepGraphon, exact_density, None, exact_ind_density, None, mc_density_product_sum)),
-        "bipartite": ((bip.BipartiteGraph, bip.bip_t, bip.bip_t_inj, bip.bip_t_ind, bip.bip_sampling_bound, None),
-                      (bip.BipartiteKernel, bip.bip_exact_density, None, bip.bip_exact_ind_density, None, None)),
-        "directed": ((dg.DirectedGraph, dg.directed_t, dg.directed_t_inj, dg.directed_t_ind, sampling_bound, None),
-                     (dg.DirectedKernelQuintuple, dg.directed_t, None, dg.directed_t_ind, None, None)),
-    }[args.kind]
-    if mc is not None and host_kind[-1] is None:
+    pattern_cls, row = _density_row(args.kind, bool(args.kernel))
+    cls, t_of, inj_of, ind_of, bound_of, mc_sum = row
+    if mc is not None and mc_sum is None:
         raise InputError("--mc is only available for simple graphs and kernels")
-    patterns = [(_stem(p), host_kind[0].from_text(read_text(p))) for p in args.patterns]
+    patterns = [(_stem(p), pattern_cls.from_text(read_text(p))) for p in args.patterns]
     lines = ["pattern_id,host_id,t,t_inj,t_ind,bound,bound_check" + ("" if mc is None else ",hoeffding_halfwidth")]
-    for path, (cls, t_of, inj_of, ind_of, bound_of, mc_sum) in (
-            [(h, host_kind) for h in args.hosts] or [(args.kernel, kernel_kind)]):
+    for path in args.hosts or [args.kernel]:
         host = cls.from_text(read_text(path))
         for pid, pat in patterns:
             if mc is None:
@@ -163,30 +160,44 @@ def cmd_density(args) -> tuple[list[str], int]:
 
 
 def cmd_sample(args) -> tuple[list[str], int]:
+    from .graphs import check_host_size
+    from .rng import stream
+
     if (args.n2 is None) == (args.kind == "bipartite"):
         raise InputError("--n2 is needed for bipartite sampling and taken by no other kind")
     check_host_size(*(n for n in (args.n, args.n2) if n is not None))
     rng = stream(args.seed, 0)
     if args.kind == "simple":
+        from .graphon import read_step_graphon, sample_w_random
+
         w = read_step_graphon(args.kernel)
         g = sample_w_random(w, args.n, rng)
         text = g.to_text()
     elif args.kind == "bipartite":
-        w = bip.BipartiteKernel.from_text(read_text(args.kernel))
-        text = bip.sample_bip_w_random(w, args.n, args.n2, rng).to_text()
+        from .bipartite import BipartiteKernel, sample_bip_w_random
+
+        w = BipartiteKernel.from_text(read_text(args.kernel))
+        text = sample_bip_w_random(w, args.n, args.n2, rng).to_text()
     else:
-        w = dg.DirectedKernelQuintuple.from_text(read_text(args.kernel))
-        text = dg.sample_directed(w, args.n, rng).to_text()
+        from .directed import DirectedKernelQuintuple, sample_directed
+
+        w = DirectedKernelQuintuple.from_text(read_text(args.kernel))
+        text = sample_directed(w, args.n, rng).to_text()
     return text.splitlines(), 0
 
 
 def cmd_converge(args) -> tuple[list[str], int]:
+    from .densities import DensityVector, TauPlus, metric_d, tau_plus
+    from .graphs import enumerate_unlabelled, read_graph
+
     if not args.graphs:
         raise InputError("converge needs at least one -G graph file")
     if args.ref and args.ref_graphon:
         raise InputError("converge takes --ref or --ref-graphon, not both")
     enum = enumerate_unlabelled(args.max_pattern)
     if args.ref_graphon:
+        from .graphon import exact_density, read_step_graphon
+
         w = read_step_graphon(args.ref_graphon)
         ref = TauPlus(
             DensityVector(enum, tuple(exact_density(f, w) for f in enum.graphs)), Fraction(0)
@@ -204,6 +215,11 @@ def cmd_converge(args) -> tuple[list[str], int]:
 
 
 def cmd_test_exchangeable(args) -> tuple[list[str], int]:
+    from .exchangeable import (check_alpha, check_class_size, exchangeability_test, prefix_law_empirical,
+                               prefix_law_exact, support_classes)
+    from .graphon import StepGraphon
+    from .rng import stream
+
     check_class_size(args.k)  # both before any law is sampled or summed
     check_alpha(args.alpha)
     src = load_source(args.src)
@@ -230,6 +246,9 @@ def cmd_test_exchangeable(args) -> tuple[list[str], int]:
 
 
 def cmd_test_extreme(args) -> tuple[list[str], int]:
+    from .exchangeable import extremality_test
+    from .rng import thread_count
+
     src = load_source(args.src)
     pairs = load_pairs(args.pairs)
     verdict = extremality_test(
@@ -247,6 +266,8 @@ def cmd_test_extreme(args) -> tuple[list[str], int]:
 
 
 def cmd_cutdist(args) -> tuple[list[str], int]:
+    from .graphon import cut_distance_upper, read_step_graphon
+
     w1 = read_step_graphon(args.kernel)
     w2 = read_step_graphon(args.kernel2)
     val = cut_distance_upper(w1, w2)
@@ -254,6 +275,10 @@ def cmd_cutdist(args) -> tuple[list[str], int]:
 
 
 def cmd_trace_martingale(args) -> tuple[list[str], int]:
+    from .exchangeable import martingale_trace
+    from .graphs import read_graph
+    from .rng import stream
+
     src = load_source(args.src)
     pattern = read_graph(args.pattern)
     grid = parse_line(args.grid.replace(",", " "), "a comma-separated grid",

@@ -398,14 +398,20 @@ def row_bits(rows: Sequence[int]) -> list[tuple[int, int]]:
 def row_edges(rows: Sequence[int], width: int) -> np.ndarray:
     """(m, 2) int64 array of 1-based (i, j), one per set bit j-1 of
     rows[i-1], in row-major order: the inverse of edge_rows. Non-empty rows
-    are unpacked one strip of about ROW_BLOCK cells at a time."""
+    are read as bytes one strip of about ROW_BLOCK cells at a time, and only
+    the non-zero bytes are unpacked, so sparse rows cost O(edges) cells."""
+    nbytes = (width + 7) // 8
     busy = np.flatnonzero(np.fromiter(map(bool, rows), dtype=bool, count=len(rows)))
     step = max(1, ROW_BLOCK // width)
     parts = [np.empty((0, 2), dtype=np.int64)]
     for a in range(0, len(busy), step):
         idx = busy[a:a + step]
-        i, j = np.nonzero(unpack_rows([rows[k] for k in idx], width))
-        parts.append(np.column_stack([idx[i] + 1, j + 1]))
+        data = np.frombuffer(b"".join(rows[k].to_bytes(nbytes, "little") for k in idx), dtype=np.uint8)
+        at = np.flatnonzero(data)  # non-zero bytes, row-major
+        i, j = np.divmod(at, nbytes)
+        bit = np.flatnonzero(np.unpackbits(data[at], bitorder="little"))
+        byte = bit >> 3
+        parts.append(np.column_stack([idx[i[byte]] + 1, j[byte] * 8 + (bit & 7) + 1]))
     return np.concatenate(parts)
 
 
@@ -448,7 +454,8 @@ def edge_rows(
     u, v = u[order] - 1, v[order] - 1
     step = max(1, ROW_BLOCK // n2)
     rows = [0] * n1
-    for top in (np.unique(u // step) * step).tolist():  # first rows of strips with edges
+    strip = u // step  # sorted, so each strip with edges is one run
+    for top in (strip[np.diff(strip, prepend=-1) != 0] * step).tolist():
         first, last = np.searchsorted(u, [top, top + step])
         block = np.zeros((min(step, n1 - top), n2), dtype=bool)
         block[u[first:last] - top, v[first:last]] = True

@@ -8,7 +8,6 @@ depend on the number of worker threads.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, TypeVar
 
 import numpy as np
@@ -61,6 +60,8 @@ def run_chunked(
     jobs = [(i, count) for i, count in enumerate(sizes)]
     if threads <= 1 or len(jobs) <= 1:
         return [fn(i, count, stream(seed, stream_base + i)) for i, count in jobs]
+    from concurrent.futures import ThreadPoolExecutor  # here, so one-thread runs never load it
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = [pool.submit(fn, i, count, stream(seed, stream_base + i)) for i, count in jobs]
         return [f.result() for f in futures]

@@ -197,7 +197,7 @@ class TestExitCodes:
             raise AssertionError("a prefix law was built before the arguments were checked")
 
         monkeypatch.setattr(GraphSource, "pair_bits_batch", no_law)
-        monkeypatch.setattr(cli, "prefix_law_exact", no_law)
+        monkeypatch.setattr(exchangeable, "prefix_law_exact", no_law)
         got, _ = run_main(["test-exchangeable", "-src", "src_det.txt", *argv], workdir, capsys)
         assert got == code
 

@@ -1,0 +1,105 @@
+"""The package's public surface: the names `graphonlab` exports, where each
+lives, and that a star import binds them all.
+
+`graphonlab/__init__.py` resolves its names lazily, so the checks run in a
+fresh child, where no submodule has been imported yet.
+"""
+import json
+import subprocess
+import sys
+
+import pytest
+
+import graphonlab
+
+from cli_child import child_env
+
+# graphonlab.__all__ as the package has exported it since its import lists
+# were written out eagerly: every public name and the nine submodules
+# (all but cli and __main__).
+PUBLIC = [
+    "BipartiteGraph", "BipartiteKernel", "BlockMap", "BoundCheck", "CapacityError",
+    "CorrespondenceResult", "DensityEstimate", "DensityVector", "DirectedGraph",
+    "DirectedKernelQuadruplePlusP", "DirectedKernelQuintuple", "ExchangeabilityVerdict",
+    "ExtremalityVerdict", "GeneralGraphon", "GraphEnumeration", "GraphSource", "GraphonLabError",
+    "InputError", "InvariantError", "LabelledGraph", "PatternPair", "PrefixLaw", "SignedStepKernel",
+    "StepGraphon", "TauPlus", "UnlabelledGraph", "bip_exact_density", "bip_exact_ind_density",
+    "bip_graph_as_kernel", "bip_sampling_bound_check", "bip_t", "bip_t_ind", "bip_t_inj",
+    "bipartite", "boys_girls", "canonicalize", "correspondence_check", "cut_distance_upper",
+    "cut_norm", "densities", "directed", "directed_t", "directed_t_ind", "directed_t_inj",
+    "disjoint_union", "disjoint_union_density", "enumerate_unlabelled", "errors", "exact",
+    "exact_density", "exact_ind_density", "exchangeability_test", "exchangeable",
+    "extremality_test", "graph_as_graphon", "graphon", "graphs", "hoeffding_halfwidth",
+    "ind_from_inj", "induced_pattern", "inj_from_ind", "is_isomorphic", "kernel_difference",
+    "loop_sequence_law", "martingale_trace", "mc_density", "mc_t", "metric_d",
+    "prefix_law_empirical", "prefix_law_exact", "pushforward", "quadruple_from_quintuple",
+    "random_relabel", "restrict_prefix", "rng", "sample_bip_w_random", "sample_directed",
+    "sample_w_random", "sample_with_replacement", "sample_without_replacement",
+    "sampling_bound_check", "stream", "supergraphs", "t", "t_ind", "t_inj", "tau_plus",
+    "tau_vector", "tournament_kernel", "validate_quintuple",
+]
+
+# A fresh child: what `import graphonlab` loads, then the names a star
+# import binds, and each name that is not its home module's object (a
+# submodule is its own home; any other name's home is the module that
+# defines it).
+CHILD = r'''
+import importlib
+import json
+import sys
+
+import pytest
+
+import graphonlab
+
+eager = sorted(m for m in sys.modules if m.startswith("graphonlab."))
+star = {}
+exec("from graphonlab import *", star)
+bound = sorted(n for n in star if not n.startswith("__"))
+astray = []
+for name in bound:
+    value = star[name]
+    home = f"graphonlab.{name}" if f"graphonlab.{name}" in sys.modules else value.__module__
+    module = importlib.import_module(home)
+    if value is not (module if home == f"graphonlab.{name}" else getattr(module, name)):
+        astray.append(name)
+print(json.dumps({"eager": eager, "bound": bound, "astray": astray}))
+'''
+
+
+def child() -> dict:
+    res = subprocess.run([sys.executable, "-c", CHILD], env=child_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+def test_all_is_the_pinned_list():
+    assert graphonlab.__all__ == PUBLIC
+
+
+def test_dir_lists_every_public_name_and_no_private_one():
+    listed = dir(graphonlab)
+    assert listed == sorted(listed) and set(PUBLIC) <= set(listed)
+    # beyond those, only submodules imported since (cli, here) and dunders
+    extra = [n for n in listed if n not in PUBLIC and f"graphonlab.{n}" not in sys.modules]
+    assert all(n.startswith("__") for n in extra) and "__version__" in extra, extra
+
+
+def test_star_import_binds_every_name_from_its_home():
+    got = child()
+    assert got["eager"] == []  # `import graphonlab` imports no submodule
+    assert got["bound"] == PUBLIC
+    assert got["astray"] == []
+
+
+def test_each_name_is_its_home_module_object():
+    for name in PUBLIC:
+        value = getattr(graphonlab, name)
+        home = sys.modules.get(f"graphonlab.{name}")
+        assert value is (home if home is not None else getattr(sys.modules[value.__module__], name)), name
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        graphonlab.no_such_name  # noqa: B018

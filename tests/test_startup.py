@@ -8,6 +8,9 @@ Another runs the same commands where scipy is importable and lists the
 scipy modules left in `sys.modules`. This module imports neither scipy
 nor hypothesis at module level, so it also runs where only numpy and
 pytest are installed.
+
+Each command imports only the modules it runs: fresh children run one
+command each and list what `sys.modules` then holds.
 """
 import json
 import subprocess
@@ -57,7 +60,8 @@ if refuse:
         import scipy  # noqa: F401
     except ImportError as exc:
         control = str(exc)
-print(json.dumps({"results": results, "scipy_modules": loaded, "control": control}))
+print(json.dumps({"results": results, "scipy_modules": loaded, "control": control,
+                  "modules": sorted(sys.modules)}))
 '''
 
 # name -> argv; each report goes to <name>.out
@@ -98,9 +102,10 @@ def workdir(tmp_path_factory):
     return d
 
 
-def run_child(workdir, mode: str) -> dict:
-    """Every command in one child; mode "refuse" installs the finder, "allow" does not."""
-    runs = {name: argv_of(name) for name in COMMANDS}
+def run_child(workdir, mode: str, names=tuple(COMMANDS)) -> dict:
+    """The named commands (default: every command) in one child; mode
+    "refuse" installs the finder, "allow" does not."""
+    runs = {name: argv_of(name) for name in names}
     res = subprocess.run([sys.executable, "-c", CHILD, json.dumps(runs), mode], cwd=workdir,
                          env=child_env(), capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, f"child failed (import graphonlab?):\n{res.stderr}"
@@ -132,3 +137,33 @@ def test_no_command_loads_scipy(workdir):
     child = run_child(workdir, "allow")
     assert all(code in (0, 1) for code, _ in child["results"].values()), child["results"]
     assert child["scipy_modules"] == [], child["scipy_modules"]
+
+
+def modules_after(workdir, name: str) -> set[str]:
+    """Modules loaded in a fresh child after it ran one command."""
+    child = run_child(workdir, "allow", [name])
+    code, err = child["results"][name]
+    assert code == 0, err
+    return set(child["modules"])
+
+
+def test_help_loads_no_numpy(workdir):
+    loaded = modules_after(workdir, "help")
+    assert sorted(m for m in loaded if m.split(".")[0] == "numpy") == []
+
+
+def test_simple_host_density_loads_only_what_it_runs(workdir):
+    loaded = modules_after(workdir, "density-exact")
+    unused = ["graphonlab.bipartite", "graphonlab.directed", "graphonlab.exchangeable",
+              "graphonlab.graphon", "concurrent.futures"]
+    assert [m for m in unused if m in loaded] == []
+    assert {"graphonlab.densities", "graphonlab.graphs"} <= loaded
+
+
+def test_reading_edge_lists_loads_no_numpy_ma(workdir):
+    # numpy releases that import numpy.ma with numpy itself (1.24 does) pass trivially
+    control = subprocess.run([sys.executable, "-c", "import sys, numpy; print('numpy.ma' in sys.modules)"],
+                             env=child_env(), capture_output=True, text=True, timeout=60)
+    assert control.returncode == 0, control.stderr
+    loaded = modules_after(workdir, "density-exact")
+    assert "numpy.ma" not in loaded or control.stdout.split() == ["True"]

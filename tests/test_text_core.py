@@ -13,7 +13,7 @@ from graphonlab.bipartite import BipartiteGraph, BipartiteKernel
 from graphonlab.directed import DirectedGraph, DirectedKernelQuintuple
 from graphonlab.errors import InputError
 from graphonlab.graphon import StepGraphon
-from graphonlab.graphs import LabelledGraph, column_rows, pack_rows, row_edges, unpack_rows
+from graphonlab.graphs import LabelledGraph, column_rows, pack_rows, row_bits, row_edges, unpack_rows
 
 
 @st.composite
@@ -84,6 +84,20 @@ def test_column_rows_is_the_transpose(n, width, data):
     with no edges and width != row count included."""
     rows = data.draw(st.lists(st.just(0) | st.integers(0, (1 << width) - 1), min_size=n, max_size=n))
     assert column_rows(rows, width) == pack_rows(unpack_rows(rows, width).T)
+
+
+@given(st.integers(0, 12), st.integers(1, 80), st.integers(1, 300), st.data())
+@settings(max_examples=80, deadline=None)
+def test_row_edges_is_the_bit_loop(n, width, block, data):
+    """row_edges gives the edges of the pure-Python row_bits, in its order:
+    widths off a multiple of 8, rows with no edges, and (with ROW_BLOCK
+    made small) rows split over several strips included."""
+    rows = data.draw(st.lists(st.just(0) | st.integers(0, (1 << width) - 1), min_size=n, max_size=n))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("graphonlab.graphs.ROW_BLOCK", block)
+        got = row_edges(rows, width)
+    assert got.dtype == np.int64 and got.shape == (len(got), 2)
+    assert got.tolist() == [list(e) for e in row_bits(rows)]
 
 
 def test_many_vertices_without_edges():
