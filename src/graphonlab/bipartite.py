@@ -15,7 +15,7 @@ import numpy as np
 from .densities import BoundCheck, falling, host_count, kernel_sum
 from .errors import CapacityError, InputError
 from .exact import Number, content_lines, format_number, parse_line, to_fraction
-from .graphon import _normalized_measures, bernoulli, draw_blocks
+from .graphon import _checked_matrix, _normalized_measures, bernoulli, draw_blocks
 from .graphs import column_rows, pack_rows, pair_rows, row_bits, rows_text, text_rows, unpack_rows
 
 BIP_PATTERN_CAP = 6
@@ -127,14 +127,9 @@ class BipartiteKernel:
     def __post_init__(self) -> None:
         mu1 = _normalized_measures(self.mu1)
         mu2 = _normalized_measures(self.mu2)
-        w = tuple(tuple(to_fraction(x) for x in row) for row in self.w)
-        if len(w) != len(mu1) or any(len(row) != len(mu2) for row in w):
-            raise InputError(f"value matrix must be {len(mu1)}x{len(mu2)}")
-        if any(not 0 <= x <= 1 for row in w for x in row):
-            raise InputError("kernel values must lie in [0,1]")
+        object.__setattr__(self, "w", _checked_matrix(self.w, len(mu1), len(mu2), "w"))
         object.__setattr__(self, "mu1", mu1)
         object.__setattr__(self, "mu2", mu2)
-        object.__setattr__(self, "w", w)
 
     @property
     def m1(self) -> int:

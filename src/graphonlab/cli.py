@@ -28,8 +28,9 @@ def _stem(path: str) -> str:
 
 
 def load_source(path: str) -> GraphSource:
-    """Source file: 'wrandom FILE' or 'mixture' followed by 'WEIGHT FILE'
-    lines. Kernel paths resolve relative to the source file."""
+    """Source file: 'wrandom FILE', read as the one mixture line '1 FILE', or
+    'mixture' followed by 'WEIGHT FILE' lines. Kernel paths resolve
+    relative to the source file."""
     from .exchangeable import GraphSource
     from .graphon import read_step_graphon
 
@@ -37,22 +38,24 @@ def load_source(path: str) -> GraphSource:
     lines = [ln.strip() for ln in content_lines(read_text(path)) if not ln.strip().startswith("#")]
     if not lines:
         raise InputError(f"empty source file {path}")
-    head = lines[0].split()
-    if head[0] == "wrandom":
-        if len(head) != 2 or len(lines) != 1:
+    kind, *rest = lines[0].split()
+    if kind == "wrandom":
+        if len(rest) != 1 or len(lines) != 1:
             raise InputError("wrandom source takes exactly one kernel file")
-        return GraphSource.w_random(read_step_graphon(str(base / head[1])))
-    if head[0] == "mixture":
-        parts = []
-        for ln in lines[1:]:
-            toks = ln.split()
-            if len(toks) != 2:
-                raise InputError(f"bad mixture line {ln!r}")
-            parts.append((to_fraction(toks[0]), read_step_graphon(str(base / toks[1]))))
-        if not parts:
+        lines = [f"1 {rest[0]}"]
+    elif kind == "mixture":
+        lines = lines[1:]
+        if not lines:
             raise InputError("mixture source needs at least one component")
-        return GraphSource.mixture(parts)
-    raise InputError(f"unknown source kind {head[0]!r}")
+    else:
+        raise InputError(f"unknown source kind {kind!r}")
+    parts = []
+    for ln in lines:
+        toks = ln.split()
+        if len(toks) != 2:
+            raise InputError(f"bad mixture line {ln!r}")
+        parts.append((to_fraction(toks[0]), read_step_graphon(str(base / toks[1]))))
+    return GraphSource.mixture(parts)
 
 
 def load_pairs(path: str) -> list[PatternPair]:
@@ -217,7 +220,6 @@ def cmd_converge(args) -> tuple[list[str], int]:
 def cmd_test_exchangeable(args) -> tuple[list[str], int]:
     from .exchangeable import (check_alpha, check_class_size, exchangeability_test, prefix_law_empirical,
                                prefix_law_exact, support_classes)
-    from .graphon import StepGraphon
     from .rng import stream
 
     check_class_size(args.k)  # both before any law is sampled or summed
@@ -226,9 +228,9 @@ def cmd_test_exchangeable(args) -> tuple[list[str], int]:
     if args.samples is not None:
         law = prefix_law_empirical(src, args.k, args.samples, stream(args.seed, 0))
     else:
-        if src.kind != "w_random" or not isinstance(src.graphon, StepGraphon):
+        if len(src.components) != 1:
             raise InputError("exact mode needs a single step-graphon source")
-        law = prefix_law_exact(src.graphon, args.k)
+        law = prefix_law_exact(src.components[0][1], args.k)
     classes = support_classes(law)
     verdict = exchangeability_test(law, args.alpha, classes)
     lines = ["class_code,cells,count,probability"]

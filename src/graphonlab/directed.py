@@ -17,7 +17,7 @@ import numpy as np
 from .densities import falling, host_count, kernel_sum
 from .errors import CapacityError, InputError
 from .exact import Number, content_lines, format_number, parse_line, to_fraction
-from .graphon import _normalized_measures, draw_blocks
+from .graphon import _checked_matrix, _normalized_measures, draw_blocks
 from .graphs import column_rows, pack_rows, pair_order, pair_rows, row_bits, rows_text, text_rows
 
 DIR_PATTERN_CAP = 6
@@ -58,18 +58,6 @@ class DirectedGraph:
         return cls(n, rows)
 
 
-def _set_pair_laws(kernel, size: int, states: str) -> None:
-    """Check the four pair-law matrices w00..w11 of a directed kernel (size
-    x size, values in [0,1]) and store them as tuples of Fractions."""
-    for name in ("w00", "w01", "w10", "w11"):
-        mat = tuple(tuple(to_fraction(x) for x in row) for row in getattr(kernel, name))
-        if len(mat) != size or any(len(row) != size for row in mat):
-            raise InputError(f"{name} must be {size}x{size}{states}")
-        if any(not 0 <= x <= 1 for row in mat for x in row):
-            raise InputError(f"{name} values must lie in [0,1]")
-        object.__setattr__(kernel, name, mat)
-
-
 @dataclass(frozen=True)
 class QuintupleVerdict:
     ok: bool
@@ -90,7 +78,8 @@ class DirectedKernelQuintuple:
 
     def __post_init__(self) -> None:
         mu = _normalized_measures(self.mu)
-        _set_pair_laws(self, len(mu), "")
+        for name in ("w00", "w01", "w10", "w11"):
+            object.__setattr__(self, name, _checked_matrix(getattr(self, name), len(mu), len(mu), name))
         flags = tuple(int(x) for x in self.loop_flags)
         if len(flags) != len(mu) or any(x not in (0, 1) for x in flags):
             raise InputError("loop flags must be a 0/1 vector of length m")
@@ -129,9 +118,7 @@ class DirectedKernelQuintuple:
                  for ln in lines[pos + 1:pos + m + 1]] for pos in labels[:4]]
         flags = parse_line(lines[-1], f"a 0/1 loop vector of length {m}", m, int)
         kernel = cls(mu, *mats, flags)
-        verdict = validate_quintuple(kernel)
-        if not verdict.ok:
-            raise InputError(f"invalid quintuple: {verdict.detail}")
+        _check_kernel(kernel)
         return kernel
 
 
@@ -161,6 +148,14 @@ def validate_quintuple(k: DirectedKernel) -> QuintupleVerdict:
     return QuintupleVerdict(True, None)
 
 
+def _check_kernel(k: DirectedKernel) -> None:
+    """Raise InputError naming the first violation validate_quintuple finds;
+    reading, sampling and summing a directed kernel all check it here."""
+    verdict = validate_quintuple(k)
+    if not verdict.ok:
+        raise InputError(f"invalid kernel: {verdict.detail}")
+
+
 def tournament_kernel() -> DirectedKernelQuintuple:
     """One block; each pair gets exactly one edge with fair direction; no loops."""
     half = Fraction(1, 2)
@@ -187,7 +182,9 @@ class DirectedKernelQuadruplePlusP:
         p = to_fraction(self.p)
         if not 0 <= p <= 1:
             raise InputError("loop probability must lie in [0,1]")
-        _set_pair_laws(self, 2 * len(mu), " over (block, flag) states")
+        ext = 2 * len(mu)  # the (block, flag) states
+        for name in ("w00", "w01", "w10", "w11"):
+            object.__setattr__(self, name, _checked_matrix(getattr(self, name), ext, ext, name))
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "p", p)
 
@@ -241,9 +238,7 @@ def sample_directed_pair_codes(
     loops is (count, n) in {0,1}; codes is (count, npairs) in 0..3 over the
     colex pair order, encoding (X_ij, X_ji) as 2*X_ij + X_ji for i < j.
     """
-    verdict = validate_quintuple(kernel)
-    if not verdict.ok:
-        raise InputError(f"invalid kernel: {verdict.detail}")
+    _check_kernel(kernel)
     loops, states = _latent_states(kernel, n, count, rng)
     mats = [
         np.array([[float(x) for x in row] for row in kernel.pair_matrix(a, b)])
@@ -308,6 +303,7 @@ def _kernel_sum(f: DirectedGraph, kernel: DirectedKernel, induced: bool) -> Frac
     by its measure where its loop flag meets f's loop requirement, and per
     unordered pair the probability of the required joint indicators."""
     _check_dir_pattern(f)
+    _check_kernel(kernel)
     if isinstance(kernel, DirectedKernelQuintuple):
         measures, flags = kernel.mu, kernel.loop_flags
     else:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import Callable, Iterable, KeysView, Mapping, Sequence
+from typing import Callable, Iterable, KeysView, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .graphs import (
     restrict_prefix,
     unpack_rows,
 )
-from .rng import CHUNK, run_chunked
+from .rng import chunk_sizes, run_chunked
 
 PREFIX_CAP = 16
 CLASS_CAP = 7  # isomorphism-class grouping enumerates k! relabellings
@@ -111,67 +111,63 @@ def prefix_law_exact(w: StepGraphon, k: int) -> PrefixLaw:
     return PrefixLaw.exact(k, probs)
 
 
+Part = Union[StepGraphon, GeneralGraphon, Callable[[int, np.random.Generator], LabelledGraph]]
+
+
 @dataclass(frozen=True)
 class GraphSource:
-    """Sampler of prefixes of an exchangeable infinite graph.
-
-    Kinds: a fixed kernel, a finite mixture of kernels (the kernel is
-    redrawn once per sampled prefix, not per edge), or an external
-    sampler hook (n, rng) -> LabelledGraph.
+    """Sampler of prefixes of an exchangeable infinite graph: a finite
+    mixture of (weight, part) components, each part a kernel or an external
+    sampler hook (n, rng) -> LabelledGraph. The component is redrawn once
+    per sampled prefix, not per edge; a source of one component, an
+    extreme one, draws no component index.
     """
 
-    kind: str
-    graphon: StepGraphon | GeneralGraphon | None = None
-    components: tuple[tuple[Fraction, StepGraphon | GeneralGraphon], ...] | None = None
-    sampler: Callable[[int, np.random.Generator], LabelledGraph] | None = None
+    components: tuple[tuple[Fraction, Part], ...]
 
     @classmethod
     def w_random(cls, w: StepGraphon | GeneralGraphon) -> "GraphSource":
-        return cls("w_random", graphon=w)
+        return cls.mixture([(1, w)])
 
     @classmethod
-    def mixture(cls, parts: Sequence[tuple[Number, StepGraphon | GeneralGraphon]]) -> "GraphSource":
+    def mixture(cls, parts: Sequence[tuple[Number, Part]]) -> "GraphSource":
         weights = [to_fraction(wt) for wt, _ in parts]
         if not weights or any(x <= 0 for x in weights):
             raise InputError("mixture weights must be positive")
         total = sum(weights)
         if abs(total - 1) > Fraction(1, 10**12):
             raise InputError("mixture weights must sum to 1")
-        comps = tuple((wt / total, w) for wt, (_, w) in zip(weights, parts))
-        return cls("mixture", components=comps)
+        return cls(tuple((wt / total, part) for wt, (_, part) in zip(weights, parts)))
 
     @classmethod
     def from_sampler(cls, fn: Callable[[int, np.random.Generator], LabelledGraph]) -> "GraphSource":
-        return cls("sampler", sampler=fn)
+        return cls.mixture([(1, fn)])
 
     def _pick_components(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        if len(self.components) == 1:
+            return np.zeros(count, dtype=np.intp)
         weights = np.array([float(wt) for wt, _ in self.components])
         return rng.choice(len(self.components), size=count, p=weights)
 
     def sample_prefix(self, n: int, rng: np.random.Generator) -> LabelledGraph:
-        if self.kind == "w_random":
-            return sample_w_random(self.graphon, n, rng)
-        if self.kind == "mixture":
-            return sample_w_random(self.components[self._pick_components(1, rng)[0]][1], n, rng)
-        return self.sampler(n, rng)
+        part = self.components[self._pick_components(1, rng)[0]][1]
+        return part(n, rng) if callable(part) else sample_w_random(part, n, rng)
 
     def pair_bits_batch(self, k: int, count: int, rng: np.random.Generator) -> np.ndarray:
         """Boolean array (count, k*(k-1)/2): edge indicators of iid k-prefixes,
         columns in colex pair order."""
         jj, ii = np.tril_indices(k, -1)  # colex: (0,1), (0,2), (1,2), (0,3), ...
-        if self.kind == "w_random":
-            return pair_bits(self.graphon, k, count, ii, jj, rng)
-        if self.kind == "mixture":
-            comp = self._pick_components(count, rng)
-            out = np.zeros((count, len(ii)), dtype=bool)
-            for c, (_, w) in enumerate(self.components):
-                mask = comp == c
-                n_c = int(mask.sum())
-                if n_c:
-                    out[mask] = pair_bits(w, k, n_c, ii, jj, rng)
-            return out
-        return unpack_rows([pair_bits_of(restrict_prefix(self.sampler(k, rng), k)) for _ in range(count)],
-                           len(ii))
+        comp = self._pick_components(count, rng)
+        out = np.zeros((count, len(ii)), dtype=bool)
+        for c, (_, part) in enumerate(self.components):
+            mask = comp == c
+            n_c = int(mask.sum())
+            if n_c and callable(part):
+                out[mask] = unpack_rows([pair_bits_of(restrict_prefix(part(k, rng), k)) for _ in range(n_c)],
+                                        len(ii))
+            elif n_c:
+                out[mask] = pair_bits(part, k, n_c, ii, jj, rng)
+        return out
 
 
 def prefix_law_empirical(
@@ -186,9 +182,7 @@ def prefix_law_empirical(
     if k > PREFIX_CAP:
         raise CapacityError(f"prefix size capped at {PREFIX_CAP} vertices, got {k}")
     counts: dict[int, int] = {}
-    remaining = samples
-    while remaining:
-        batch = min(remaining, CHUNK)
+    for batch in chunk_sizes(samples):
         bits = src.pair_bits_batch(k, batch, rng)
         if bits.shape[1] < 64:  # the codes fit in int64
             codes = bits @ (1 << np.arange(bits.shape[1], dtype=np.int64))
@@ -197,7 +191,6 @@ def prefix_law_empirical(
         vals, cnts = np.unique(codes, return_counts=True)  # in increasing code order
         for v, c in zip(vals.tolist(), cnts.tolist()):
             counts[v] = counts.get(v, 0) + c
-        remaining -= batch
     return PrefixLaw.empirical(k, counts)
 
 

@@ -47,6 +47,21 @@ def _normalized_measures(raw: Sequence[Number]) -> tuple[Fraction, ...]:
     return tuple(x / total for x in mu)
 
 
+def _checked_matrix(raw: Sequence[Sequence[Number]], rows: int, cols: int, name: str,
+                    low: int = 0) -> tuple[tuple[Fraction, ...], ...]:
+    """A kernel's value matrix as exact rationals; a shape other than rows x
+    cols, or an entry outside [low, 1], raises InputError naming the first
+    bad entry."""
+    mat = tuple(tuple(to_fraction(x) for x in row) for row in raw)
+    if len(mat) != rows or any(len(row) != cols for row in mat):
+        raise InputError(f"{name} must be a {rows}x{cols} matrix")
+    for a, row in enumerate(mat):
+        for b, x in enumerate(row):
+            if not low <= x <= 1:
+                raise InputError(f"{name}[{a}][{b}] = {x} outside [{low},1]")
+    return mat
+
+
 @dataclass(frozen=True)
 class StepGraphon:
     """Symmetric step kernel: block measures mu and value matrix w."""
@@ -56,14 +71,10 @@ class StepGraphon:
 
     def __post_init__(self) -> None:
         mu = _normalized_measures(self.mu)
-        w = tuple(tuple(to_fraction(x) for x in row) for row in self.w)
         m = len(mu)
-        if len(w) != m or any(len(row) != m for row in w):
-            raise InputError(f"value matrix must be {m}x{m}")
+        w = _checked_matrix(self.w, m, m, "w")
         for a in range(m):
             for b in range(m):
-                if not 0 <= w[a][b] <= 1:
-                    raise InputError(f"kernel value w[{a}][{b}] outside [0,1]")
                 if w[a][b] != w[b][a]:
                     raise InputError(f"kernel not symmetric at blocks ({a},{b})")
         object.__setattr__(self, "mu", mu)
@@ -345,14 +356,8 @@ class SignedStepKernel:
 
     def __post_init__(self) -> None:
         mu = _normalized_measures(self.mu)
-        vals = tuple(tuple(to_fraction(x) for x in row) for row in self.values)
-        m = len(mu)
-        if len(vals) != m or any(len(row) != m for row in vals):
-            raise InputError(f"value matrix must be {m}x{m}")
-        if any(abs(x) > 1 for row in vals for x in row):
-            raise InputError("signed kernel values must lie in [-1,1]")
+        object.__setattr__(self, "values", _checked_matrix(self.values, len(mu), len(mu), "values", -1))
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "values", vals)
 
     @property
     def m(self) -> int:

@@ -305,7 +305,7 @@ def _enum_levels(max_n: int) -> tuple[tuple[UnlabelledGraph, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def enumerate_unlabelled(max_n: int, cap: int = ENUM_CAP) -> GraphEnumeration:
+def enumerate_unlabelled(max_n: int) -> GraphEnumeration:
     """Complete duplicate-free enumeration of unlabelled graphs up to max_n.
 
     Every n-vertex class arises by deleting a vertex from nothing, i.e. by
@@ -314,8 +314,8 @@ def enumerate_unlabelled(max_n: int, cap: int = ENUM_CAP) -> GraphEnumeration:
     """
     if max_n < 1:
         raise InputError("max_n must be >= 1")
-    if max_n > cap:
-        raise CapacityError(f"enumeration capped at {cap} vertices, got {max_n}")
+    if max_n > ENUM_CAP:
+        raise CapacityError(f"enumeration capped at {ENUM_CAP} vertices, got {max_n}")
     graphs = tuple(g for level in _enum_levels(max_n) for g in level)
     return GraphEnumeration(max_n, graphs)
 

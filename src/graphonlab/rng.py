@@ -35,10 +35,10 @@ def thread_count(explicit: int | None = None) -> int:
     return explicit or 1
 
 
-def chunk_sizes(total: int, chunk: int = CHUNK) -> list[int]:
-    sizes = [chunk] * (total // chunk)
-    if total % chunk:
-        sizes.append(total % chunk)
+def chunk_sizes(total: int) -> list[int]:
+    sizes = [CHUNK] * (total // CHUNK)
+    if total % CHUNK:
+        sizes.append(total % CHUNK)
     return sizes
 
 
@@ -47,7 +47,6 @@ def run_chunked(
     total: int,
     seed: int,
     threads: int = 1,
-    chunk: int = CHUNK,
     stream_base: int = 0,
 ) -> list[T]:
     """Run fn(chunk_index, count, rng) over fixed chunks; results in chunk order.
@@ -56,8 +55,7 @@ def run_chunked(
     thread count produces identical results. `stream_base` offsets the
     stream indices so independent estimators never share a stream.
     """
-    sizes = chunk_sizes(total, chunk)
-    jobs = [(i, count) for i, count in enumerate(sizes)]
+    jobs = list(enumerate(chunk_sizes(total)))
     if threads <= 1 or len(jobs) <= 1:
         return [fn(i, count, stream(seed, stream_base + i)) for i, count in jobs]
     from concurrent.futures import ThreadPoolExecutor  # here, so one-thread runs never load it

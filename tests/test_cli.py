@@ -362,6 +362,16 @@ class TestVerdictCommands:
         assert 0 < calls.count("graph_from_pair_bits") <= classes + 1
         assert calls.count("pair_bits_of") <= classes
 
+    @pytest.mark.parametrize("argv", [
+        ["test-exchangeable", "-k", "3", "--samples", "3000", "--seed", "3"],
+        ["trace-martingale", "-F", "edge.txt", "--grid", "5,20,80", "--seed", "3"],
+    ])
+    def test_one_line_mixture_reports_like_wrandom(self, workdir, capsys, argv):
+        (workdir / "src_one.txt").write_text("mixture\n1 w05.txt\n")
+        outs = [run_main([argv[0], "-src", src, *argv[1:]], workdir, capsys)
+                for src in ("src_det.txt", "src_one.txt")]
+        assert outs[0] == outs[1]
+
     @pytest.mark.parametrize("alpha", ["0", "1", "-1", "1.5", "nan"])
     @pytest.mark.parametrize("argv", [
         ["test-extreme", "-src", "src_det.txt", "--pairs", "pairs.txt", "--samples", "100"],

@@ -110,6 +110,13 @@ class TestKernelDensities:
                     total += directed_t_ind(g, TWO_BLOCK)
             assert total == directed_t(f, TWO_BLOCK), fedges
 
+    @pytest.mark.parametrize("density", [directed_t, directed_t_ind])
+    def test_invalid_kernel_rejected(self, density):
+        # a pair law whose only mass is w00 = 1/2, which sampling rejects too
+        bad = DirectedKernelQuintuple((1,), ((F(1, 2),),), ((0,),), ((0,),), ((0,),), (0,))
+        with pytest.raises(InputError, match="sums to 1/2"):
+            density(DirectedGraph.from_edges(2, []), bad)
+
     def test_quadruple_matches_lifted_quintuple_on_loopless(self):
         qp = quadruple_from_quintuple(TWO_BLOCK, F(0))
         for f in (DIR_EDGE, TWO_CYCLE, CYCLE3):

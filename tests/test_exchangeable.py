@@ -24,9 +24,9 @@ from graphonlab.exchangeable import (
     prefix_law_exact,
     support_classes,
 )
-from graphonlab.graphon import StepGraphon, boys_girls
+from graphonlab.graphon import GeneralGraphon, StepGraphon, boys_girls
 from graphonlab.graphs import LabelledGraph, enumerate_unlabelled, graph_from_pair_bits, pair_bits_of
-from graphonlab.rng import stream
+from graphonlab.rng import CHUNK, stream
 
 from conftest import all_labelled_graphs
 from oracles import brute_kernel_sum
@@ -114,6 +114,15 @@ class TestEmpiricalPrefixLaw:
         freq = float(law.probability(pair_bits_of(LabelledGraph.complete(2))))
         assert abs(freq - 0.5) <= 3 / (2 * math.sqrt(100_000))
 
+    @pytest.mark.parametrize("w", [BG, GeneralGraphon(lambda x, y: (x + y) / 2)], ids=["step", "general"])
+    def test_one_component_mixture_draws_like_its_kernel(self, w):
+        # one component draws no component index, so both read the same uniforms
+        one, plain = GraphSource.mixture([(1, w)]), GraphSource.w_random(w)
+        for k, count in ((2, 1), (5, 300)):
+            assert np.array_equal(one.pair_bits_batch(k, count, stream(6, k)),
+                                  plain.pair_bits_batch(k, count, stream(6, k)))
+        assert one.sample_prefix(30, stream(7)) == plain.sample_prefix(30, stream(7))
+
     def test_sampler_hook_source(self):
         src = GraphSource.from_sampler(lambda n, rng: LabelledGraph.complete(n))
         law = prefix_law_empirical(src, 3, 50, stream(3))
@@ -134,9 +143,9 @@ class TestEmpiricalPrefixLaw:
 
     def test_support_sorted_within_each_chunk_new_codes_appended(self):
         src = GraphSource.w_random(HALF)
-        law = prefix_law_empirical(src, 7, exchangeable.CHUNK + 500, stream(4))
+        law = prefix_law_empirical(src, 7, CHUNK + 500, stream(4))
         rng, weights = stream(4), 1 << np.arange(21)
-        first = set((src.pair_bits_batch(7, exchangeable.CHUNK, rng) @ weights).tolist())
+        first = set((src.pair_bits_batch(7, CHUNK, rng) @ weights).tolist())
         second = set((src.pair_bits_batch(7, 500, rng) @ weights).tolist())
         expected = sorted(first) + sorted(second - first)
         assert list(law.support()) == expected != sorted(expected)
