@@ -44,6 +44,8 @@ def load_source(path: str) -> GraphSource:
             raise InputError("wrandom source takes exactly one kernel file")
         lines = [f"1 {rest[0]}"]
     elif kind == "mixture":
+        if rest:
+            raise InputError(f"mixture header takes no tokens, got {' '.join(rest)!r}")
         lines = lines[1:]
         if not lines:
             raise InputError("mixture source needs at least one component")
@@ -131,13 +133,11 @@ def _density_row(kind: str, kernel: bool) -> tuple:
 
 
 def cmd_density(args) -> tuple[list[str], int]:
-    from .rng import thread_count
-
     if not args.patterns:
         raise InputError("density needs at least one -F pattern file")
     if bool(args.hosts) == bool(args.kernel):
         raise InputError("density needs -G host files or a -W kernel, not both")
-    mc, threads = args.mc, thread_count(args.threads)
+    mc = args.mc
     pattern_cls, row = _density_row(args.kind, bool(args.kernel))
     cls, t_of, inj_of, ind_of, bound_of, mc_sum = row
     if mc is not None and mc_sum is None:
@@ -151,7 +151,7 @@ def cmd_density(args) -> tuple[list[str], int]:
                 tv, halfwidth = t_of(pat, host), None
             else:
                 est = _mc_row(lambda _i, count, gen: mc_sum(pat, host, count, gen),
-                              mc, args.seed, threads, row=len(lines) - 1)
+                              mc, args.seed, args.threads, row=len(lines) - 1)
                 tv, halfwidth = to_fraction(est.point), est.confidence_halfwidth
             tiv = tv if inj_of is None else inj_of(pat, host)
             tdv = ind_of(pat, host)
@@ -249,13 +249,12 @@ def cmd_test_exchangeable(args) -> tuple[list[str], int]:
 
 def cmd_test_extreme(args) -> tuple[list[str], int]:
     from .exchangeable import extremality_test
-    from .rng import thread_count
 
     src = load_source(args.src)
     pairs = load_pairs(args.pairs)
     verdict = extremality_test(
         src, pairs, args.samples, args.alpha,
-        seed=args.seed, threads=thread_count(args.threads),
+        seed=args.seed, threads=args.threads,
     )
     lines = ["pair_id,p1,p2,p12,z,p_value"]
     for i, s in enumerate(verdict.pair_stats):
@@ -381,6 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if "threads" in vars(args):  # a seeded command
+            from .rng import thread_count
+
+            args.threads = thread_count(args.threads)
         lines, code = args.fn(args)
     except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -9,12 +9,11 @@ structural properties of the infinite law.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import Callable, Iterable, KeysView, Mapping, Sequence, Union
+from typing import Callable, Collection, KeysView, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -24,21 +23,13 @@ from .exact import Number, to_fraction
 from .graphon import (
     GeneralGraphon, StepGraphon, exact_density, exact_ind_density, pair_bits, sample_w_random,
 )
-from .graphs import (
-    LabelledGraph,
-    UnlabelledGraph,
-    check_host_size,
-    graph_from_pair_bits,
-    pack_rows,
-    pair_bits_of,
-    pair_index,
-    restrict_prefix,
-    unpack_rows,
+from .graphs import (  # check_class_size and isomorphism_class are re-exported
+    CLASS_CAP, LabelledGraph, UnlabelledGraph, check_class_size, check_host_size, graph_from_pair_bits,
+    isomorphism_class, pack_rows, pair_bits_of, pair_code_classes, pair_index, restrict_prefix, unpack_rows,
 )
 from .rng import chunk_sizes, run_chunked
 
 PREFIX_CAP = 16
-CLASS_CAP = 7  # isomorphism-class grouping enumerates k! relabellings
 
 
 @dataclass(frozen=True)
@@ -56,25 +47,28 @@ class PrefixLaw:
     total: int
     is_empirical: bool
 
+    def __post_init__(self) -> None:
+        """Every code names a graph on [k]; an exact law's masses lie in
+        [0, total] and sum to it; an empirical law has a sample."""
+        _check_codes(self.k, self.mass)
+        if self.is_empirical:
+            if self.total < 1:
+                raise InputError("empirical law needs at least one sample")
+        elif self.mass and not 0 <= min(self.mass.values()) <= max(self.mass.values()) <= self.total:
+            raise InputError("probabilities must lie in [0,1]")
+        elif sum(self.mass.values()) != self.total:
+            raise InputError("exact prefix law must sum to exactly 1")
+
     @classmethod
     def exact(cls, k: int, probs: Mapping[int, Fraction | int]) -> "PrefixLaw":
-        _check_codes(k, probs)
+        _check_codes(k, probs)  # zero-probability codes too
         total = math.lcm(*{p.denominator for p in probs.values()})
-        mass = {c: p.numerator * (total // p.denominator) for c, p in probs.items() if p}
-        if any(n < 0 or n > total for n in mass.values()):
-            raise InputError("probabilities must lie in [0,1]")
-        if sum(mass.values()) != total:
-            raise InputError("exact prefix law must sum to exactly 1")
-        return cls(k, mass, total, False)
+        return cls(k, {c: p.numerator * (total // p.denominator) for c, p in probs.items() if p}, total, False)
 
     @classmethod
     def empirical(cls, k: int, counts: Mapping[int, int]) -> "PrefixLaw":
         mass = {c: int(n) for c, n in counts.items() if n}
-        _check_codes(k, mass)
-        total = sum(mass.values())
-        if total < 1:
-            raise InputError("empirical law needs at least one sample")
-        return cls(k, mass, total, True)
+        return cls(k, mass, sum(mass.values()), True)
 
     def probability(self, code: int) -> Fraction:
         _check_codes(self.k, (code,))
@@ -84,31 +78,31 @@ class PrefixLaw:
         return self.mass.keys()
 
 
-def _check_codes(k: int, codes: Iterable[int]) -> None:
+def _check_codes(k: int, codes: Collection[int]) -> None:
     """Every code must name a graph on [k]: 0 <= code < 2^(k(k-1)/2)."""
-    bad = [c for c in codes if not 0 <= c < 1 << k * (k - 1) // 2]
-    if bad:
-        raise InputError(f"pair code {bad[0]} is not a graph on {k} vertices")
+    top = 1 << k * (k - 1) // 2
+    if codes and not 0 <= min(codes) <= max(codes) < top:
+        bad = next(c for c in codes if not 0 <= c < top)
+        raise InputError(f"pair code {bad} is not a graph on {k} vertices")
 
 
 def prefix_law_exact(w: StepGraphon, k: int) -> PrefixLaw:
     """Exact law of the k-prefix of the W-random graph. The law is constant
-    on isomorphism classes, so each class gets one exact_ind_density,
-    shared by all its members; codes already met are skipped."""
+    on isomorphism classes, so each class gets one exact_ind_density, and
+    each member its class's integer mass over one common denominator."""
     if k < 1:
         raise InputError("k must be >= 1")
     npairs = k * (k - 1) // 2
     if w.m**k * 2**npairs > TERM_CAP:
         raise CapacityError(f"{w.m}^{k} * 2^{npairs} terms exceed cap {TERM_CAP}")
-    probs: dict[int, Fraction] = {}
-    for code in range(1 << npairs):
-        if code in probs:
-            continue
-        g = graph_from_pair_bits(k, code)
-        p = exact_ind_density(g, w)
-        for c in isomorphism_class(g):
-            probs[c] = p
-    return PrefixLaw.exact(k, probs)
+    classes = [(members, exact_ind_density(graph_from_pair_bits(k, members[0]), w))
+               for members in pair_code_classes(k, range(1 << npairs))]
+    total = math.lcm(*(p.denominator for _, p in classes))
+    mass: dict[int, int] = {}
+    for members, p in classes:
+        if p:
+            mass.update(dict.fromkeys(members, p.numerator * (total // p.denominator)))
+    return PrefixLaw(k, mass, total, False)
 
 
 Part = Union[StepGraphon, GeneralGraphon, Callable[[int, np.random.Generator], LabelledGraph]]
@@ -194,47 +188,11 @@ def prefix_law_empirical(
     return PrefixLaw.empirical(k, counts)
 
 
-def check_class_size(k: int) -> None:
-    if k > CLASS_CAP:
-        raise CapacityError(f"isomorphism classes capped at {CLASS_CAP} vertices, got {k}")
-
-
-@lru_cache(maxsize=None)
-def _relabel_weights(k: int) -> np.ndarray:
-    """(k!, pairs) int64: 2^(pair index of the image) of every pair under
-    each relabelling of [k], in itertools.permutations order."""
-    perms = np.array(list(itertools.permutations(range(k))), dtype=np.int64).reshape(-1, k)
-    jj, ii = np.tril_indices(k, -1)  # colex pair order
-    a, b = perms[:, ii], perms[:, jj]
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    return 1 << (hi * (hi - 1) // 2 + lo)
-
-
-def isomorphism_class(g: LabelledGraph) -> list[int]:
-    """Distinct pair codes of the relabellings of g on its own vertex set,
-    in the order the relabellings first reach them: g's own code first."""
-    check_class_size(g.n)
-    code = pair_bits_of(g)
-    weights = _relabel_weights(g.n)
-    codes = weights[:, [i for i in range(weights.shape[1]) if code >> i & 1]].sum(axis=1)
-    _, first = np.unique(codes, return_index=True)
-    return codes[np.sort(first)].tolist()
-
-
 def support_classes(law: PrefixLaw) -> list[list[int]]:
     """Isomorphism classes, as pair codes, that meet the support, in order
     of first appearance in `law.support()`; each class is enumerated once,
     from that first support code, which heads its list."""
-    check_class_size(law.k)
-    found = bytearray(1 << law.k * (law.k - 1) // 2)
-    classes: list[list[int]] = []
-    for code in law.support():
-        if not found[code]:
-            members = isomorphism_class(graph_from_pair_bits(law.k, code))
-            for m in members:
-                found[m] = 1
-            classes.append(members)
-    return classes
+    return list(pair_code_classes(law.k, law.support()))
 
 
 TAIL_TERMS = math.factorial(CLASS_CAP) // 2  # series terms of the widest class's tail

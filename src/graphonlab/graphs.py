@@ -1,4 +1,5 @@
-"""Simple labelled/unlabelled graphs, canonical forms, vertex sampling, enumeration.
+"""Simple labelled/unlabelled graphs, canonical forms, vertex sampling,
+pair-code isomorphism classes and the enumeration of unlabelled graphs built on them.
 
 Vertices are labelled 1..n at the API surface. Internally each graph
 stores one bitmask row per vertex (bit j-1 of rows[i-1] set iff i~j),
@@ -10,6 +11,7 @@ core here: edge_rows checks and packs an edge array, row_edges undoes it.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -21,7 +23,7 @@ from .errors import CapacityError, InputError
 from .exact import content_lines, parse_line, read_text
 
 CANON_CAP = 10
-ENUM_CAP = 7
+CLASS_CAP = 7  # class scans and the enumeration relabel by all k! permutations
 HOST_CAP = 1 << 16  # vertices per part of a host graph, read or sampled
 ROW_BLOCK = 1 << 20  # cells of the boolean strip that rows are packed from or unpacked to
 
@@ -286,38 +288,19 @@ class GraphEnumeration:
 
 
 @lru_cache(maxsize=None)
-def _enum_levels(max_n: int) -> tuple[tuple[UnlabelledGraph, ...], ...]:
-    levels: list[tuple[UnlabelledGraph, ...]] = [
-        (UnlabelledGraph(LabelledGraph.empty(1)),)
-    ]
-    for n in range(2, max_n + 1):
-        seen: dict[tuple[int, ...], UnlabelledGraph] = {}
-        for parent in levels[-1]:
-            base = parent.canon.rows
-            # attach a new vertex n with every possible neighbourhood
-            for nbhd in range(1 << (n - 1)):
-                rows = [base[i] | ((nbhd >> i & 1) << (n - 1)) for i in range(n - 1)]
-                rows.append(nbhd)
-                cg = canonicalize(LabelledGraph(n, tuple(rows)))
-                seen.setdefault(cg.code, cg)
-        levels.append(tuple(seen[c] for c in sorted(seen)))
-    return tuple(levels[:max_n])
-
-
-@lru_cache(maxsize=None)
 def enumerate_unlabelled(max_n: int) -> GraphEnumeration:
-    """Complete duplicate-free enumeration of unlabelled graphs up to max_n.
-
-    Every n-vertex class arises by deleting a vertex from nothing, i.e. by
-    augmenting some (n-1)-vertex class with one new vertex, so level-wise
-    augmentation plus canonical dedup is exhaustive.
-    """
+    """Complete duplicate-free enumeration of unlabelled graphs up to max_n:
+    the canonical form of each pair-code class of every level n <= max_n."""
     if max_n < 1:
         raise InputError("max_n must be >= 1")
-    if max_n > ENUM_CAP:
-        raise CapacityError(f"enumeration capped at {ENUM_CAP} vertices, got {max_n}")
-    graphs = tuple(g for level in _enum_levels(max_n) for g in level)
-    return GraphEnumeration(max_n, graphs)
+    if max_n > CLASS_CAP:
+        raise CapacityError(f"enumeration capped at {CLASS_CAP} vertices, got {max_n}")
+    graphs: list[UnlabelledGraph] = []
+    for n in range(1, max_n + 1):
+        level = [canonicalize(graph_from_pair_bits(n, members[0]))
+                 for members in pair_code_classes(n, range(1 << n * (n - 1) // 2))]
+        graphs += sorted(level, key=lambda g: g.code)
+    return GraphEnumeration(max_n, tuple(graphs))
 
 
 @lru_cache(maxsize=None)
@@ -349,6 +332,47 @@ def graph_from_pair_bits(k: int, bits: int) -> LabelledGraph:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
     return LabelledGraph(k, tuple(rows))
+
+
+def check_class_size(k: int) -> None:
+    if k > CLASS_CAP:
+        raise CapacityError(f"isomorphism classes capped at {CLASS_CAP} vertices, got {k}")
+
+
+@lru_cache(maxsize=None)
+def _relabel_weights(k: int) -> np.ndarray:
+    """(k!, pairs) int64: 2^(pair index of the image) of every pair under
+    each relabelling of [k], in itertools.permutations order."""
+    perms = np.array(list(itertools.permutations(range(k))), dtype=np.int64).reshape(-1, k)
+    jj, ii = np.tril_indices(k, -1)  # colex pair order
+    a, b = perms[:, ii], perms[:, jj]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    return 1 << (hi * (hi - 1) // 2 + lo)
+
+
+def isomorphism_class(g: LabelledGraph) -> list[int]:
+    """Distinct pair codes of the relabellings of g on its own vertex set,
+    in the order the relabellings first reach them: g's own code first."""
+    check_class_size(g.n)
+    code = pair_bits_of(g)
+    weights = _relabel_weights(g.n)
+    codes = weights[:, [i for i in range(weights.shape[1]) if code >> i & 1]].sum(axis=1)
+    _, first = np.unique(codes, return_index=True)
+    return codes[np.sort(first)].tolist()
+
+
+def pair_code_classes(k: int, codes: Iterable[int]) -> Iterator[list[int]]:
+    """Each isomorphism class of graphs on [k] that meets `codes`, once, as
+    the isomorphism_class of its first code there, in order of first
+    appearance; codes of classes already found are skipped."""
+    check_class_size(k)
+    found = bytearray(1 << k * (k - 1) // 2)
+    for code in codes:
+        if not found[code]:
+            members = isomorphism_class(graph_from_pair_bits(k, code))
+            for m in members:
+                found[m] = 1
+            yield members
 
 
 def restrict_prefix(g: LabelledGraph, n: int) -> LabelledGraph:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from graphonlab.bipartite import BipartiteGraph, BipartiteKernel
-from graphonlab import cli, exchangeable
+from graphonlab import cli, exchangeable, graphs
 from graphonlab.cli import main
 from graphonlab.directed import DirectedGraph, tournament_kernel
 from graphonlab.exact import fraction_to_decimal
@@ -132,6 +132,10 @@ class TestExitCodes:
              ["density", "--kind", "directed", "-F", "diredge.txt", "-W", "bad_flags.txt"]),
             ("bad_pairs.txt", "1-x | 3-4\n",
              ["test-extreme", "-src", "src_det.txt", "--pairs", "bad_pairs.txt", "--samples", "10"]),
+            ("bad_wrandom.txt", "wrandom w05.txt extra\n",
+             ["test-exchangeable", "-src", "bad_wrandom.txt", "-k", "2"]),
+            ("bad_mixture.txt", "mixture extra tokens\n1 w05.txt\n",
+             ["test-exchangeable", "-src", "bad_mixture.txt", "-k", "2"]),
         ],
     )
     def test_malformed_input_exits_2(self, workdir, capsys, name, text, argv):
@@ -161,9 +165,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("env, extra", [("", ["--threads", "0"]), ("two", []), ("0", []), ("-3", [])])
     def test_bad_thread_count_exits_2(self, workdir, capsys, monkeypatch, env, extra):
         monkeypatch.setenv("GRAPHONLAB_THREADS", env)
-        argv = ["density", "-F", "edge.txt", "-G", "k3.txt", "--mc", "10", *extra]
-        code, _ = run_main(argv, workdir, capsys)
-        assert code == 2
+        for argv in (  # every seeded command, chunked or not
+            ["density", "-F", "edge.txt", "-G", "k3.txt", "--mc", "10"],
+            ["sample", "-W", "w05.txt", "-n", "5"],
+            ["test-exchangeable", "-src", "src_det.txt", "-k", "3"],
+            ["test-extreme", "-src", "src_det.txt", "--pairs", "pairs.txt", "--samples", "10"],
+            ["trace-martingale", "-src", "src_det.txt", "-F", "edge.txt", "--grid", "5,10"],
+        ):
+            code, _ = run_main([*argv, *extra], workdir, capsys)
+            assert code == 2, argv[0]
 
     @pytest.mark.parametrize("name, argv", [
         ("edge.txt", ["density", "-F", "BAD", "-G", "k3.txt"]),  # graph
@@ -352,9 +362,11 @@ class TestVerdictCommands:
         (workdir / "sparse_b.txt").write_text("1\n1\n8/100\n")
         (workdir / "sparse.txt").write_text("mixture\n1/2 sparse_a.txt\n1/2 sparse_b.txt\n")
         calls = []
-        for name in ("graph_from_pair_bits", "pair_bits_of"):
-            spy = (lambda fn: lambda *a: calls.append(fn.__name__) or fn(*a))(getattr(exchangeable, name))
-            monkeypatch.setattr(exchangeable, name, spy)
+        # the class scan builds in graphs; the sampler and a verdict's detail in exchangeable
+        for module in (graphs, exchangeable):
+            for name in ("graph_from_pair_bits", "pair_bits_of"):
+                spy = (lambda fn: lambda *a: calls.append(fn.__name__) or fn(*a))(getattr(module, name))
+                monkeypatch.setattr(module, name, spy)
         code, out = run_main(["test-exchangeable", "-src", "sparse.txt", "-k", "6",
                               "--samples", "4000", "--seed", "0"], workdir, capsys)
         classes = len(out.splitlines()) - 2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from graphonlab import exchangeable
+from graphonlab import exchangeable, graphs
 from graphonlab.errors import CapacityError, InputError
 from graphonlab.exchangeable import (
     GraphSource,
@@ -24,7 +24,7 @@ from graphonlab.exchangeable import (
     prefix_law_exact,
     support_classes,
 )
-from graphonlab.graphon import GeneralGraphon, StepGraphon, boys_girls
+from graphonlab.graphon import GeneralGraphon, StepGraphon, boys_girls, exact_ind_density
 from graphonlab.graphs import LabelledGraph, enumerate_unlabelled, graph_from_pair_bits, pair_bits_of
 from graphonlab.rng import CHUNK, stream
 
@@ -74,6 +74,19 @@ class TestExactPrefixLaw:
         law = prefix_law_exact(StepGraphon(mu, w), k)
         for g in all_labelled_graphs(k):
             assert law.probability(pair_bits_of(g)) == brute_kernel_sum(g, mu, w, induced=True)
+
+    @pytest.mark.parametrize("w", [BG, HALF, StepGraphon([Fraction(1, 3), Fraction(2, 3)], [[0, 1], [1, 0]])])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_class_masses_equal_the_per_code_law(self, w, k):
+        # per code: one density per class, spread to its members, then PrefixLaw.exact
+        probs: dict[int, Fraction] = {}
+        for code in range(1 << k * (k - 1) // 2):
+            if code not in probs:
+                g = graph_from_pair_bits(k, code)
+                probs.update(dict.fromkeys(isomorphism_class(g), exact_ind_density(g, w)))
+        law, ref = prefix_law_exact(w, k), PrefixLaw.exact(k, probs)
+        assert list(law.mass.items()) == list(ref.mass.items())  # same masses, same order
+        assert (law.total, law.is_empirical) == (ref.total, False)
 
     @pytest.mark.parametrize("w", [BG, HALF])
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -291,8 +304,8 @@ class TestSupportClasses:
     ])
     def test_one_enumeration_per_class(self, monkeypatch, law):
         calls = []
-        enumerate_class = exchangeable.isomorphism_class
-        monkeypatch.setattr(exchangeable, "isomorphism_class",
+        enumerate_class = graphs.isomorphism_class  # called by graphs.pair_code_classes
+        monkeypatch.setattr(graphs, "isomorphism_class",
                             lambda g: calls.append(pair_bits_of(g)) or enumerate_class(g))
         classes = support_classes(law)
         assert len(calls) == len(classes) == 11  # unlabelled graphs on 4 vertices
@@ -407,6 +420,25 @@ class TestPrefixLawValidation:
     def test_exact_law_must_sum_to_one(self):
         with pytest.raises(InputError):
             PrefixLaw.exact(2, {pair_bits_of(LabelledGraph.complete(2)): Fraction(1, 2)})
+
+    @pytest.mark.parametrize("mass, total, message", [
+        ({0: 2}, 1, r"must lie in \[0,1\]"),
+        ({0: -1, 1: 2}, 1, r"must lie in \[0,1\]"),
+        ({0: 1}, 2, "must sum to exactly 1"),
+        ({0: 1, 2: 0}, 1, "pair code 2 is not a graph on 2 vertices"),
+    ])
+    def test_integer_masses_are_checked(self, mass, total, message):
+        with pytest.raises(InputError, match=message):
+            PrefixLaw(2, mass, total, False)
+
+    @pytest.mark.parametrize("probs, message", [
+        ({0: Fraction(3, 2), 1: Fraction(-1, 2)}, r"must lie in \[0,1\]"),
+        ({0: Fraction(1, 3)}, "must sum to exactly 1"),
+        ({0: Fraction(1), 3: Fraction(0)}, "pair code 3 is not a graph on 2 vertices"),  # even at mass 0
+    ])
+    def test_exact_messages(self, probs, message):
+        with pytest.raises(InputError, match=message):
+            PrefixLaw.exact(2, probs)
 
     def test_probability_checks_size(self):
         # a code names a graph on [k] only if 0 <= code < 2^(k(k-1)/2)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -16,8 +17,10 @@ from graphonlab.graphs import (
     graph_from_pair_bits,
     induced_pattern,
     is_isomorphic,
+    isomorphism_class,
     pack_rows,
     pair_bits_of,
+    pair_code_classes,
     random_relabel,
     restrict_prefix,
     sample_with_replacement,
@@ -189,10 +192,19 @@ class TestCanonical:
 class TestEnumeration:
     def test_counts_match_burnside(self):
         per_level = {1: 1}
-        for n in range(2, 7):
+        for n in range(2, 8):
             per_level[n] = len(enumerate_unlabelled(n)) - len(enumerate_unlabelled(n - 1))
-        for n in range(1, 7):
+        for n in range(1, 8):
             assert per_level[n] == burnside_class_count(n)
+        assert per_level[7] == 1044
+
+    def test_pinned_up_to_seven_vertices(self):
+        # sha256 of (n, canonical rows) of every graph, in order, as the earlier
+        # enumeration by one-vertex augmentation produced them
+        graphs = enumerate_unlabelled(7).graphs
+        digest = hashlib.sha256(repr([(g.n, g.canon.rows) for g in graphs]).encode()).hexdigest()
+        assert len(graphs) == 1252
+        assert digest == "b2f0f4c0d21d71104ff22af0c7ce4f9aade6f1b10dbe89751a55d329e2102f76"
 
     def test_known_small_counts(self):
         assert len(enumerate_unlabelled(1)) == 1
@@ -210,7 +222,7 @@ class TestEnumeration:
         assert len(set(e.graphs)) == len(e.graphs)
 
     def test_cap(self):
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError, match=r"enumeration capped at 7 vertices, got 8"):
             enumerate_unlabelled(8)
 
     def test_index_of(self):
@@ -218,6 +230,27 @@ class TestEnumeration:
         for i, g in enumerate(e.graphs):
             assert e.index_of(g) == i
         assert e.weight(0) == Fraction(1, 2)
+
+
+class TestPairCodeClasses:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_all_codes_partition_into_the_unlabelled_graphs(self, k):
+        classes = list(pair_code_classes(k, range(1 << k * (k - 1) // 2)))
+        assert len(classes) == burnside_class_count(k)
+        assert sorted(c for members in classes for c in members) == list(range(1 << k * (k - 1) // 2))
+        for members in classes:
+            assert members == isomorphism_class(graph_from_pair_bits(k, members[0]))
+            assert members[0] == min(members)  # a class first meets an increasing scan at its least code
+
+    def test_first_appearance_order_and_repeats(self):
+        # codes 1, 2, 4 are the three one-edge graphs on [3]; 7 is the triangle
+        classes = list(pair_code_classes(3, [7, 2, 1, 7, 0, 4]))
+        assert classes == [[7], isomorphism_class(graph_from_pair_bits(3, 2)), [0]]
+        assert sorted(classes[1]) == [1, 2, 4] and classes[1][0] == 2
+
+    def test_cap_names_the_size(self):
+        with pytest.raises(CapacityError, match=r"isomorphism classes capped at 7 vertices, got 8"):
+            next(pair_code_classes(8, [0]))
 
 
 class TestHelpers:
