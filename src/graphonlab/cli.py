@@ -231,7 +231,7 @@ def cmd_test_exchangeable(args) -> tuple[list[str], int]:
         if len(src.components) != 1:
             raise InputError("exact mode needs a single step-graphon source")
         law = prefix_law_exact(src.components[0][1], args.k)
-    classes = support_classes(law)
+    classes = support_classes(law) if law.classes is None else law.classes
     verdict = exchangeability_test(law, args.alpha, classes)
     lines = ["class_code,cells,count,probability"]
     # one row per class, keyed by its smallest code, in order of its smallest support code

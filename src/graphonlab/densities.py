@@ -3,8 +3,9 @@
 Every exact density is a sum over assignments of pattern vertices, which
 contract evaluates by variable elimination for kernels and hosts alike;
 host_count decides for every finite host, simple, bipartite or directed,
-and leaves to the backtracker _count_maps, on the same pair-row tables,
-the injective and induced counts and the hom counts no plan fits.
+and leaves the injective and induced counts and the hom counts no plan
+fits to _count_maps, a search over blocks of partial maps whose
+candidate sets are uint64 words packed from the same pair-row tables.
 
 Exact values are arbitrary-precision rationals (fractions.Fraction); the
 inclusion-exclusion identities and multiplicativity over disjoint unions
@@ -25,6 +26,7 @@ import numpy as np
 
 from .errors import CapacityError, InputError, InvariantError
 from .graphs import (
+    ROW_BLOCK,
     GraphEnumeration,
     LabelledGraph,
     UnlabelledGraph,
@@ -58,38 +60,120 @@ def falling(n: int, k: int) -> int:
     return out
 
 
+FRONTIER_CELLS = 1 << 15  # uint64 candidate words, and new partial maps, per block of the search
+_WORD = np.dtype("<u8")
+_ONE = np.uint64(1)
+_SWAR = [np.uint64(c) for c in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+                                0x0101010101010101, 2, 4, 56)]
+
+
+def _popcount(w: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64 word, by SWAR: numpy 1.24 has no popcount ufunc."""
+    m1, m2, m4, h01, s2, s4, s56 = _SWAR
+    w = w - ((w >> _ONE) & m1)
+    w = (w & m2) + ((w >> s2) & m2)
+    return (((w + (w >> s4)) & m4) * h01) >> s56
+
+
+def _words(row: Callable[[int], int], count: int, lo: int, width: int) -> np.ndarray:
+    """(count, width) array of words lo .. lo + width - 1 of the bitmasks
+    row(0), ..., row(count - 1), which have no bits beyond them; made in
+    strips of about ROW_BLOCK bits, so no more are held as Python ints."""
+    out = np.empty((count, width), dtype=_WORD)
+    step = max(1, ROW_BLOCK // (64 * width))
+    for a in range(0, count, step):
+        data = b"".join((row(i) >> 64 * lo).to_bytes(8 * width, "little") for i in range(a, min(a + step, count)))
+        out[a:a + step] = np.frombuffer(data, dtype=_WORD).reshape(-1, width)
+    return out
+
+
 def _count_maps(masks: Sequence[int], tables: Mapping[tuple[int, int], list], injective: bool,
                 adj: Sequence[int]) -> int:
     """Count maps phi, phi(u) in masks[u], with phi(v) in row phi(u) of
     every row table in tables[u, v]; optionally injective. The pattern
     vertices are placed in turn, each one touching as many placed ones in
-    adj (symmetric bitmask rows) as it can, so candidate sets stay tight."""
+    adj (symmetric bitmask rows) as it can, so candidate sets stay tight.
+
+    The search is breadth-first over blocks of partial maps, each an
+    (F, d) array of the host vertices given to the first d placed, and
+    depth-first across blocks. The candidates for the next vertex u are
+    a row of uint64 words per partial map over the words masks[u] spans:
+    one packed row per placed neighbour v, ANDed, or masks[u] when none
+    is placed. Row x of a pair's block is the AND of its tables' rows x
+    and masks[u], less x itself in an injective count, over the x in
+    masks[v]; it is packed once per call, and once for all pairs with the
+    same tables and masks. An injective count then clears the bits of the
+    placed vertices that are not neighbours. The last vertex's candidates
+    are only counted, into a Python int; any other's are unpacked into
+    the next block, cut so that no block holds more than FRONTIER_CELLS
+    candidate words, nor new partial maps beyond FRONTIER_CELLS and one
+    row's."""
     k, order, placed = len(masks), [], 0
     for _ in range(k):
         best = max((v for v in range(k) if not placed >> v & 1),
                    key=lambda v: ((adj[v] & placed).bit_count(), adj[v].bit_count(), -v))
         order.append(best)
         placed |= 1 << best
-    steps = [(masks[u], [(e, table) for e, v in enumerate(order[:d]) for table in tables.get((v, u), ())])
-             for d, u in enumerate(order)]
-    assigned = [0] * k
+    if not all(masks):
+        return 0
+    n = max(m.bit_length() for m in masks)
+    doms = {m: np.arange(n) if m == (1 << n) - 1 else np.flatnonzero(unpack_rows([m], n)[0])
+            for m in set(masks)}
+    blocks, steps = {}, []
+    for d, u in enumerate(order):
+        lo = ((masks[u] & -masks[u]).bit_length() - 1) >> 6
+        width = ((masks[u].bit_length() + 63) >> 6) - lo
+        checks = []
+        for e, v in enumerate(order[:d]):
+            if (v, u) in tables:
+                key = tuple(map(id, tables[v, u])), masks[v], masks[u]
+                if key not in blocks:
+                    dom, at = doms[masks[v]].tolist(), None
+                    if len(dom) < n:  # the row of each host vertex in the block
+                        at = np.zeros(n, dtype=np.intp)
+                        at[dom] = np.arange(len(dom))
+                    # row i: the tables' rows dom[i] AND masks[u], less dom[i] itself when injective
+                    blocks[key] = _words(lambda i: functools.reduce(
+                        operator.and_, (t[dom[i]] for t in tables[v, u]),
+                        masks[u] & ~(injective << dom[i])), len(dom), lo, width), at
+                checks.append((e, *blocks[key]))
+        clears = [e for e, v in enumerate(order[:d]) if injective and masks[v] & masks[u] and (v, u) not in tables]
+        steps.append((lo, width, checks, clears, None if checks else _words(lambda _: masks[u], 1, lo, width)))
 
-    def rec(d: int, free: int) -> int:
-        mask, checks = steps[d]
-        cand = mask & free
-        for e, table in checks:
-            cand &= table[assigned[e]]
-        if d == k - 1:
-            return cand.bit_count()
-        total = 0
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            assigned[d] = low.bit_length() - 1
-            total += rec(d + 1, free ^ low if injective else free)
+    def level(maps: np.ndarray, d: int) -> int:
+        lo, width, checks, clears, mask = steps[d]
+        total, step = 0, max(1, FRONTIER_CELLS // width)
+        for a in range(0, len(maps), step):
+            part = maps[a:a + step]
+            cand = None
+            for e, block, at in checks:
+                got = block[part[:, e] if at is None else at[part[:, e]]]
+                cand = got if cand is None else np.bitwise_and(cand, got, out=cand)
+            if cand is None:
+                cand = np.repeat(mask, len(part), axis=0)
+            if clears:
+                pos = part[:, clears] - 64 * lo
+                row, col = np.nonzero((pos >= 0) & (pos < 64 * width))
+                p = pos[row, col]
+                np.bitwise_and.at(cand, (row, p >> 6), ~(_ONE << (p & 63).astype(_WORD)))
+            if d == k - 1:
+                total += int(_popcount(cand).sum())
+                continue
+            cuts = [0, len(part)]
+            if len(part) * width * 64 > FRONTIER_CELLS:  # cut where the new maps pass a multiple
+                ends = np.cumsum(_popcount(cand).sum(axis=1)) // FRONTIER_CELLS
+                cuts[1:1] = (np.flatnonzero(np.diff(ends)) + 1).tolist()
+            for s, t in zip(cuts, cuts[1:]):
+                r, w = np.nonzero(cand[s:t])
+                j = np.flatnonzero(np.unpackbits(cand[s:t][r, w].view(np.uint8), bitorder="little"))
+                grown = np.empty((len(j), d + 1), dtype=np.intp)
+                grown[:, :d] = part[s:t][r[j >> 6]]
+                grown[:, d] = (w[j >> 6] + lo) * 64 + (j & 63)
+                total += level(grown, d + 1)
         return total
 
-    return rec(0, functools.reduce(operator.or_, masks))
+    first = doms[masks[order[0]]]
+    return len(first) if k == 1 else level(first[:, None], 1)
 
 
 def _bits(mask: int) -> list[int]:
@@ -262,7 +346,9 @@ def host_count(
     and both arcs agree), their complements for non-arcs when induced. A
     hom count is contracted when a plan fits, over the host vertices each
     mask allows, each block the AND of a pair's tables over the smaller
-    domain's rows; any other count is searched by _count_maps."""
+    domain's rows; any other count is searched by _count_maps, which packs
+    each pair's tables into uint64 words over the placed vertex's domain
+    rows and the words the other vertex's mask spans."""
     k, n, full = len(prows), len(hout), (1 << len(hout)) - 1
     nout = nin = None
     if induced:

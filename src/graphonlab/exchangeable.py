@@ -10,7 +10,7 @@ structural properties of the infinite law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, Collection, KeysView, Mapping, Sequence, Union
@@ -39,13 +39,18 @@ class PrefixLaw:
 
     Each code carries an integer mass over one common `total`: the least
     common denominator of an exact law, the sample count of an empirical
-    one. Codes absent from `mass` have probability 0.
+    one. Codes absent from `mass` have probability 0. A law built class
+    by class (prefix_law_exact) keeps the classes that meet its support
+    in `classes`, as support_classes lists them: its support holds each
+    class's members together, the code the class was found from first,
+    in the order the classes were found.
     """
 
     k: int
     mass: dict[int, int]
     total: int
     is_empirical: bool
+    classes: tuple[list[int], ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         """Every code names a graph on [k]; an exact law's masses lie in
@@ -89,7 +94,8 @@ def _check_codes(k: int, codes: Collection[int]) -> None:
 def prefix_law_exact(w: StepGraphon, k: int) -> PrefixLaw:
     """Exact law of the k-prefix of the W-random graph. The law is constant
     on isomorphism classes, so each class gets one exact_ind_density, and
-    each member its class's integer mass over one common denominator."""
+    each member its class's integer mass over one common denominator; the
+    law keeps the classes of non-zero mass, so none is enumerated again."""
     if k < 1:
         raise InputError("k must be >= 1")
     npairs = k * (k - 1) // 2
@@ -102,7 +108,7 @@ def prefix_law_exact(w: StepGraphon, k: int) -> PrefixLaw:
     for members, p in classes:
         if p:
             mass.update(dict.fromkeys(members, p.numerator * (total // p.denominator)))
-    return PrefixLaw(k, mass, total, False)
+    return PrefixLaw(k, mass, total, False, tuple(members for members, p in classes if p))
 
 
 Part = Union[StepGraphon, GeneralGraphon, Callable[[int, np.random.Generator], LabelledGraph]]

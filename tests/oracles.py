@@ -2,12 +2,17 @@
 
 Everything here enumerates the defining sample space directly (all
 vertex sequences, all subset pairs, all permutations) and never calls
-the library code paths it is used to check.
+the library code paths it is used to check. The one exception is
+reference_count_maps, the recursive bitset search that
+densities._count_maps replaced: it takes the same pair-row tables, so a
+test can swap it in behind densities.host_count.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from graphonlab.graphs import LabelledGraph
@@ -162,6 +167,39 @@ def brute_masked_count(prows, hrows, masks, injective: bool = False, induced: bo
         hits += (not injective or len(set(phi)) == k) and all(
             got == want if induced else got or not want for got, want in cells)
     return hits
+
+
+def reference_count_maps(masks, tables, injective: bool, adj) -> int:
+    """densities._count_maps by one recursive call per partial map: maps
+    phi, phi(u) in masks[u], with phi(v) in row phi(u) of every row table
+    in tables[u, v], optionally injective, over the same vertex order
+    (each next vertex touching as many placed ones in adj as it can)."""
+    k, order, placed = len(masks), [], 0
+    for _ in range(k):
+        best = max((v for v in range(k) if not placed >> v & 1),
+                   key=lambda v: ((adj[v] & placed).bit_count(), adj[v].bit_count(), -v))
+        order.append(best)
+        placed |= 1 << best
+    steps = [(masks[u], [(e, table) for e, v in enumerate(order[:d]) for table in tables.get((v, u), ())])
+             for d, u in enumerate(order)]
+    assigned = [0] * k
+
+    def rec(d: int, free: int) -> int:
+        mask, checks = steps[d]
+        cand = mask & free
+        for e, table in checks:
+            cand &= table[assigned[e]]
+        if d == k - 1:
+            return cand.bit_count()
+        total = 0
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            assigned[d] = low.bit_length() - 1
+            total += rec(d + 1, free ^ low if injective else free)
+        return total
+
+    return rec(0, functools.reduce(operator.or_, masks))
 
 
 def brute_kernel_sum(f: LabelledGraph, mu, w, induced: bool = False) -> Fraction:

@@ -1,6 +1,6 @@
 """The contraction engine and its planner.
 
-contract is checked against the bitset backtracker (host_count with no
+contract is checked against the frontier search (host_count with no
 plan, so it contracts nothing) and the brute-force oracles, for patterns
 up to 6 vertices and hosts up to 12, on simple, bipartite and directed
 hosts and kernels, and host_count, which contracts over the host vertices

@@ -318,6 +318,18 @@ class TestSupportClasses:
         assert exchangeability_test(law, 0.01, classes) == exchangeability_test(law, 0.01)
         assert len(calls) == len(classes)
 
+    @pytest.mark.parametrize("w, k", [
+        (BG, 4), (HALF, 5), (StepGraphon.constant(Fraction(0)), 4), (StepGraphon.constant(Fraction(1)), 3),
+        (boys_girls(Fraction(1, 3), 0, 0, Fraction(1, 2)), 4),
+    ])
+    def test_an_exact_law_keeps_its_support_classes(self, w, k):
+        """prefix_law_exact keeps the classes of non-zero mass, in the order
+        support_classes enumerates them again; zero-mass classes (all but
+        one under a constant 0 or 1 kernel, the non-bipartite graphs under
+        a bipartite one) are left out."""
+        law = prefix_law_exact(w, k)
+        assert list(law.classes) == support_classes(law)
+
 
 class TestExtremality:
     def test_fair_kernel_consistent(self):

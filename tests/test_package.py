@@ -7,6 +7,7 @@ fresh child, where no submodule has been imported yet.
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -103,3 +104,10 @@ def test_each_name_is_its_home_module_object():
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         graphonlab.no_such_name  # noqa: B018
+
+
+def test_no_module_needs_numpy_2():
+    """pyproject promises numpy >= 1.24, which the CI numpy-floor job
+    installs; np.bitwise_count came only in numpy 2.0."""
+    src = Path(graphonlab.__file__).parent
+    assert [p.name for p in sorted(src.glob("*.py")) if "bitwise_count" in p.read_text()] == []
