@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import CapacityError, InputError, InvariantError
 from .graphs import (
-    ROW_BLOCK,
+    WORD,
     GraphEnumeration,
     LabelledGraph,
     UnlabelledGraph,
@@ -34,6 +34,7 @@ from .graphs import (
     graph_from_pair_bits,
     pair_bits_of,
     pair_order,
+    row_words,
     unpack_rows,
 )
 
@@ -61,7 +62,6 @@ def falling(n: int, k: int) -> int:
 
 
 FRONTIER_CELLS = 1 << 15  # uint64 candidate words, and new partial maps, per block of the search
-_WORD = np.dtype("<u8")
 _ONE = np.uint64(1)
 _SWAR = [np.uint64(c) for c in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
                                 0x0101010101010101, 2, 4, 56)]
@@ -73,18 +73,6 @@ def _popcount(w: np.ndarray) -> np.ndarray:
     w = w - ((w >> _ONE) & m1)
     w = (w & m2) + ((w >> s2) & m2)
     return (((w + (w >> s4)) & m4) * h01) >> s56
-
-
-def _words(row: Callable[[int], int], count: int, lo: int, width: int) -> np.ndarray:
-    """(count, width) array of words lo .. lo + width - 1 of the bitmasks
-    row(0), ..., row(count - 1), which have no bits beyond them; made in
-    strips of about ROW_BLOCK bits, so no more are held as Python ints."""
-    out = np.empty((count, width), dtype=_WORD)
-    step = max(1, ROW_BLOCK // (64 * width))
-    for a in range(0, count, step):
-        data = b"".join((row(i) >> 64 * lo).to_bytes(8 * width, "little") for i in range(a, min(a + step, count)))
-        out[a:a + step] = np.frombuffer(data, dtype=_WORD).reshape(-1, width)
-    return out
 
 
 def _count_maps(masks: Sequence[int], tables: Mapping[tuple[int, int], list], injective: bool,
@@ -101,13 +89,13 @@ def _count_maps(masks: Sequence[int], tables: Mapping[tuple[int, int], list], in
     one packed row per placed neighbour v, ANDed, or masks[u] when none
     is placed. Row x of a pair's block is the AND of its tables' rows x
     and masks[u], less x itself in an injective count, over the x in
-    masks[v]; it is packed once per call, and once for all pairs with the
-    same tables and masks. An injective count then clears the bits of the
-    placed vertices that are not neighbours. The last vertex's candidates
-    are only counted, into a Python int; any other's are unpacked into
-    the next block, cut so that no block holds more than FRONTIER_CELLS
-    candidate words, nor new partial maps beyond FRONTIER_CELLS and one
-    row's."""
+    masks[v]; graphs.row_words packs it once per call, and once for all
+    pairs with the same tables and masks. An injective count then clears
+    the bits of the placed vertices that are not neighbours. The last
+    vertex's candidates are only counted, into a Python int; any other's
+    are unpacked into the next block, cut so that no block holds more
+    than FRONTIER_CELLS candidate words, nor new partial maps beyond
+    FRONTIER_CELLS and one row's."""
     k, order, placed = len(masks), [], 0
     for _ in range(k):
         best = max((v for v in range(k) if not placed >> v & 1),
@@ -133,12 +121,12 @@ def _count_maps(masks: Sequence[int], tables: Mapping[tuple[int, int], list], in
                         at = np.zeros(n, dtype=np.intp)
                         at[dom] = np.arange(len(dom))
                     # row i: the tables' rows dom[i] AND masks[u], less dom[i] itself when injective
-                    blocks[key] = _words(lambda i: functools.reduce(
+                    blocks[key] = row_words(lambda i: functools.reduce(
                         operator.and_, (t[dom[i]] for t in tables[v, u]),
                         masks[u] & ~(injective << dom[i])), len(dom), lo, width), at
                 checks.append((e, *blocks[key]))
         clears = [e for e, v in enumerate(order[:d]) if injective and masks[v] & masks[u] and (v, u) not in tables]
-        steps.append((lo, width, checks, clears, None if checks else _words(lambda _: masks[u], 1, lo, width)))
+        steps.append((lo, width, checks, clears, None if checks else row_words(lambda _: masks[u], 1, lo, width)))
 
     def level(maps: np.ndarray, d: int) -> int:
         lo, width, checks, clears, mask = steps[d]
@@ -155,7 +143,7 @@ def _count_maps(masks: Sequence[int], tables: Mapping[tuple[int, int], list], in
                 pos = part[:, clears] - 64 * lo
                 row, col = np.nonzero((pos >= 0) & (pos < 64 * width))
                 p = pos[row, col]
-                np.bitwise_and.at(cand, (row, p >> 6), ~(_ONE << (p & 63).astype(_WORD)))
+                np.bitwise_and.at(cand, (row, p >> 6), ~(_ONE << (p & 63).astype(WORD)))
             if d == k - 1:
                 total += int(_popcount(cand).sum())
                 continue
@@ -343,7 +331,8 @@ def host_count(
     Per ordered pattern pair (u, v), tables[u, v] lists the row tables
     whose row i holds the host vertices allowed for phi(v) when phi(u) = i:
     hout for an arc u->v, hin for an arc v->u (left out when hin is hout
-    and both arcs agree), their complements for non-arcs when induced. A
+    and both arcs agree), their complements for non-arcs when induced,
+    built only when some ordered pattern pair is a non-arc. A
     hom count is contracted when a plan fits, over the host vertices each
     mask allows, each block the AND of a pair's tables over the smaller
     domain's rows; any other count is searched by _count_maps, which packs
@@ -351,7 +340,7 @@ def host_count(
     rows and the words the other vertex's mask spans."""
     k, n, full = len(prows), len(hout), (1 << len(hout)) - 1
     nout = nin = None
-    if induced:
+    if induced and any(r | 1 << u != (1 << k) - 1 for u, r in enumerate(prows)):
         nout = [full ^ r for r in hout]
         nin = nout if hin is hout else [full ^ r for r in hin]
     tables = {}
@@ -497,14 +486,15 @@ class DensityEstimate:
 
 
 def mc_containment_hits(f: GraphLike, g: LabelledGraph, count: int, rng: np.random.Generator) -> int:
-    """Number of uniform with-replacement k-samples whose pattern contains f."""
+    """Number of uniform with-replacement k-samples whose pattern contains f;
+    pair (vi, vj) is an edge iff bit vj & 63 of g.words[vi, vj >> 6] is set."""
     f = _as_labelled(f)
-    a = g.adjacency
+    words = g.words
     draws = rng.integers(0, g.n, size=(count, f.n))
     ok = np.ones(count, dtype=bool)
     for u, v in f.edges():
         vi, vj = draws[:, u - 1], draws[:, v - 1]
-        ok &= (vi != vj) & a[vi, vj]
+        ok &= (vi != vj) & (words[vi, vj >> 6] >> (vj & 63).astype(WORD) & _ONE).astype(bool)
     return int(ok.sum())
 
 

@@ -8,6 +8,7 @@ All graph values are immutable and hashable.
 
 The edge-list files of simple, bipartite and directed graphs share one
 core here: edge_rows checks and packs an edge array, row_edges undoes it.
+row_words is the one packer of rows into numpy words, for every reader.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ CANON_CAP = 10
 CLASS_CAP = 7  # class scans and the enumeration relabel by all k! permutations
 HOST_CAP = 1 << 16  # vertices per part of a host graph, read or sampled
 ROW_BLOCK = 1 << 20  # cells of the boolean strip that rows are packed from or unpacked to
+WORD = np.dtype("<u8")  # the word of packed rows; bit j of word w is column 64 w + j
 
 
 def pair_order(k: int) -> list[tuple[int, int]]:
@@ -81,11 +83,11 @@ class LabelledGraph:
         return [(u, v) for u, v in row_bits(self.rows) if u < v]
 
     @cached_property
-    def adjacency(self) -> np.ndarray:
-        """Read-only boolean adjacency matrix, unpacked once and shared."""
-        a = unpack_rows(self.rows, self.n)
-        a.flags.writeable = False
-        return a
+    def words(self) -> np.ndarray:
+        """Read-only row_words of the rows, n^2/8 bytes, packed once and shared."""
+        w = row_words(self.rows.__getitem__, self.n, 0, (self.n + 63) >> 6)
+        w.flags.writeable = False
+        return w
 
     @property
     def num_edges(self) -> int:
@@ -399,12 +401,22 @@ def pack_rows(a: np.ndarray) -> tuple[int, ...]:
     return tuple(int.from_bytes(data[i * width:(i + 1) * width], "little") for i in range(len(a)))
 
 
+def row_words(row: Callable[[int], int], count: int, lo: int, width: int) -> np.ndarray:
+    """(count, width) WORD array of words lo .. lo + width - 1 of the bitmasks
+    row(0), ..., row(count - 1), which have no bits beyond them: the one place
+    rows become numpy, in strips of about ROW_BLOCK bits held as bytes."""
+    out = np.empty((count, width), dtype=WORD)
+    step = max(1, ROW_BLOCK // (64 * width or 1))
+    for a in range(0, count, step):
+        data = b"".join((row(i) >> 64 * lo).to_bytes(8 * width, "little") for i in range(a, min(a + step, count)))
+        out[a:a + step] = np.frombuffer(data, dtype=WORD).reshape(min(step, count - a), width)
+    return out
+
+
 def unpack_rows(rows: Sequence[int], width: int) -> np.ndarray:
     """Boolean matrix (len(rows), width) of bitmask rows: the inverse of pack_rows."""
-    nbytes = (width + 7) // 8
-    data = np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows), dtype=np.uint8)
-    bits = np.unpackbits(data.reshape(len(rows), nbytes), axis=1, bitorder="little")
-    return bits[:, :width].view(bool)
+    words = row_words(rows.__getitem__, len(rows), 0, (width + 63) >> 6)
+    return np.unpackbits(words.view(np.uint8), axis=1, count=width, bitorder="little").view(bool)
 
 
 def row_bits(rows: Sequence[int]) -> list[tuple[int, int]]:
@@ -422,18 +434,16 @@ def row_bits(rows: Sequence[int]) -> list[tuple[int, int]]:
 def row_edges(rows: Sequence[int], width: int) -> np.ndarray:
     """(m, 2) int64 array of 1-based (i, j), one per set bit j-1 of
     rows[i-1], in row-major order: the inverse of edge_rows. Non-empty rows
-    are read as bytes one strip of about ROW_BLOCK cells at a time, and only
-    the non-zero bytes are unpacked, so sparse rows cost O(edges) cells."""
-    nbytes = (width + 7) // 8
+    are read as row_words one strip of about ROW_BLOCK cells at a time, and
+    only their non-zero bytes are unpacked, so sparse rows cost O(edges) cells."""
     busy = np.flatnonzero(np.fromiter(map(bool, rows), dtype=bool, count=len(rows)))
     step = max(1, ROW_BLOCK // width)
     parts = [np.empty((0, 2), dtype=np.int64)]
     for a in range(0, len(busy), step):
         idx = busy[a:a + step]
-        data = np.frombuffer(b"".join(rows[k].to_bytes(nbytes, "little") for k in idx), dtype=np.uint8)
-        at = np.flatnonzero(data)  # non-zero bytes, row-major
-        i, j = np.divmod(at, nbytes)
-        bit = np.flatnonzero(np.unpackbits(data[at], bitorder="little"))
+        data = row_words(lambda i: rows[idx[i]], len(idx), 0, (width + 63) >> 6).view(np.uint8)
+        i, j = np.nonzero(data)  # non-zero bytes, row-major
+        bit = np.flatnonzero(np.unpackbits(data[i, j], bitorder="little"))
         byte = bit >> 3
         parts.append(np.column_stack([idx[i[byte]] + 1, j[byte] * 8 + (bit & 7) + 1]))
     return np.concatenate(parts)

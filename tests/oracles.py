@@ -62,6 +62,12 @@ def brute_t_ind(f: LabelledGraph, g: LabelledGraph) -> Fraction:
     return Fraction(hits, total)
 
 
+def brute_containment_hits(f: LabelledGraph, g: LabelledGraph, draws) -> int:
+    """Rows of draws (0-based host vertices, one column per pattern vertex)
+    under which every edge of f lands on an edge of g, by g.has_edge."""
+    return sum(all(g.has_edge(int(d[u - 1]) + 1, int(d[v - 1]) + 1) for u, v in f.edges()) for d in draws)
+
+
 def exact_sample_law(g: LabelledGraph, k: int) -> dict[tuple[int, ...], Fraction]:
     """Law of the with-replacement k-sample pattern, keyed by row tuples."""
     from graphonlab.graphs import induced_pattern

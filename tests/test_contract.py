@@ -18,13 +18,14 @@ from hypothesis import given, settings, strategies as st
 
 from graphonlab import densities
 from graphonlab.bipartite import BipartiteGraph, BipartiteKernel, _as_one_graph, _bip_count, bip_exact_ind_density, bip_t
-from graphonlab.densities import PLAN_BUDGET, contract, host_count, plan, t
+from graphonlab.densities import PLAN_BUDGET, contract, host_count, mc_containment_hits, plan, t, t_ind, t_inj
 from graphonlab.directed import DirectedGraph, directed_t
 from graphonlab.graphon import StepGraphon, exact_density, exact_ind_density
 from graphonlab.graphs import LabelledGraph, column_rows, unpack_rows
+from graphonlab.rng import stream
 
-from oracles import (brute_bip, brute_bip_kernel_sum, brute_directed, brute_kernel_sum, brute_masked_count,
-                     brute_t)
+from oracles import (brute_bip, brute_bip_kernel_sum, brute_containment_hits, brute_directed, brute_kernel_sum,
+                     brute_masked_count, brute_t)
 from test_engines import bipartite_graphs, directed_graphs, measures, simple_graphs
 
 BIG = 10**12 + 39  # a prime: scaled products of a few such values leave int64
@@ -250,6 +251,35 @@ def test_bipartite_star_on_a_sparse_host_makes_no_n1_by_n2_matrix():
     assert peak < n1 * n2 // 2
     degrees = np.bincount(edges[:, 0], minlength=n1)
     assert value == Fraction(int(degrees @ degrees), n1 * n2**2)
+
+
+def _sparse_simple_host(seed: int) -> LabelledGraph:
+    """About 30,000 uniform edges on 10,000 vertices."""
+    rng = np.random.default_rng(seed)
+    n = 10_000
+    edges = np.unique(np.sort(rng.integers(0, n, size=(3 * n, 2)), axis=1), axis=0)
+    return LabelledGraph.from_edges(n, (edges[edges[:, 0] != edges[:, 1]] + 1).tolist())
+
+
+def test_mc_on_a_sparse_host_makes_no_n_by_n_matrix():
+    """Monte Carlo edge hits on a sparse 10,000-vertex host: each sampled
+    pair is looked up in the graph's packed words, n^2/8 bytes, so the
+    traced peak stays below half the n x n boolean matrix (107 MB when
+    the lookup read that matrix)."""
+    g, f = _sparse_simple_host(23), LabelledGraph.complete(2)
+    hits, peak = _traced_peak(mc_containment_hits, f, g, 100_000, stream(5))
+    assert peak < g.n**2 // 2
+    assert hits == brute_containment_hits(f, g, stream(5).integers(0, g.n, size=(100_000, 2))) > 0
+
+
+def test_induced_triangles_on_a_sparse_host_build_no_complements():
+    """t_ind(K3) on a sparse 10,000-vertex host: every pattern pair is an
+    edge, so no table of complemented n-bit rows is built, and the traced
+    peak stays under 20 MB (27 MB with the complements, 14 MB without)."""
+    g, f = _sparse_simple_host(23), LabelledGraph.complete(3)
+    value, peak = _traced_peak(t_ind, f, g)
+    assert peak < 20 * 2**20
+    assert value == t_inj(f, g) > 0
 
 
 @st.composite

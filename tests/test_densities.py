@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +11,7 @@ from graphonlab.densities import (
     hoeffding_halfwidth,
     ind_from_inj,
     inj_from_ind,
+    mc_containment_hits,
     mc_t,
     metric_d,
     sampling_bound_check,
@@ -21,11 +23,12 @@ from graphonlab.densities import (
     tau_vector,
 )
 from graphonlab.errors import CapacityError, InputError
-from graphonlab.graphs import LabelledGraph, canonicalize, enumerate_unlabelled
+from graphonlab.graphs import LabelledGraph, canonicalize, enumerate_unlabelled, graph_from_bool_matrix
 from graphonlab.rng import stream
 
 from conftest import all_labelled_graphs
-from oracles import brute_t, brute_t_ind, brute_t_inj
+from oracles import brute_containment_hits, brute_t, brute_t_ind, brute_t_inj
+from test_engines import simple_graphs
 
 
 class TestExactValues:
@@ -185,6 +188,18 @@ class TestMonteCarlo:
             if mc_t(edge, p3, 4000, stream(s)).covers(exact):
                 covered += 1
         assert covered >= 45
+
+    @given(simple_graphs(4), st.sampled_from([1, 2, 63, 64, 65, 129, 200]), st.sampled_from([0.1, 0.5, 0.9]),
+           st.integers(0, 2**32 - 1), st.integers(1, 400))
+    @settings(max_examples=60, deadline=None)
+    def test_hits_are_the_oracle_on_replayed_draws(self, f, n, p, seed, count):
+        """mc_containment_hits counts the draws of its stream, replayed,
+        whose pairs are all host edges: hosts whose rows end before, at and
+        past a word, so the looked-up pairs cross words."""
+        a = np.triu(stream(seed).random((n, n)) < p, 1)
+        g = graph_from_bool_matrix(a | a.T)
+        draws = stream(seed, 1).integers(0, n, size=(count, f.n))
+        assert mc_containment_hits(f, g, count, stream(seed, 1)) == brute_containment_hits(f, g, draws)
 
 
 class TestEmbeddings:

@@ -280,7 +280,7 @@ class TestHelpers:
             for j in range(7):
                 assert g.has_edge(i + 1, j + 1) == bool(a[i, j])
 
-    @pytest.mark.parametrize("shape", [(3, 0), (0, 5), (4, 9)])
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 5), (4, 9), (2, 63), (2, 64), (2, 65), (3, 129)])
     def test_pack_rows_roundtrip(self, shape):
         a = stream(4).random(shape) < 0.5
         rows = pack_rows(a)

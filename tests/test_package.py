@@ -4,6 +4,7 @@ lives, and that a star import binds them all.
 `graphonlab/__init__.py` resolves its names lazily, so the checks run in a
 fresh child, where no submodule has been imported yet.
 """
+import ast
 import json
 import subprocess
 import sys
@@ -111,3 +112,19 @@ def test_no_module_needs_numpy_2():
     installs; np.bitwise_count came only in numpy 2.0."""
     src = Path(graphonlab.__file__).parent
     assert [p.name for p in sorted(src.glob("*.py")) if "bitwise_count" in p.read_text()] == []
+
+
+def test_rows_become_bytes_in_one_function():
+    """graphs.row_words is the one packer from bitmask rows to numpy, so
+    the row format is written once: `.to_bytes(` occurs in no other
+    function of the package."""
+    owners = set()
+    for path in sorted(Path(graphonlab.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        funcs = [f for f in ast.walk(ast.parse(text)) if isinstance(f, ast.FunctionDef)]
+        for at, line in enumerate(text.splitlines(), 1):
+            if ".to_bytes(" in line:  # the innermost function holding the line
+                inner = min((f for f in funcs if f.lineno <= at <= f.end_lineno), key=lambda f: f.end_lineno - f.lineno,
+                            default=None)
+                owners.add(f"{path.stem}.{inner.name if inner else '<module>'}")
+    assert owners == {"graphs.row_words"}

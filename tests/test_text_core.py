@@ -13,7 +13,7 @@ from graphonlab.bipartite import BipartiteGraph, BipartiteKernel
 from graphonlab.directed import DirectedGraph, DirectedKernelQuintuple
 from graphonlab.errors import InputError
 from graphonlab.graphon import StepGraphon
-from graphonlab.graphs import LabelledGraph, column_rows, pack_rows, row_bits, row_edges, unpack_rows
+from graphonlab.graphs import LabelledGraph, column_rows, pack_rows, row_bits, row_edges, row_words, unpack_rows
 
 
 @st.composite
@@ -86,18 +86,33 @@ def test_column_rows_is_the_transpose(n, width, data):
     assert column_rows(rows, width) == pack_rows(unpack_rows(rows, width).T)
 
 
-@given(st.integers(0, 12), st.integers(1, 80), st.integers(1, 300), st.data())
+@given(st.integers(0, 12), st.integers(1, 200), st.integers(1, 300), st.data())
 @settings(max_examples=80, deadline=None)
 def test_row_edges_is_the_bit_loop(n, width, block, data):
     """row_edges gives the edges of the pure-Python row_bits, in its order:
-    widths off a multiple of 8, rows with no edges, and (with ROW_BLOCK
-    made small) rows split over several strips included."""
+    widths off a multiple of 8 and of 64, rows of several words, rows with
+    no edges, and (with ROW_BLOCK made small) rows split over several
+    strips included."""
     rows = data.draw(st.lists(st.just(0) | st.integers(0, (1 << width) - 1), min_size=n, max_size=n))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("graphonlab.graphs.ROW_BLOCK", block)
         got = row_edges(rows, width)
     assert got.dtype == np.int64 and got.shape == (len(got), 2)
     assert got.tolist() == [list(e) for e in row_bits(rows)]
+
+
+@given(st.integers(0, 12), st.integers(1, 3), st.integers(0, 3), st.integers(1, 300), st.data())
+@settings(max_examples=60, deadline=None)
+def test_row_words_at_a_word_offset_are_python_shifts(n, lo, width, block, data):
+    """Word w of row i of row_words(row, n, lo, width) is row(i) >> 64 (lo
+    + w) masked to 64 bits, for rows with bits in and below those words,
+    none above; strips of a small ROW_BLOCK and width 0 included."""
+    rows = data.draw(st.lists(st.integers(0, (1 << 64 * (lo + width)) - 1), min_size=n, max_size=n))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("graphonlab.graphs.ROW_BLOCK", block)
+        got = row_words(rows.__getitem__, n, lo, width)
+    assert got.dtype == np.dtype("<u8") and got.shape == (n, width)
+    assert got.tolist() == [[r >> 64 * (lo + w) & (1 << 64) - 1 for w in range(width)] for r in rows]
 
 
 def test_many_vertices_without_edges():
