@@ -385,6 +385,13 @@ def main(argv: Sequence[str] | None = None) -> int:
 
             args.threads = thread_count(args.threads)
         lines, code = args.fn(args)
+        text = "\n".join(lines) + "\n"
+        if args.output:
+            try:
+                with open(args.output, "w", encoding="ascii", newline="\n") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise InputError(f"cannot write {args.output}: {exc.strerror or exc}") from None
     except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -398,11 +405,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
-    else:
+    if not args.output:
         sys.stdout.write(text)
     return code
 

@@ -1,5 +1,6 @@
-"""Simple labelled/unlabelled graphs, canonical forms, vertex sampling,
-pair-code isomorphism classes and the enumeration of unlabelled graphs built on them.
+"""Simple labelled/unlabelled graphs, vertex sampling, pair-code isomorphism
+classes, canonical forms and the enumeration of unlabelled graphs, all read
+from one table of relabellings.
 
 Vertices are labelled 1..n at the API surface. Internally each graph
 stores one bitmask row per vertex (bit j-1 of rows[i-1] set iff i~j),
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import CapacityError, InputError
 from .exact import content_lines, parse_line, read_text
 
-CANON_CAP = 10
+CANON_CAP = 8  # the largest simple pattern; its (8!, 28) relabelling table is 9 MB
 CLASS_CAP = 7  # class scans and the enumeration relabel by all k! permutations
 HOST_CAP = 1 << 16  # vertices per part of a host graph, read or sampled
 ROW_BLOCK = 1 << 20  # cells of the boolean strip that rows are packed from or unpacked to
@@ -107,7 +108,7 @@ class LabelledGraph:
     def code(self) -> tuple[int, ...]:
         """Adjacency code in identity order: chunk j holds the bits towards
         vertices 1..j of vertex j+1, earliest vertex most significant."""
-        return _code_for_order(self.rows, range(self.n))
+        return tuple(sum((self.rows[u] >> v & 1) << v - 1 - u for u in range(v)) for v in range(1, self.n))
 
     def to_text(self) -> str:
         return rows_text(str(self.n), self.rows, self.n, True)
@@ -116,18 +117,6 @@ class LabelledGraph:
     def from_text(cls, text: str) -> "LabelledGraph":
         (n, _), rows = text_rows(text, "'n m' header", 2, True)
         return cls(n, rows)
-
-
-def _code_for_order(rows: Sequence[int], order: Iterable[int]) -> tuple[int, ...]:
-    order = list(order)
-    chunks = []
-    for d in range(1, len(order)):
-        v = order[d]
-        bits = 0
-        for u in order[:d]:
-            bits = bits << 1 | (rows[u] >> v & 1)
-        chunks.append(bits)
-    return tuple(chunks)
 
 
 def induced_pattern(g: LabelledGraph, verts: Sequence[int]) -> LabelledGraph:
@@ -174,55 +163,6 @@ def random_relabel(g: LabelledGraph, rng: np.random.Generator) -> LabelledGraph:
     return g.permuted(perm)
 
 
-def _twins(rows: Sequence[int], u: int, v: int) -> bool:
-    # identical neighbourhoods outside {u, v}: swapping u,v is an automorphism
-    mask = ~((1 << u) | (1 << v))
-    return (rows[u] ^ rows[v]) & mask == 0
-
-
-def _min_code_order(rows: tuple[int, ...]) -> list[int]:
-    """Vertex order minimising the adjacency code, by branch and bound."""
-    n = len(rows)
-    best_code: list[int] | None = None
-    best_order: list[int] | None = None
-
-    def rec(order: list[int], code: list[int], used: int) -> None:
-        nonlocal best_code, best_order
-        depth = len(order)
-        if depth == n:
-            if best_code is None or code < best_code:
-                best_code = list(code)
-                best_order = list(order)
-            return
-        cands = []
-        for v in range(n):
-            if used >> v & 1:
-                continue
-            bits = 0
-            for u in order:
-                bits = bits << 1 | (rows[u] >> v & 1)
-            cands.append((bits, v))
-        cands.sort()
-        kept: list[tuple[int, int]] = []
-        for bits, v in cands:
-            if any(b == bits and _twins(rows, u, v) for b, u in kept):
-                continue
-            kept.append((bits, v))
-        for bits, v in kept:
-            code.append(bits)
-            if best_code is not None and code > best_code[: depth + 1]:
-                code.pop()
-                break  # candidates are sorted; everything later is larger too
-            order.append(v)
-            rec(order, code, used | 1 << v)
-            order.pop()
-            code.pop()
-
-    rec([], [], 0)
-    assert best_order is not None
-    return best_order
-
-
 @dataclass(frozen=True)
 class UnlabelledGraph:
     """Isomorphism class, represented by its canonical labelled form."""
@@ -242,22 +182,19 @@ class UnlabelledGraph:
 
 
 def canonicalize(g: LabelledGraph) -> UnlabelledGraph:
-    """Canonical form: minimum adjacency code over all vertex orders.
+    """Canonical form: the relabelling of g with the least adjacency code.
 
-    Isomorphic inputs map to identical outputs. Capped at v <= 10;
-    pattern graphs are small and hosts never need canonicalising.
+    code() reads the colex pairs with pair (1,2) most significant, the pair
+    code with it least, so the least code() is the least bit-reversed pair
+    code over the relabelling table. Isomorphic inputs map to identical
+    outputs. Capped at v <= CANON_CAP; hosts never need canonicalising.
     """
     if g.n > CANON_CAP:
         raise CapacityError(f"canonicalization capped at {CANON_CAP} vertices, got {g.n}")
-    order = _min_code_order(g.rows)
-    # position d in `order` becomes vertex d+1 of the canonical graph
-    rows = [0] * g.n
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if g.rows[order[i]] >> order[j] & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return UnlabelledGraph(LabelledGraph(g.n, tuple(rows)))
+    images = _relabelled_edges(g)
+    top = 1 << g.n * (g.n - 1) // 2 >> 1  # the reversed weight of pair 0
+    best = images[np.argmin((top // images).sum(axis=1))]
+    return UnlabelledGraph(graph_from_pair_bits(g.n, int(best.sum())))
 
 
 def is_isomorphic(a: LabelledGraph, b: LabelledGraph) -> bool:
@@ -345,20 +282,26 @@ def check_class_size(k: int) -> None:
 def _relabel_weights(k: int) -> np.ndarray:
     """(k!, pairs) int64: 2^(pair index of the image) of every pair under
     each relabelling of [k], in itertools.permutations order."""
-    perms = np.array(list(itertools.permutations(range(k))), dtype=np.int64).reshape(-1, k)
+    perms = np.array(list(itertools.permutations(range(k))), dtype=np.int64)
     jj, ii = np.tril_indices(k, -1)  # colex pair order
     a, b = perms[:, ii], perms[:, jj]
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     return 1 << (hi * (hi - 1) // 2 + lo)
 
 
+def _relabelled_edges(g: LabelledGraph) -> np.ndarray:
+    """(n!, edges) int64: 2^(pair index of the image) of each edge of g under
+    every relabelling of [n], in itertools.permutations order."""
+    code = pair_bits_of(g)
+    weights = _relabel_weights(g.n)
+    return weights[:, [i for i in range(weights.shape[1]) if code >> i & 1]]
+
+
 def isomorphism_class(g: LabelledGraph) -> list[int]:
     """Distinct pair codes of the relabellings of g on its own vertex set,
     in the order the relabellings first reach them: g's own code first."""
     check_class_size(g.n)
-    code = pair_bits_of(g)
-    weights = _relabel_weights(g.n)
-    codes = weights[:, [i for i in range(weights.shape[1]) if code >> i & 1]].sum(axis=1)
+    codes = _relabelled_edges(g).sum(axis=1)
     _, first = np.unique(codes, return_index=True)
     return codes[np.sort(first)].tolist()
 

@@ -271,6 +271,12 @@ def brute_directed_kernel_sum(f, measures, flags, law, induced: bool = False) ->
     return total
 
 
+def brute_canonical(g: LabelledGraph) -> LabelledGraph:
+    """The relabelling of g with the least adjacency code, over all v(g)!
+    permutations: the definition of the canonical form."""
+    return min((g.permuted(p) for p in itertools.permutations(range(1, g.n + 1))), key=LabelledGraph.code)
+
+
 def bip_canonical_rows(g) -> tuple[int, ...]:
     """Minimum row tuple of a bipartite graph over independent row and
     column permutations; equal exactly for graphs isomorphic as bipartite

@@ -211,6 +211,18 @@ class TestExitCodes:
         got, _ = run_main(["test-exchangeable", "-src", "src_det.txt", *argv], workdir, capsys)
         assert got == code
 
+    @pytest.mark.parametrize("target", ["missing/out.csv", ""])  # no such directory; a directory
+    @pytest.mark.parametrize("argv", [
+        ["density", "-F", "edge.txt", "-G", "k3.txt"],
+        ["test-exchangeable", "-src", "src_det.txt", "-k", "3"],  # a verdict: 1 means rejected
+    ])
+    def test_unwritable_output_exits_2(self, workdir, capsys, argv, target):
+        out = str(workdir / target)
+        code = main([str(workdir / a) if a.endswith(".txt") else a for a in argv] + ["-o", out])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"input error: cannot write {out}: ") and "Traceback" not in err
+
     def test_internal_fault_exits_4(self, workdir, capsys, monkeypatch):
         def broken(_args):
             raise ValueError("not an input problem")

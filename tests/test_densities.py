@@ -64,6 +64,11 @@ class TestExactValues:
     def test_accepts_unlabelled(self, edge, k3):
         assert t(canonicalize(edge), k3) == Fraction(2, 3)
 
+    def test_unlabelled_pattern_at_the_cap(self):
+        f = LabelledGraph.from_edges(8, [(1, 5), (2, 5), (5, 6), (6, 3), (3, 7), (7, 8), (4, 8)])
+        host = LabelledGraph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (2, 5)])
+        assert t(canonicalize(f), host) == t(f, host) > 0
+
     def test_labelling_invariance(self):
         host = LabelledGraph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (2, 5)])
         a = LabelledGraph.from_edges(3, [(1, 2), (2, 3)])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from graphonlab import graphs
 from graphonlab.errors import CapacityError, InputError
 from graphonlab.graphs import (
     LabelledGraph,
@@ -30,7 +31,7 @@ from graphonlab.graphs import (
 from graphonlab.rng import stream
 
 from conftest import all_labelled_graphs
-from oracles import burnside_class_count, exact_sample_law
+from oracles import brute_canonical, burnside_class_count, exact_sample_law
 
 
 class TestConstruction:
@@ -180,13 +181,28 @@ class TestCanonical:
         assert canonicalize(k3).canon == k3
 
     def test_cap(self):
-        with pytest.raises(CapacityError):
-            canonicalize(LabelledGraph.empty(11))
+        with pytest.raises(CapacityError, match=r"capped at 8 vertices, got 9"):
+            canonicalize(LabelledGraph.empty(9))
 
-    def test_twin_heavy_graphs_are_fast(self):
-        # empty and complete graphs explode without twin pruning
-        assert canonicalize(LabelledGraph.empty(10)).canon == LabelledGraph.empty(10)
-        assert canonicalize(LabelledGraph.complete(10)).canon == LabelledGraph.complete(10)
+    def test_empty_and_complete_at_the_cap(self):
+        assert canonicalize(LabelledGraph.empty(8)).canon == LabelledGraph.empty(8)
+        assert canonicalize(LabelledGraph.complete(8)).canon == LabelledGraph.complete(8)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_least_code_over_all_relabellings(self, data):
+        n = data.draw(st.integers(0, 6))
+        g = graph_from_pair_bits(n, data.draw(st.integers(0, 2 ** (n * (n - 1) // 2) - 1)))
+        assert canonicalize(g).canon == brute_canonical(g)
+
+    @pytest.mark.parametrize("n, edges", [
+        (7, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 7), (1, 4)]),
+        (7, [(1, 2), (1, 3), (2, 3), (4, 5), (6, 7)]),
+        (8, [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 7), (7, 8), (8, 4), (1, 5), (2, 8)]),
+    ])
+    def test_least_code_at_seven_and_eight_vertices(self, n, edges):
+        g = LabelledGraph.from_edges(n, edges)
+        assert canonicalize(g).canon == brute_canonical(g)
 
 
 class TestEnumeration:
@@ -220,6 +236,16 @@ class TestEnumeration:
     def test_no_duplicates(self):
         e = enumerate_unlabelled(5)
         assert len(set(e.graphs)) == len(e.graphs)
+
+    def test_one_canonical_form_per_class(self, monkeypatch):
+        calls = []
+        canonical = graphs.canonicalize
+        monkeypatch.setattr(graphs, "canonicalize", lambda g: calls.append(g) or canonical(g))
+        enumerate_unlabelled.cache_clear()
+        try:
+            assert len(enumerate_unlabelled(5)) == len(calls) == 52
+        finally:
+            enumerate_unlabelled.cache_clear()
 
     def test_cap(self):
         with pytest.raises(CapacityError, match=r"enumeration capped at 7 vertices, got 8"):
