@@ -21,7 +21,7 @@ from .densities import TERM_CAP, _as_labelled, t_ind
 from .errors import CapacityError, InputError
 from .exact import Number, to_fraction
 from .graphon import (
-    GeneralGraphon, StepGraphon, exact_density, exact_ind_density, pair_bits, sample_w_random,
+    GeneralGraphon, StepGraphon, draw_blocks, exact_density, exact_ind_density, pair_bits, sample_w_random,
 )
 from .graphs import (  # check_class_size and isomorphism_class are re-exported
     CLASS_CAP, LabelledGraph, UnlabelledGraph, check_class_size, check_host_size, graph_from_pair_bits,
@@ -111,7 +111,8 @@ def prefix_law_exact(w: StepGraphon, k: int) -> PrefixLaw:
     return PrefixLaw(k, mass, total, False, tuple(members for members, p in classes if p))
 
 
-Part = Union[StepGraphon, GeneralGraphon, Callable[[int, np.random.Generator], LabelledGraph]]
+# a string, so that importing this module does not load numpy.random
+Part = Union[StepGraphon, GeneralGraphon, Callable[[int, "np.random.Generator"], LabelledGraph]]
 
 
 @dataclass(frozen=True)
@@ -146,8 +147,7 @@ class GraphSource:
     def _pick_components(self, count: int, rng: np.random.Generator) -> np.ndarray:
         if len(self.components) == 1:
             return np.zeros(count, dtype=np.intp)
-        weights = np.array([float(wt) for wt, _ in self.components])
-        return rng.choice(len(self.components), size=count, p=weights)
+        return draw_blocks([wt for wt, _ in self.components], (count,), rng)
 
     def sample_prefix(self, n: int, rng: np.random.Generator) -> LabelledGraph:
         part = self.components[self._pick_components(1, rng)[0]][1]

@@ -31,6 +31,7 @@ CUT_NORM_CAP = 16
 CUT_DIST_CAP = 8
 MEASURE_TOL = Fraction(1, 10**12)
 STRIP = 1 << 15  # uniforms per Bernoulli strip
+SEARCH_BLOCKS = 40  # above this many blocks, draw_blocks finds labels by binary search
 CUT_CELLS = 1 << 18  # column sums per block of the all-subsets cut norm
 
 
@@ -87,9 +88,6 @@ class StepGraphon:
     @classmethod
     def constant(cls, p: Number) -> "StepGraphon":
         return cls((Fraction(1),), ((to_fraction(p),),))
-
-    def w_floats(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.w])
 
     def to_text(self) -> str:
         lines = [str(self.m), " ".join(format_number(x) for x in self.mu)]
@@ -182,22 +180,35 @@ def exact_ind_density(f: GraphLike, w: StepGraphon) -> Fraction:
 
 def draw_blocks(mu: Sequence[Number], shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """Latent block labels of the given shape, iid with block measures mu;
-    every latent block draw of every sampler goes through here."""
-    return rng.choice(len(mu), size=shape, p=np.array([float(x) for x in mu]))
+    every latent block draw and every mixture component pick goes through
+    here. The labels are rng.choice(len(mu), size=shape, p=mu), from the
+    same uniforms: each counts the normalised cdf's inner cut points at or
+    below its uniform, by one compare per cut point, or by binary search
+    above SEARCH_BLOCKS blocks."""
+    cdf = np.array([float(x) for x in mu]).cumsum()
+    cdf /= cdf[-1]
+    u = rng.random(shape)
+    if len(cdf) > SEARCH_BLOCKS:
+        return cdf.searchsorted(u, side="right")
+    labels = np.zeros(shape, dtype=np.int64)
+    for cut in cdf[:-1].tolist():
+        labels += u >= cut
+    return labels
 
 
 def bernoulli(
-    probs_of: Callable[[slice], np.ndarray], cells: int, count: int, rng: np.random.Generator
+    probs_of: Callable[[slice], np.ndarray | float], cells: int, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Boolean array (count, cells) of independent indicators; probs_of(s)
-    gives the probabilities of the cells in slice s as (cells, count). The
-    uniforms are drawn cell-major, all of cell 0 first, in strips of about
-    STRIP values so that the arrays of a strip stay in cache."""
+    gives the probabilities of the cells in slice s as (cells, count), or
+    one float for all of them. The uniforms are drawn cell-major, all of
+    cell 0 first, in strips of about STRIP values so that the arrays of a
+    strip stay in cache."""
     out = np.empty((cells, count), dtype=bool)
     step = max(1, STRIP // max(1, count))
     for a in range(0, cells, step):
-        probs = probs_of(slice(a, a + step))
-        out[a:a + step] = rng.random(probs.shape) < probs
+        b = min(a + step, cells)
+        np.less(rng.random((b - a, count)), probs_of(slice(a, b)), out=out[a:b])
     return out.T
 
 
@@ -205,13 +216,21 @@ def _latents(w: StepGraphon | GeneralGraphon, shape: tuple[int, int], rng: np.ra
     return draw_blocks(w.mu, shape, rng) if isinstance(w, StepGraphon) else rng.random(shape)
 
 
-def _lookup(w: StepGraphon | GeneralGraphon, xi: np.ndarray, xj: np.ndarray) -> np.ndarray:
-    """Kernel values at paired latents of any shape; a general kernel sees
-    them flat, since its per-pair fallback iterates its inputs. A step
-    kernel is read through one flat index, much faster than a 2-D one."""
-    if isinstance(w, StepGraphon):
-        return w.w_floats().ravel()[xi * w.m + xj]
-    return w.values(xi.ravel(), xj.ravel()).reshape(xi.shape)
+def _reader(w: StepGraphon | GeneralGraphon, xt: np.ndarray) -> Callable[[object, object], np.ndarray | float]:
+    """read(i, j): kernel values at the latents xt[i], xt[j] of vertex rows
+    i and j (ints or index arrays). A step kernel's float table and row
+    offsets xt * m are built once, and a one-block kernel gives its value;
+    a general kernel sees its latents flat, for its per-pair fallback."""
+    if isinstance(w, GeneralGraphon):
+        def read(i, j):
+            xi, xj = xt[i], xt[j]
+            return w.values(xi.ravel(), xj.ravel()).reshape(xi.shape)
+        return read
+    if w.m == 1:
+        p = float(w.w[0][0])
+        return lambda i, j: p
+    table, offsets = np.array([float(x) for row in w.w for x in row]), xt * w.m
+    return lambda i, j: table[offsets[i] + xt[j]]
 
 
 def pair_bits(
@@ -220,18 +239,32 @@ def pair_bits(
 ) -> np.ndarray:
     """Boolean array (count, len(ii)): edge indicators of `count` iid
     W-random graphs on k vertices at the 0-based vertex pairs (ii, jj)."""
-    xt = _latents(w, (count, k), rng).T
-    return bernoulli(lambda s: _lookup(w, xt[ii[s]], xt[jj[s]]), len(ii), count, rng)
+    read = _reader(w, _latents(w, (count, k), rng).T)
+    return bernoulli(lambda s: read(ii[s], jj[s]), len(ii), count, rng)
 
 
 def sample_w_random(w: StepGraphon | GeneralGraphon, n: int, rng: np.random.Generator) -> LabelledGraph:
-    """G(n, W): iid latent labels, then conditionally independent edges."""
+    """G(n, W): iid latent labels, then conditionally independent edges
+    over the pairs i < j in row-major order; each strip's pairs come from
+    its cell range, so no index array of all n(n-1)/2 pairs is built."""
     if n < 1:
         raise InputError("n must be >= 1")
-    iu, ju = np.triu_indices(n, k=1)
-    bits = pair_bits(w, n, 1, iu, ju, rng)[0]
+    rows = np.arange(n + 1)
+    first = rows * (2 * n - rows - 1) // 2  # row i holds the cells first[i] .. first[i + 1] - 1
+
+    def pairs(s: slice) -> tuple[np.ndarray, np.ndarray]:
+        """(i, j) of the cells in s."""
+        i0, i1 = first.searchsorted([s.start, s.stop - 1], side="right") - 1
+        runs = np.diff(first[i0:i1 + 2].clip(s.start, s.stop))
+        shift = first[i0:i1 + 1] - rows[i0:i1 + 1] - 1  # cell - j in row i
+        return np.repeat(rows[i0:i1 + 1], runs), np.arange(s.start, s.stop) - np.repeat(shift, runs)
+
+    read = _reader(w, _latents(w, (1, n), rng).T)
+    bits = bernoulli(lambda s: read(*pairs(s)), int(first[n]), 1, rng)[0]
     a = np.zeros((n, n), dtype=bool)
-    a[iu[bits], ju[bits]] = True
+    bounds = first.tolist()
+    for i in range(n - 1):
+        a[i, i + 1:] = bits[bounds[i]:bounds[i + 1]]
     a |= a.T
     return graph_from_bool_matrix(a)
 
@@ -243,10 +276,10 @@ def mc_density_product_sum(
     f's edges; chunk-mergeable core of mc_density."""
     fl = _as_labelled(f)
     _check_pattern(fl)
-    x = _latents(w, (count, fl.n), rng)
+    read = _reader(w, _latents(w, (count, fl.n), rng).T)
     prod = np.ones(count)
     for u, v in fl.edges():
-        prod *= _lookup(w, x[:, u - 1], x[:, v - 1])
+        prod *= read(u - 1, v - 1)
     return float(prod.sum())
 
 

@@ -27,6 +27,7 @@ from .exact import content_lines, parse_line, read_text
 CANON_CAP = 8  # the largest simple pattern; its (8!, 28) relabelling table is 9 MB
 CLASS_CAP = 7  # class scans and the enumeration relabel by all k! permutations
 HOST_CAP = 1 << 16  # vertices per part of a host graph, read or sampled
+_REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)])  # each byte, bit-reversed
 ROW_BLOCK = 1 << 20  # cells of the boolean strip that rows are packed from or unpacked to
 WORD = np.dtype("<u8")  # the word of packed rows; bit j of word w is column 64 w + j
 
@@ -181,20 +182,22 @@ class UnlabelledGraph:
         return f"UnlabelledGraph(n={self.n}, edges={self.canon.edges()})"
 
 
-def canonicalize(g: LabelledGraph) -> UnlabelledGraph:
+def canonicalize(g: LabelledGraph, codes: Sequence[int] | None = None) -> UnlabelledGraph:
     """Canonical form: the relabelling of g with the least adjacency code.
 
     code() reads the colex pairs with pair (1,2) most significant, the pair
     code with it least, so the least code() is the least bit-reversed pair
-    code over the relabelling table. Isomorphic inputs map to identical
-    outputs. Capped at v <= CANON_CAP; hosts never need canonicalising.
+    code among the relabellings: among `codes`, g's isomorphism_class from
+    a caller that holds it, else over the relabelling table. Isomorphic
+    inputs map to identical outputs. Capped at v <= CANON_CAP, so a code
+    has at most 28 bits and is reversed as four bytes; hosts never need
+    canonicalising.
     """
     if g.n > CANON_CAP:
         raise CapacityError(f"canonicalization capped at {CANON_CAP} vertices, got {g.n}")
-    images = _relabelled_edges(g)
-    top = 1 << g.n * (g.n - 1) // 2 >> 1  # the reversed weight of pair 0
-    best = images[np.argmin((top // images).sum(axis=1))]
-    return UnlabelledGraph(graph_from_pair_bits(g.n, int(best.sum())))
+    codes = _relabelled_edges(g).sum(axis=1) if codes is None else np.array(codes)
+    reversed_codes = sum(_REVERSED_BYTES[codes >> 8 * b & 255] << 8 * (3 - b) for b in range(4))
+    return UnlabelledGraph(graph_from_pair_bits(g.n, int(codes[np.argmin(reversed_codes)])))
 
 
 def is_isomorphic(a: LabelledGraph, b: LabelledGraph) -> bool:
@@ -229,14 +232,15 @@ class GraphEnumeration:
 @lru_cache(maxsize=None)
 def enumerate_unlabelled(max_n: int) -> GraphEnumeration:
     """Complete duplicate-free enumeration of unlabelled graphs up to max_n:
-    the canonical form of each pair-code class of every level n <= max_n."""
+    the canonical form of each pair-code class of every level n <= max_n,
+    read from the class's own codes."""
     if max_n < 1:
         raise InputError("max_n must be >= 1")
     if max_n > CLASS_CAP:
         raise CapacityError(f"enumeration capped at {CLASS_CAP} vertices, got {max_n}")
     graphs: list[UnlabelledGraph] = []
     for n in range(1, max_n + 1):
-        level = [canonicalize(graph_from_pair_bits(n, members[0]))
+        level = [canonicalize(graph_from_pair_bits(n, members[0]), members)
                  for members in pair_code_classes(n, range(1 << n * (n - 1) // 2))]
         graphs += sorted(level, key=lambda g: g.code)
     return GraphEnumeration(max_n, tuple(graphs))

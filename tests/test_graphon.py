@@ -1,14 +1,17 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from graphonlab.densities import t
 from graphonlab.errors import CapacityError, InputError
 from graphonlab.exchangeable import GraphSource
 from graphonlab.graphon import (
+    SEARCH_BLOCKS,
     BlockMap,
     GeneralGraphon,
     SignedStepKernel,
@@ -16,14 +19,16 @@ from graphonlab.graphon import (
     boys_girls,
     cut_distance_upper,
     cut_norm,
+    draw_blocks,
     exact_density,
     graph_as_graphon,
     kernel_difference,
     mc_density,
+    pair_bits,
     pushforward,
     sample_w_random,
 )
-from graphonlab.graphs import LabelledGraph, enumerate_unlabelled, pair_order
+from graphonlab.graphs import LabelledGraph, enumerate_unlabelled, graph_from_bool_matrix, pair_order
 from graphonlab.rng import stream
 
 from oracles import brute_cut_norm
@@ -212,6 +217,54 @@ class TestSampler:
             freq = float(bits[:, cols].all(axis=1).mean())
             exact = float(exact_density(f, w))
             assert abs(freq - exact) <= 3 / (2 * math.sqrt(n)), (name, freq, exact)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 2 * SEARCH_BLOCKS).flatmap(
+               lambda m: st.lists(st.integers(1, 1000), min_size=m, max_size=m)),
+           st.sampled_from([(1,), (7,), (300, 5), (2, 3, 4)]), st.integers(0, 2**32 - 1))
+    @example([1], (7,), 0)
+    @example([1] * SEARCH_BLOCKS, (300, 5), 1)
+    @example([1] * (SEARCH_BLOCKS + 1), (300, 5), 2)
+    def test_draw_blocks_is_generator_choice(self, raw, shape, seed):
+        """The block draws, and a mixture's component picks, are exactly
+        Generator.choice on a twin stream, which is left where choice leaves
+        it, on both sides of the SEARCH_BLOCKS crossover."""
+        mu = [Fraction(x, sum(raw)) for x in raw]
+        p = np.array([float(x) for x in mu])
+        g1, g2 = stream(seed), stream(seed)
+        got, want = draw_blocks(mu, shape, g1), g2.choice(len(mu), size=shape, p=p)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert g1.random() == g2.random()
+        if len(mu) > 1:
+            src = GraphSource.mixture([(x, StepGraphon.constant(0)) for x in mu])
+            p = np.array([float(wt) for wt, _ in src.components])
+            got, want = src._pick_components(shape[0], g1), g2.choice(len(raw), size=shape[0], p=p)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert g1.random() == g2.random()
+
+    @pytest.mark.parametrize("w", [W3, StepGraphon.constant(Fraction(1, 3)), GeneralGraphon(lambda x, y: x * y)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 256, 257, 300])
+    def test_strips_draw_the_pairs_in_row_major_order(self, w, n):
+        """Pairs derived strip by strip give the graph that the n(n-1)/2
+        np.triu_indices pairs give (n = 256 fits one strip of cells; 257
+        and 300 take two)."""
+        iu, ju = np.triu_indices(n, k=1)
+        a = np.zeros((n, n), dtype=bool)
+        bits = pair_bits(w, n, 1, iu, ju, stream(n, 3))[0]
+        a[iu[bits], ju[bits]] = True
+        assert sample_w_random(w, n, stream(n, 3)) == graph_from_bool_matrix(a | a.T)
+
+    def test_sampling_4000_vertices_holds_no_pair_arrays(self):
+        """Two int64 arrays of all pairs would take 8 bytes per n^2; the
+        dense bool matrix, its transpose and the drawn bits take 2.5."""
+        n = 4000
+        tracemalloc.start()
+        try:
+            g = sample_w_random(BG, n, stream(12))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n == n and peak < 3 * n * n, peak
 
     def test_boys_girls_convergence_rate(self):
         # deviation of the edge density shrinks roughly like n^(-1/2)

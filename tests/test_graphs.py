@@ -238,14 +238,20 @@ class TestEnumeration:
         assert len(set(e.graphs)) == len(e.graphs)
 
     def test_one_canonical_form_per_class(self, monkeypatch):
-        calls = []
-        canonical = graphs.canonicalize
-        monkeypatch.setattr(graphs, "canonicalize", lambda g: calls.append(g) or canonical(g))
+        """One canonical form per class, read from the class's codes: each
+        class's relabelling table is built once, by the class scan."""
+        calls, tables = [], []
+        canonical, table = graphs.canonicalize, graphs._relabelled_edges
+        monkeypatch.setattr(graphs, "canonicalize", lambda g, codes=None: calls.append(g) or canonical(g, codes))
+        monkeypatch.setattr(graphs, "_relabelled_edges", lambda g: tables.append(g) or table(g))
         enumerate_unlabelled.cache_clear()
         try:
-            assert len(enumerate_unlabelled(5)) == len(calls) == 52
+            e = enumerate_unlabelled(5)
+            assert len(e) == len(calls) == len(tables) == 52
         finally:
             enumerate_unlabelled.cache_clear()
+        monkeypatch.undo()
+        assert all(canonicalize(g.canon) == g for g in e.graphs)
 
     def test_cap(self):
         with pytest.raises(CapacityError, match=r"enumeration capped at 7 vertices, got 8"):

@@ -128,3 +128,38 @@ def test_rows_become_bytes_in_one_function():
                             default=None)
                 owners.add(f"{path.stem}.{inner.name if inner else '<module>'}")
     assert owners == {"graphs.row_words"}
+
+
+# A fresh child runs one command through cli.main and says whether
+# numpy.random is loaded.
+DRAWLESS = r'''
+import json
+import sys
+
+from graphonlab.cli import main
+
+code = main(sys.argv[1:])
+print(json.dumps([code, "numpy.random" in sys.modules]))
+'''
+
+
+@pytest.mark.parametrize("argv", [["test-exchangeable", "-src", "src.txt", "-k", "4"],
+                                  ["density", "-F", "edge.txt", "-G", "k3.txt"]], ids=["exact-law", "host-density"])
+def test_commands_that_never_draw_load_no_numpy_random(tmp_path, argv):
+    """Exact test-exchangeable and a host density draw nothing, so they
+    leave numpy.random, and the secrets and hashlib it loads, unloaded.
+    numpy releases that import numpy.random with numpy itself (1.24 does)
+    pass trivially."""
+    (tmp_path / "half.txt").write_text("1\n1\n1/2\n")
+    (tmp_path / "src.txt").write_text("wrandom half.txt\n")
+    (tmp_path / "k3.txt").write_text("3 3\n1 2\n1 3\n2 3\n")
+    (tmp_path / "edge.txt").write_text("2 1\n1 2\n")
+    control = subprocess.run([sys.executable, "-c", "import sys, numpy; print('numpy.random' in sys.modules)"],
+                             env=child_env(), capture_output=True, text=True, timeout=60)
+    assert control.returncode == 0, control.stderr
+    res = subprocess.run([sys.executable, "-c", DRAWLESS, *argv, "-o", "out.csv"], cwd=tmp_path, env=child_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    code, loaded = json.loads(res.stdout.splitlines()[-1])
+    assert code == 0 and (tmp_path / "out.csv").read_text().strip()
+    assert not loaded or control.stdout.split() == ["True"]
