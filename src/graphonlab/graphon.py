@@ -31,7 +31,6 @@ CUT_NORM_CAP = 16
 CUT_DIST_CAP = 8
 MEASURE_TOL = Fraction(1, 10**12)
 STRIP = 1 << 15  # uniforms per Bernoulli strip
-SEARCH_BLOCKS = 40  # above this many blocks, draw_blocks finds labels by binary search
 CUT_CELLS = 1 << 18  # column sums per block of the all-subsets cut norm
 
 
@@ -181,19 +180,12 @@ def exact_ind_density(f: GraphLike, w: StepGraphon) -> Fraction:
 def draw_blocks(mu: Sequence[Number], shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """Latent block labels of the given shape, iid with block measures mu;
     every latent block draw and every mixture component pick goes through
-    here. The labels are rng.choice(len(mu), size=shape, p=mu), from the
-    same uniforms: each counts the normalised cdf's inner cut points at or
-    below its uniform, by one compare per cut point, or by binary search
-    above SEARCH_BLOCKS blocks."""
+    here. The labels are rng.choice(len(mu), size=shape, p=mu), by choice's
+    own step without its checks: the same normalised cdf, the same uniforms,
+    and for each uniform the number of cdf points at or below it."""
     cdf = np.array([float(x) for x in mu]).cumsum()
     cdf /= cdf[-1]
-    u = rng.random(shape)
-    if len(cdf) > SEARCH_BLOCKS:
-        return cdf.searchsorted(u, side="right")
-    labels = np.zeros(shape, dtype=np.int64)
-    for cut in cdf[:-1].tolist():
-        labels += u >= cut
-    return labels
+    return cdf.searchsorted(rng.random(shape), side="right").astype(np.int64, copy=False)
 
 
 def bernoulli(
@@ -223,7 +215,7 @@ def _reader(w: StepGraphon | GeneralGraphon, xt: np.ndarray) -> Callable[[object
     a general kernel sees its latents flat, for its per-pair fallback."""
     if isinstance(w, GeneralGraphon):
         def read(i, j):
-            xi, xj = xt[i], xt[j]
+            xi, xj = np.broadcast_arrays(xt[i], xt[j])
             return w.values(xi.ravel(), xj.ravel()).reshape(xi.shape)
         return read
     if w.m == 1:
@@ -245,26 +237,17 @@ def pair_bits(
 
 def sample_w_random(w: StepGraphon | GeneralGraphon, n: int, rng: np.random.Generator) -> LabelledGraph:
     """G(n, W): iid latent labels, then conditionally independent edges
-    over the pairs i < j in row-major order; each strip's pairs come from
-    its cell range, so no index array of all n(n-1)/2 pairs is built."""
+    over the pairs i < j in row-major order, drawn row by row straight into
+    the adjacency matrix, so no index array of all n(n-1)/2 pairs is built.
+    The uniforms are those of one draw over all pairs: Generator.random(a)
+    then random(b) gives the doubles of random(a + b)."""
     if n < 1:
         raise InputError("n must be >= 1")
-    rows = np.arange(n + 1)
-    first = rows * (2 * n - rows - 1) // 2  # row i holds the cells first[i] .. first[i + 1] - 1
-
-    def pairs(s: slice) -> tuple[np.ndarray, np.ndarray]:
-        """(i, j) of the cells in s."""
-        i0, i1 = first.searchsorted([s.start, s.stop - 1], side="right") - 1
-        runs = np.diff(first[i0:i1 + 2].clip(s.start, s.stop))
-        shift = first[i0:i1 + 1] - rows[i0:i1 + 1] - 1  # cell - j in row i
-        return np.repeat(rows[i0:i1 + 1], runs), np.arange(s.start, s.stop) - np.repeat(shift, runs)
-
     read = _reader(w, _latents(w, (1, n), rng).T)
-    bits = bernoulli(lambda s: read(*pairs(s)), int(first[n]), 1, rng)[0]
+    cols = np.arange(n)
     a = np.zeros((n, n), dtype=bool)
-    bounds = first.tolist()
     for i in range(n - 1):
-        a[i, i + 1:] = bits[bounds[i]:bounds[i + 1]]
+        a[i, i + 1:] = bernoulli(lambda s: read(i, cols[i + 1:][s]), n - 1 - i, 1, rng)[0]
     a |= a.T
     return graph_from_bool_matrix(a)
 
