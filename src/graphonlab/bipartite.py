@@ -14,8 +14,8 @@ import numpy as np
 
 from .densities import BoundCheck, falling, host_count, kernel_sum
 from .errors import CapacityError, InputError
-from .exact import Number, content_lines, format_number, parse_line, to_fraction
-from .graphon import _checked_matrix, _normalized_measures, bernoulli, draw_blocks
+from .exact import Number, content_lines, number_rows, parse_line, rows_lines, to_fraction
+from .graphon import _checked_matrix, _normalized_measures, _reader, bernoulli, draw_blocks
 from .graphs import column_rows, pack_rows, pair_rows, row_bits, rows_text, text_rows, unpack_rows
 
 BIP_PATTERN_CAP = 6
@@ -80,27 +80,28 @@ def _bip_count(f: BipartiteGraph, g: BipartiteGraph, injective: bool, induced: b
     return host_count(_as_one_graph(f), rows, rows, sides, injective, induced)
 
 
+def _density(f: BipartiteGraph, g: BipartiteGraph, injective: bool, induced: bool) -> Fraction:
+    """_bip_count over all part-respecting maps, or over the injective
+    ones; 0 when an injective pattern's part outnumbers the host's."""
+    _check_bip_pattern(f)
+    maps = falling(g.n1, f.n1) * falling(g.n2, f.n2) if injective else g.n1**f.n1 * g.n2**f.n2
+    return Fraction(_bip_count(f, g, injective, induced), maps) if maps else Fraction(0)
+
+
 def bip_t(f: BipartiteGraph, g: BipartiteGraph) -> Fraction:
     """Density over part-respecting maps drawn uniformly with replacement."""
-    _check_bip_pattern(f)
-    return Fraction(_bip_count(f, g, False, False), g.n1**f.n1 * g.n2**f.n2)
+    return _density(f, g, False, False)
 
 
 def bip_t_inj(f: BipartiteGraph, g: BipartiteGraph) -> Fraction:
     """Containment density over distinct vertices per part; 0 when a part
     of f outnumbers the matching part of g."""
-    _check_bip_pattern(f)
-    if f.n1 > g.n1 or f.n2 > g.n2:
-        return Fraction(0)
-    return Fraction(_bip_count(f, g, True, False), falling(g.n1, f.n1) * falling(g.n2, f.n2))
+    return _density(f, g, True, False)
 
 
 def bip_t_ind(f: BipartiteGraph, g: BipartiteGraph) -> Fraction:
     """Probability the sampled distinct vertices induce exactly f."""
-    _check_bip_pattern(f)
-    if f.n1 > g.n1 or f.n2 > g.n2:
-        return Fraction(0)
-    return Fraction(_bip_count(f, g, True, True), falling(g.n1, f.n1) * falling(g.n2, f.n2))
+    return _density(f, g, True, True)
 
 
 def bip_sampling_bound(f: BipartiteGraph, g: BipartiteGraph) -> Fraction:
@@ -125,8 +126,8 @@ class BipartiteKernel:
     w: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        mu1 = _normalized_measures(self.mu1)
-        mu2 = _normalized_measures(self.mu2)
+        mu1 = _normalized_measures(self.mu1, "row block measures")
+        mu2 = _normalized_measures(self.mu2, "column block measures")
         object.__setattr__(self, "w", _checked_matrix(self.w, len(mu1), len(mu2), "w"))
         object.__setattr__(self, "mu1", mu1)
         object.__setattr__(self, "mu2", mu2)
@@ -144,23 +145,15 @@ class BipartiteKernel:
         return cls((Fraction(1),), (Fraction(1),), ((to_fraction(p),),))
 
     def to_text(self) -> str:
-        lines = [f"{self.m1} {self.m2}"]
-        lines.append(" ".join(format_number(x) for x in self.mu1))
-        lines.append(" ".join(format_number(x) for x in self.mu2))
-        lines += [" ".join(format_number(x) for x in row) for row in self.w]
-        return "\n".join(lines) + "\n"
+        return "\n".join([f"{self.m1} {self.m2}", *rows_lines([self.mu1, self.mu2, *self.w])]) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "BipartiteKernel":
-        lines = content_lines(text)
-        if len(lines) < 3:
-            raise InputError("bipartite kernel file too short")
+        lines = content_lines(text) or [""]
         m1, m2 = parse_line(lines[0], "'m1 m2' header", 2, int)
-        if len(lines) != 3 + m1:
-            raise InputError(f"expected {m1} matrix rows, got {len(lines) - 3}")
-        mu1 = parse_line(lines[1], f"{m1} measures", m1, Fraction)
-        mu2 = parse_line(lines[2], f"{m2} measures", m2, Fraction)
-        w = [parse_line(ln, f"a matrix row of {m2} values", m2, Fraction) for ln in lines[3:]]
+        if not 0 < m1 < len(lines):  # before a list of m1 + 2 widths is built
+            raise InputError(f"a bipartite kernel of {m1} row blocks takes {m1 + 3} lines, got {len(lines)}")
+        mu1, mu2, *w = number_rows(lines[1:], [m1, m2] + [m2] * m1)
         return cls(mu1, mu2, w)
 
 
@@ -210,8 +203,6 @@ def bip_cell_bits_batch(
 ) -> np.ndarray:
     """Boolean array (count, k1*k2): edge indicators of iid (k1,k2)-prefixes,
     cells in row-major order."""
-    xt = draw_blocks(w.mu1, (count, k1), rng).T
-    yt = draw_blocks(w.mu2, (count, k2), rng).T
-    wf = np.array([float(v) for row in w.w for v in row])
+    read = _reader(w, draw_blocks(w.mu1, (count, k1), rng).T, draw_blocks(w.mu2, (count, k2), rng).T)
     rows, cols = np.divmod(np.arange(k1 * k2), k2)
-    return bernoulli(lambda s: wf[xt[rows[s]] * w.m2 + yt[cols[s]]], k1 * k2, count, rng)
+    return bernoulli(lambda s: read(rows[s], cols[s]), k1 * k2, count, rng)

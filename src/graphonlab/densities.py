@@ -54,11 +54,7 @@ def _check_pattern(f: LabelledGraph) -> None:
         raise CapacityError(f"pattern capped at {PATTERN_CAP} vertices, got {f.n}")
 
 
-def falling(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
+falling = math.perm  # n (n-1) ... (n-k+1): the injective maps of k vertices into n, 0 when k > n
 
 
 FRONTIER_CELLS = 1 << 15  # uint64 candidate words, and new partial maps, per block of the search
@@ -369,43 +365,36 @@ def host_count(
     return contract([ones[size] for size in sizes], factors).numerator
 
 
-def _simple_count(f: LabelledGraph, g: LabelledGraph, injective: bool, induced: bool) -> int:
-    return host_count(f.rows, g.rows, g.rows, [(1 << g.n) - 1] * f.n, injective, induced)
+def _density(f: GraphLike, g: LabelledGraph, injective: bool, induced: bool) -> Fraction:
+    """host_count over the n^k maps, or over the n!/(n-k)! injective ones;
+    0 when an injective pattern has more vertices than the host."""
+    f = _as_labelled(f)
+    _check_pattern(f)
+    maps = falling(g.n, f.n) if injective else g.n ** f.n
+    masks = [(1 << g.n) - 1] * f.n
+    return Fraction(host_count(f.rows, g.rows, g.rows, masks, injective, induced), maps) if maps else Fraction(0)
 
 
 def inj_count(f: GraphLike, g: LabelledGraph) -> int:
-    f = _as_labelled(f)
-    _check_pattern(f)
-    if f.n > g.n:
-        return 0
-    return _simple_count(f, g, injective=True, induced=False)
+    """Injective maps V(f)->V(g) sending edges to edges: t_inj times their number."""
+    return int(t_inj(f, g) * falling(g.n, _as_labelled(f).n))
 
 
 def t(f: GraphLike, g: LabelledGraph) -> Fraction:
     """Probability that a uniform map V(f)->V(g) is a homomorphism."""
-    f = _as_labelled(f)
-    _check_pattern(f)
-    return Fraction(_simple_count(f, g, False, False), g.n ** f.n)
+    return _density(f, g, False, False)
 
 
 def t_inj(f: GraphLike, g: LabelledGraph) -> Fraction:
     """Containment probability over a uniform sequence of distinct vertices;
     0 by convention when v(f) > v(g)."""
-    f = _as_labelled(f)
-    _check_pattern(f)
-    if f.n > g.n:
-        return Fraction(0)
-    return Fraction(_simple_count(f, g, True, False), falling(g.n, f.n))
+    return _density(f, g, True, False)
 
 
 def t_ind(f: GraphLike, g: LabelledGraph) -> Fraction:
     """Probability that distinct sampled vertices induce exactly f;
     0 by convention when v(f) > v(g)."""
-    f = _as_labelled(f)
-    _check_pattern(f)
-    if f.n > g.n:
-        return Fraction(0)
-    return Fraction(_simple_count(f, g, True, True), falling(g.n, f.n))
+    return _density(f, g, True, True)
 
 
 def supergraphs(f: LabelledGraph) -> list[LabelledGraph]:

@@ -8,6 +8,7 @@ into the latent space with an iid Bernoulli(p) coordinate.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -16,7 +17,7 @@ import numpy as np
 
 from .densities import falling, host_count, kernel_sum
 from .errors import CapacityError, InputError
-from .exact import Number, content_lines, format_number, parse_line, to_fraction
+from .exact import Number, content_lines, number_rows, parse_line, rows_lines, to_fraction
 from .graphon import _checked_matrix, _normalized_measures, draw_blocks
 from .graphs import column_rows, pack_rows, pair_order, pair_rows, row_bits, rows_text, text_rows
 
@@ -77,7 +78,7 @@ class DirectedKernelQuintuple:
     loop_flags: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        mu = _normalized_measures(self.mu)
+        mu = _normalized_measures(self.mu, "block measures")
         for name in ("w00", "w01", "w10", "w11"):
             object.__setattr__(self, name, _checked_matrix(getattr(self, name), len(mu), len(mu), name))
         flags = tuple(int(x) for x in self.loop_flags)
@@ -94,14 +95,10 @@ class DirectedKernelQuintuple:
         return (self.w00, self.w01, self.w10, self.w11)[2 * alpha + beta]
 
     def to_text(self) -> str:
-        lines = [str(self.m), " ".join(format_number(x) for x in self.mu)]
+        lines = [str(self.m), *rows_lines([self.mu])]
         for name in ("W00", "W01", "W10", "W11"):
-            lines.append(name)
-            mat = getattr(self, name.lower())
-            lines += [" ".join(format_number(x) for x in row) for row in mat]
-        lines.append("w")
-        lines.append(" ".join(str(x) for x in self.loop_flags))
-        return "\n".join(lines) + "\n"
+            lines += [name, *rows_lines(getattr(self, name.lower()))]
+        return "\n".join([*lines, "w", *rows_lines([self.loop_flags])]) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "DirectedKernelQuintuple":
@@ -113,9 +110,8 @@ class DirectedKernelQuintuple:
         for pos, name in zip(labels, ("W00", "W01", "W10", "W11", "w")):
             if lines[pos] != name:
                 raise InputError(f"expected label {name!r} at line {pos + 1}, got {lines[pos]!r}")
-        mu = parse_line(lines[1], f"{m} measures", m, Fraction)
-        mats = [[parse_line(ln, f"a matrix row of {m} values", m, Fraction)
-                 for ln in lines[pos + 1:pos + m + 1]] for pos in labels[:4]]
+        (mu,) = number_rows(lines[1:2], [m])
+        mats = [number_rows(lines[pos + 1:pos + m + 1], [m] * m) for pos in labels[:4]]
         flags = parse_line(lines[-1], f"a 0/1 loop vector of length {m}", m, int)
         kernel = cls(mu, *mats, flags)
         _check_kernel(kernel)
@@ -127,24 +123,15 @@ def validate_quintuple(k: DirectedKernel) -> QuintupleVerdict:
     states) and the transpose symmetry W_ab(x,y) = W_ba(y,x); reports the
     first violation. The states are the blocks of a quintuple and the
     extended (block, flag) states of a quadruple-plus-p kernel."""
-    states = range(len(k.w00))
-    for a in states:
-        for b in states:
-            total = k.w00[a][b] + k.w01[a][b] + k.w10[a][b] + k.w11[a][b]
-            if total != 1:
-                return QuintupleVerdict(
-                    False, f"pair law at states ({a},{b}) sums to {total}, not 1"
-                )
-    for alpha, beta in PAIR_STATES:
-        mat = k.pair_matrix(alpha, beta)
-        mat_t = k.pair_matrix(beta, alpha)
-        for a in states:
-            for b in states:
-                if mat[a][b] != mat_t[b][a]:
-                    return QuintupleVerdict(
-                        False,
-                        f"W{alpha}{beta}({a},{b}) = {mat[a][b]} != W{beta}{alpha}({b},{a}) = {mat_t[b][a]}",
-                    )
+    laws = {ab: k.pair_matrix(*ab) for ab in PAIR_STATES}
+    states = list(itertools.product(range(len(k.w00)), repeat=2))
+    for a, b in states:
+        if (total := sum(law[a][b] for law in laws.values())) != 1:
+            return QuintupleVerdict(False, f"pair law at states ({a},{b}) sums to {total}, not 1")
+    for (alpha, beta), mat in laws.items():
+        for a, b in states:
+            if (x := mat[a][b]) != (y := laws[beta, alpha][b][a]):
+                return QuintupleVerdict(False, f"W{alpha}{beta}({a},{b}) = {x} != W{beta}{alpha}({b},{a}) = {y}")
     return QuintupleVerdict(True, None)
 
 
@@ -178,7 +165,7 @@ class DirectedKernelQuadruplePlusP:
     w11: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        mu = _normalized_measures(self.mu)
+        mu = _normalized_measures(self.mu, "block measures")
         p = to_fraction(self.p)
         if not 0 <= p <= 1:
             raise InputError("loop probability must lie in [0,1]")
@@ -192,8 +179,7 @@ class DirectedKernelQuadruplePlusP:
     def m(self) -> int:
         return len(self.mu)
 
-    def pair_matrix(self, alpha: int, beta: int):
-        return (self.w00, self.w01, self.w10, self.w11)[2 * alpha + beta]
+    pair_matrix = DirectedKernelQuintuple.pair_matrix
 
     def ext_measure(self, e: int) -> Fraction:
         block, flag = divmod(e, 2)
@@ -240,18 +226,12 @@ def sample_directed_pair_codes(
     """
     _check_kernel(kernel)
     loops, states = _latent_states(kernel, n, count, rng)
-    mats = [
-        np.array([[float(x) for x in row] for row in kernel.pair_matrix(a, b)])
-        for a, b in PAIR_STATES
-    ]
+    # cdf[c, s, r] = P(code <= c) at latent states (s, r), read at column s * S + r of its (3, S * S) view
+    cdf = np.cumsum([np.array(kernel.pair_matrix(a, b), dtype=float) for a, b in PAIR_STATES[:3]], axis=0)
     jj, ii = np.tril_indices(n, -1)  # colex pair order
-    si, sj = states[:, ii], states[:, jj]  # (count, npairs) each
-    c1 = mats[0][si, sj]
-    c2 = c1 + mats[1][si, sj]
-    c3 = c2 + mats[2][si, sj]
+    c = cdf.reshape(3, -1).take(states[:, ii] * cdf.shape[1] + states[:, jj], axis=1)  # (3, count, npairs)
     u = rng.random((count, len(ii)))
-    codes = ((u >= c1).astype(np.int8) + (u >= c2) + (u >= c3)).astype(np.int8)
-    return loops, codes
+    return loops, (u >= c).sum(axis=0, dtype=np.int8)
 
 
 def _graph_from_codes(n: int, loops: np.ndarray, codes: np.ndarray) -> DirectedGraph:
@@ -283,19 +263,25 @@ def _check_dir_pattern(f: DirectedGraph) -> None:
         raise CapacityError(f"directed pattern capped at {DIR_PATTERN_CAP} vertices, got {f.n}")
 
 
-def _dir_count(f: DirectedGraph, g: DirectedGraph, injective: bool, induced: bool) -> int:
-    """Maps [k]->[n] pulling g's edge indicators back onto f's requirements.
+def _density(f: DirectedGraph, g: DirectedGraph, injective: bool, induced: bool) -> Fraction:
+    """The maps [k]->[n] pulling g's edge indicators back onto f's
+    requirements, over the n^k maps, or over the n!/(n-k)! injective ones;
+    0 when an injective pattern has more vertices than the host.
 
     Containment asks every f-edge (u,v), loops included, to be present at
     (phi(u), phi(v)); induced asks for exact equality of the pulled-back
     indicator matrix. f's loops become image masks; g keeps its loops in
     its rows, since a non-injective map may send an arc onto a loop.
     """
+    _check_dir_pattern(f)
+    maps = falling(g.n, f.n) if injective else g.n**f.n
+    if not maps:
+        return Fraction(0)
     full = (1 << g.n) - 1
     loops = sum(1 << i for i in range(g.n) if g.rows[i] >> i & 1)
     unlooped = full ^ loops if induced else full
     masks = [loops if f.has_loop(u + 1) else unlooped for u in range(f.n)]
-    return host_count(f.rows, g.rows, column_rows(g.rows, g.n), masks, injective, induced)
+    return Fraction(host_count(f.rows, g.rows, column_rows(g.rows, g.n), masks, injective, induced), maps)
 
 
 def _kernel_sum(f: DirectedGraph, kernel: DirectedKernel, induced: bool) -> Fraction:
@@ -304,16 +290,11 @@ def _kernel_sum(f: DirectedGraph, kernel: DirectedKernel, induced: bool) -> Frac
     unordered pair the probability of the required joint indicators."""
     _check_dir_pattern(f)
     _check_kernel(kernel)
-    if isinstance(kernel, DirectedKernelQuintuple):
-        measures, flags = kernel.mu, kernel.loop_flags
-    else:
-        measures = [kernel.ext_measure(s) for s in range(2 * kernel.m)]
-        flags = [s % 2 for s in range(2 * kernel.m)]
-    weights = []
-    for v in range(1, f.n + 1):
-        need = {1} if f.has_loop(v) else {0} if induced else {0, 1}
-        weights.append([x if flag in need else 0 for x, flag in zip(measures, flags)])
-    states = range(len(measures))
+    states = range(len(kernel.w00))
+    measures, flags = ((kernel.mu, kernel.loop_flags) if isinstance(kernel, DirectedKernelQuintuple)
+                       else ([kernel.ext_measure(s) for s in states], [s % 2 for s in states]))
+    weights = [[x if flag in ((1,) if f.has_loop(v) else (0,) if induced else (0, 1)) else 0
+                for x, flag in zip(measures, flags)] for v in range(1, f.n + 1)]
     factors = {}
     for i, j in pair_order(f.n):
         req = (int(f.has_edge(i + 1, j + 1)), int(f.has_edge(j + 1, i + 1)))
@@ -329,25 +310,14 @@ DirectedHost = Union[DirectedGraph, DirectedKernelQuintuple, DirectedKernelQuadr
 def directed_t(f: DirectedGraph, host: DirectedHost) -> Fraction:
     """Containment density of a directed pattern in a finite host or the
     limit object of a kernel."""
-    if isinstance(host, DirectedGraph):
-        _check_dir_pattern(f)
-        return Fraction(_dir_count(f, host, False, False), host.n**f.n)
-    return _kernel_sum(f, host, induced=False)
+    return _density(f, host, False, False) if isinstance(host, DirectedGraph) else _kernel_sum(f, host, False)
 
 
 def directed_t_inj(f: DirectedGraph, g: DirectedGraph) -> Fraction:
-    _check_dir_pattern(f)
-    if f.n > g.n:
-        return Fraction(0)
-    return Fraction(_dir_count(f, g, True, False), falling(g.n, f.n))
+    return _density(f, g, True, False)
 
 
 def directed_t_ind(f: DirectedGraph, host: DirectedHost) -> Fraction:
     """Induced density: exact equality of the pulled-back indicator matrix
     (finite host) or the prefix-law mass of f (kernel)."""
-    if isinstance(host, DirectedGraph):
-        _check_dir_pattern(f)
-        if f.n > host.n:
-            return Fraction(0)
-        return Fraction(_dir_count(f, host, True, True), falling(host.n, f.n))
-    return _kernel_sum(f, host, induced=True)
+    return _density(f, host, True, True) if isinstance(host, DirectedGraph) else _kernel_sum(f, host, True)

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import InputError
 
@@ -57,6 +57,20 @@ def parse_line(line: str, what: str, count: int, number: Callable[[str], Number]
         except (ValueError, ZeroDivisionError):
             pass
     raise InputError(f"expected {what}, got {line!r}")
+
+
+def number_rows(lines: Sequence[str], widths: Sequence[int]) -> list[list[Fraction]]:
+    """The rows of exact numbers of a kernel file, row i of widths[i]
+    numbers; a line count other than len(widths) raises InputError, and so
+    does a bad line, quoted by parse_line."""
+    if len(lines) != len(widths):
+        raise InputError(f"expected {len(widths)} rows of numbers, got {len(lines)}")
+    return [parse_line(ln, f"{w} numbers", w, Fraction) for ln, w in zip(lines, widths)]
+
+
+def rows_lines(rows: Iterable[Iterable[Union[int, Fraction]]]) -> list[str]:
+    """A line of format_number texts per row of exact numbers, as number_rows reads them."""
+    return [" ".join(map(format_number, row)) for row in rows]
 
 
 def fraction_to_decimal(x: Union[Fraction, float], places: int = 12) -> str:

@@ -19,9 +19,10 @@ import numpy as np
 
 from .densities import TERM_CAP, _as_labelled, t_ind
 from .errors import CapacityError, InputError
-from .exact import Number, to_fraction
+from .exact import Number
 from .graphon import (
-    GeneralGraphon, StepGraphon, draw_blocks, exact_density, exact_ind_density, pair_bits, sample_w_random,
+    GeneralGraphon, StepGraphon, _normalized_measures, draw_blocks, exact_density, exact_ind_density, pair_bits,
+    sample_w_random,
 )
 from .graphs import (  # check_class_size and isomorphism_class are re-exported
     CLASS_CAP, LabelledGraph, UnlabelledGraph, check_class_size, check_host_size, graph_from_pair_bits,
@@ -132,13 +133,8 @@ class GraphSource:
 
     @classmethod
     def mixture(cls, parts: Sequence[tuple[Number, Part]]) -> "GraphSource":
-        weights = [to_fraction(wt) for wt, _ in parts]
-        if not weights or any(x <= 0 for x in weights):
-            raise InputError("mixture weights must be positive")
-        total = sum(weights)
-        if abs(total - 1) > Fraction(1, 10**12):
-            raise InputError("mixture weights must sum to 1")
-        return cls(tuple((wt / total, part) for wt, (_, part) in zip(weights, parts)))
+        weights = _normalized_measures([wt for wt, _ in parts], "mixture weights")
+        return cls(tuple(zip(weights, (part for _, part in parts))))
 
     @classmethod
     def from_sampler(cls, fn: Callable[[int, np.random.Generator], LabelledGraph]) -> "GraphSource":

@@ -24,7 +24,7 @@ from .densities import (
     kernel_sum,
 )
 from .errors import CapacityError, InputError
-from .exact import Number, content_lines, format_number, parse_line, read_text, to_fraction
+from .exact import Number, content_lines, number_rows, parse_line, read_text, rows_lines, to_fraction
 from .graphs import LabelledGraph, graph_from_bool_matrix, pair_order, unpack_rows
 
 CUT_NORM_CAP = 16
@@ -34,15 +34,14 @@ STRIP = 1 << 15  # uniforms per Bernoulli strip
 CUT_CELLS = 1 << 18  # column sums per block of the all-subsets cut norm
 
 
-def _normalized_measures(raw: Sequence[Number]) -> tuple[Fraction, ...]:
+def _normalized_measures(raw: Sequence[Number], what: str) -> tuple[Fraction, ...]:
+    """Block measures or mixture weights, named `what` in errors: one or more, positive, summing to 1."""
     mu = tuple(to_fraction(x) for x in raw)
-    if not mu:
-        raise InputError("need at least one block")
-    if any(x <= 0 for x in mu):
-        raise InputError("block measures must be positive")
+    if not mu or any(x <= 0 for x in mu):
+        raise InputError(f"{what} must be one or more positive numbers")
     total = sum(mu)
     if abs(total - 1) > MEASURE_TOL:
-        raise InputError(f"block measures sum to {float(total)}, not 1")
+        raise InputError(f"{what} sum to {float(total)}, not 1")
     # renormalise exactly so downstream laws sum to exactly 1
     return tuple(x / total for x in mu)
 
@@ -70,7 +69,7 @@ class StepGraphon:
     w: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        mu = _normalized_measures(self.mu)
+        mu = _normalized_measures(self.mu, "block measures")
         m = len(mu)
         w = _checked_matrix(self.w, m, m, "w")
         for a in range(m):
@@ -89,21 +88,16 @@ class StepGraphon:
         return cls((Fraction(1),), ((to_fraction(p),),))
 
     def to_text(self) -> str:
-        lines = [str(self.m), " ".join(format_number(x) for x in self.mu)]
-        lines += [" ".join(format_number(x) for x in row) for row in self.w]
-        return "\n".join(lines) + "\n"
+        return "\n".join([str(self.m), *rows_lines([self.mu, *self.w])]) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "StepGraphon":
-        lines = content_lines(text)
-        if len(lines) < 2:
-            raise InputError("step-graphon file needs a block count and measures")
+        lines = content_lines(text) or [""]
         (m,) = parse_line(lines[0], "block count", 1, int)
-        if len(lines) != 2 + m:
-            raise InputError(f"expected {m} matrix rows, got {len(lines) - 2}")
-        mu = parse_line(lines[1], f"{m} measures", m, Fraction)
-        rows = [parse_line(ln, f"a matrix row of {m} values", m, Fraction) for ln in lines[2:]]
-        return cls(mu, rows)
+        if not 0 < m < len(lines):  # before a list of m + 1 widths is built
+            raise InputError(f"a step graphon of {m} blocks takes {m + 2} lines, got {len(lines)}")
+        mu, *w = number_rows(lines[1:], [m] * (m + 1))
+        return cls(mu, w)
 
 
 @dataclass(frozen=True)
@@ -204,25 +198,30 @@ def bernoulli(
     return out.T
 
 
-def _latents(w: StepGraphon | GeneralGraphon, shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
-    return draw_blocks(w.mu, shape, rng) if isinstance(w, StepGraphon) else rng.random(shape)
+def _latent_reader(w: StepGraphon | GeneralGraphon, shape: tuple[int, int], rng: np.random.Generator):
+    """_reader at iid latents of shape (count, k), the same for rows and columns; drawn
+    here, so that no caller holds them where a one-value reader does not."""
+    xt = (draw_blocks(w.mu, shape, rng) if isinstance(w, StepGraphon) else rng.random(shape)).T
+    return _reader(w, xt, xt)
 
 
-def _reader(w: StepGraphon | GeneralGraphon, xt: np.ndarray) -> Callable[[object, object], np.ndarray | float]:
-    """read(i, j): kernel values at the latents xt[i], xt[j] of vertex rows
-    i and j (ints or index arrays). A step kernel's float table and row
-    offsets xt * m are built once, and a one-block kernel gives its value;
-    a general kernel sees its latents flat, for its per-pair fallback."""
+def _reader(w, xt: np.ndarray, yt: np.ndarray) -> Callable[[object, object], np.ndarray | float]:
+    """read(i, j): kernel values at the row latents xt[i] and column latents
+    yt[j] (ints or index arrays; yt is xt for a simple graph). The value
+    matrix w of a step or bipartite kernel becomes a float table with row
+    offsets once, or one value when 1x1; a general kernel sees its latents
+    flat, for its per-pair fallback."""
     if isinstance(w, GeneralGraphon):
         def read(i, j):
-            xi, xj = np.broadcast_arrays(xt[i], xt[j])
-            return w.values(xi.ravel(), xj.ravel()).reshape(xi.shape)
+            xi, yj = np.broadcast_arrays(xt[i], yt[j])
+            return w.values(xi.ravel(), yj.ravel()).reshape(xi.shape)
         return read
-    if w.m == 1:
-        p = float(w.w[0][0])
+    table = np.array(w.w, dtype=float)
+    if table.size == 1:
+        p = float(table[0, 0])
         return lambda i, j: p
-    table, offsets = np.array([float(x) for row in w.w for x in row]), xt * w.m
-    return lambda i, j: table[offsets[i] + xt[j]]
+    offsets, table = xt * table.shape[1], table.ravel()
+    return lambda i, j: table[offsets[i] + yt[j]]
 
 
 def pair_bits(
@@ -231,7 +230,7 @@ def pair_bits(
 ) -> np.ndarray:
     """Boolean array (count, len(ii)): edge indicators of `count` iid
     W-random graphs on k vertices at the 0-based vertex pairs (ii, jj)."""
-    read = _reader(w, _latents(w, (count, k), rng).T)
+    read = _latent_reader(w, (count, k), rng)
     return bernoulli(lambda s: read(ii[s], jj[s]), len(ii), count, rng)
 
 
@@ -243,7 +242,7 @@ def sample_w_random(w: StepGraphon | GeneralGraphon, n: int, rng: np.random.Gene
     then random(b) gives the doubles of random(a + b)."""
     if n < 1:
         raise InputError("n must be >= 1")
-    read = _reader(w, _latents(w, (1, n), rng).T)
+    read = _latent_reader(w, (1, n), rng)
     cols = np.arange(n)
     a = np.zeros((n, n), dtype=bool)
     for i in range(n - 1):
@@ -259,7 +258,7 @@ def mc_density_product_sum(
     f's edges; chunk-mergeable core of mc_density."""
     fl = _as_labelled(f)
     _check_pattern(fl)
-    read = _reader(w, _latents(w, (count, fl.n), rng).T)
+    read = _latent_reader(w, (count, fl.n), rng)
     prod = np.ones(count)
     for u, v in fl.edges():
         prod *= read(u - 1, v - 1)
@@ -337,14 +336,8 @@ class BlockMap:
     def equal_refinement(cls, mu: Sequence[Fraction]) -> "BlockMap":
         """Refine all blocks to a common equal-measure grid."""
         meas = [to_fraction(x) for x in mu]
-        lcm = 1
-        for x in meas:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        cell = Fraction(1, lcm)
-        entries = []
-        for b, x in enumerate(meas):
-            entries += [(b, cell)] * int(x / cell)
-        return cls(len(meas), tuple(entries))
+        cell = Fraction(1, math.lcm(*(x.denominator for x in meas)))
+        return cls(len(meas), tuple((b, cell) for b, x in enumerate(meas) for _ in range(int(x / cell))))
 
 
 def pushforward(w: StepGraphon, bm: BlockMap) -> StepGraphon:
@@ -371,7 +364,7 @@ class SignedStepKernel:
     values: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self) -> None:
-        mu = _normalized_measures(self.mu)
+        mu = _normalized_measures(self.mu, "block measures")
         object.__setattr__(self, "values", _checked_matrix(self.values, len(mu), len(mu), "values", -1))
         object.__setattr__(self, "mu", mu)
 

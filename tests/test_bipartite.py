@@ -173,6 +173,17 @@ class TestSampler:
             exact = float(bip_exact_density(f, KERNEL_2X2))
             assert abs(freq - exact) <= 3 / (2 * math.sqrt(n)), (name, freq, exact)
 
+    @pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 3), Fraction(7, 10), Fraction(1)])
+    def test_constant_kernel_draws_like_a_full_matrix(self, p):
+        """A 1x1 kernel gives its one value without a gather: the bits of a
+        2x3 kernel with every entry p, on a twin stream left where it is."""
+        full = BipartiteKernel((Fraction(1, 2),) * 2, (Fraction(1, 3),) * 3, ((p,) * 3,) * 2)
+        for k1, k2, count in [(1, 1, 1), (3, 4, 1), (2, 5, 300)]:
+            g1, g2 = stream(k1, count), stream(k1, count)
+            got = bip_cell_bits_batch(BipartiteKernel.constant(p), k1, k2, count, g1)
+            assert np.array_equal(got, bip_cell_bits_batch(full, k1, k2, count, g2))
+            assert g1.random() == g2.random()
+
     def test_seed_reproducibility(self):
         a = sample_bip_w_random(KERNEL_2X2, 10, 12, stream(5, 3))
         b = sample_bip_w_random(KERNEL_2X2, 10, 12, stream(5, 3))

@@ -5,7 +5,8 @@ import pytest
 from graphonlab.bipartite import BipartiteGraph, BipartiteKernel
 from graphonlab import cli, exchangeable, graphs
 from graphonlab.cli import main
-from graphonlab.directed import DirectedGraph, tournament_kernel
+from graphonlab.directed import DirectedGraph, DirectedKernelQuintuple, tournament_kernel
+from graphonlab.errors import InputError
 from graphonlab.exact import fraction_to_decimal
 from graphonlab.exchangeable import GraphSource
 from graphonlab.graphon import StepGraphon, boys_girls, write_step_graphon
@@ -136,11 +137,40 @@ class TestExitCodes:
              ["test-exchangeable", "-src", "bad_wrandom.txt", "-k", "2"]),
             ("bad_mixture.txt", "mixture extra tokens\n1 w05.txt\n",
              ["test-exchangeable", "-src", "bad_mixture.txt", "-k", "2"]),
+            ("short_mixture.txt", "mixture\n0.45 w02.txt\n0.45 w08.txt\n",  # weights sum to 9/10
+             ["test-exchangeable", "-src", "short_mixture.txt", "-k", "2"]),
         ],
     )
     def test_malformed_input_exits_2(self, workdir, capsys, name, text, argv):
         (workdir / name).write_text(text)
         code, _ = run_main(argv, workdir, capsys)
+        assert code == 2
+
+    @pytest.mark.parametrize("kind, text", [  # per kernel format: a row missing, a row extra, m <= 0
+        ("simple", "2\n0.5 0.5\n0.2 0.6\n"),
+        ("simple", "2\n0.5 0.5\n0.2 0.6\n0.6 0.4\n0.6 0.4\n"),
+        ("simple", "0\n1\n"),
+        ("simple", "-1\n"),
+        ("simple", "-1\n1\n1\n"),
+        ("bipartite", "2 2\n1/2 1/2\n1/2 1/2\n0.2 0.3\n"),
+        ("bipartite", "1 2\n1\n1/2 1/2\n0.2 0.3\n0.2 0.3\n"),
+        ("bipartite", "0 2\n1/2 1/2\n"),
+        ("bipartite", "-1 2\n"),
+        ("bipartite", "1 0\n1\n1\n0.5\n"),
+        ("bipartite", "1 -1\n1\n1\n0.5\n"),
+        ("directed", "1\n1\nW00\n0\nW01\nW10\n0.5\nW11\n0\nw\n0\n"),
+        ("directed", "1\n1\nW00\n0\nW01\n0.5\n0.5\nW10\n0.5\nW11\n0\nw\n0\n"),
+        ("directed", "0\n1\n"),
+        ("directed", "-1\n"),
+    ])
+    def test_kernel_rows_and_block_counts_are_input_errors(self, workdir, capsys, kind, text):
+        """An input error (exit 2), never a failed unpacking (exit 4)."""
+        cls, pattern = {"simple": (StepGraphon, "edge.txt"), "bipartite": (BipartiteKernel, "crossedge.txt"),
+                        "directed": (DirectedKernelQuintuple, "diredge.txt")}[kind]
+        with pytest.raises(InputError):
+            cls.from_text(text)
+        (workdir / "bad_kernel.txt").write_text(text)
+        code, _ = run_main(["density", "--kind", kind, "-F", pattern, "-W", "bad_kernel.txt"], workdir, capsys)
         assert code == 2
 
     @pytest.mark.parametrize("flag", ["--seed", "--mc"])

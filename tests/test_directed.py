@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from graphonlab.directed import (
+    PAIR_STATES,
     DirectedGraph,
     DirectedKernelQuintuple,
     directed_t,
@@ -23,6 +25,7 @@ from graphonlab.exchangeable import chi_square_uniformity, covariance_ztest
 from graphonlab.rng import stream
 
 from oracles import brute_hom_directed, directed_canonical_rows
+from test_engines import quadruples, quintuples
 
 F = Fraction
 TOURNAMENT = tournament_kernel()
@@ -204,6 +207,38 @@ class TestSamplers:
         a = sample_directed(TWO_BLOCK, 20, stream(7, 1))
         b = sample_directed(TWO_BLOCK, 20, stream(7, 1))
         assert a == b
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(quintuples(), quadruples()), st.integers(1, 6), st.sampled_from([1, 2, 9]),
+           st.integers(0, 2**32 - 1))
+    @example(TWO_BLOCK, 5, 9, 0)
+    @example(quadruple_from_quintuple(TWO_BLOCK, F(3, 10)), 5, 1, 1)
+    def test_pair_codes_match_a_per_pair_reference(self, kernel, n, count, seed):
+        """The vectorised sampler draws what a per-pair loop draws from a twin
+        stream: Generator.choice latent blocks, under quadruple-plus-p a
+        Bernoulli(p) loop flag per vertex, then per colex pair one uniform
+        against the running float sums of W00, W01, W10 at the pair's
+        states; and it leaves the stream where the loop leaves it."""
+        g1, g2 = stream(seed), stream(seed)
+        loops, codes = sample_directed_pair_codes(kernel, n, count, g1)
+        blocks = g2.choice(kernel.m, size=(count, n), p=[float(x) for x in kernel.mu])
+        if isinstance(kernel, DirectedKernelQuintuple):
+            want_loops, states = np.array(kernel.loop_flags)[blocks], blocks
+        else:
+            want_loops = (g2.random((count, n)) < float(kernel.p)).astype(int)
+            states = 2 * blocks + want_loops
+        pairs = [(i, j) for j in range(n) for i in range(j)]
+        u = g2.random((count, len(pairs)))
+        want = np.zeros((count, len(pairs)), dtype=np.int8)
+        for c in range(count):
+            for p, (i, j) in enumerate(pairs):
+                cum = 0.0
+                for a, b in PAIR_STATES[:3]:
+                    cum += float(kernel.pair_matrix(a, b)[states[c, i]][states[c, j]])
+                    want[c, p] += u[c, p] >= cum
+        assert np.array_equal(loops, want_loops)
+        assert codes.dtype == np.int8 and np.array_equal(codes, want)
+        assert g1.random() == g2.random()
 
 
 class TestLoopSequence:

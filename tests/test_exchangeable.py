@@ -127,6 +127,12 @@ class TestEmpiricalPrefixLaw:
         freq = float(law.probability(pair_bits_of(LabelledGraph.complete(2))))
         assert abs(freq - 0.5) <= 3 / (2 * math.sqrt(100_000))
 
+    @pytest.mark.parametrize("weights", [(Fraction(9, 20), Fraction(9, 20)), (1, 0), (Fraction(1, 2), -1), ()])
+    def test_mixture_weights_pass_the_block_measure_check(self, weights):
+        # the one tolerance, MEASURE_TOL: 9/10 is far outside it
+        with pytest.raises(InputError, match="mixture weights"):
+            GraphSource.mixture([(wt, HALF) for wt in weights])
+
     @pytest.mark.parametrize("w", [BG, GeneralGraphon(lambda x, y: (x + y) / 2)], ids=["step", "general"])
     def test_one_component_mixture_draws_like_its_kernel(self, w):
         # one component draws no component index, so both read the same uniforms
