@@ -25,6 +25,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import CapacityError, InputError, InvariantError
+from .exact import exact_dtype
 from .graphs import (
     WORD,
     GraphEnumeration,
@@ -287,14 +288,14 @@ def contract(weights: Sequence, factors: Mapping[tuple[int, int], object]) -> Fr
 
     Exact: weights are scaled to integers over one denominator, factors
     over another, and factors identically 1 drop out. No partial sum
-    exceeds the product of the weight sums and factor maxima; below 2^53
-    it runs in float64 BLAS, below 2^63 in int64, else in Python ints."""
+    exceeds the product of the weight sums and factor maxima, and it runs
+    in the exact_dtype of that bound."""
     ws, dw = _numerators(weights)
     fs, df = _numerators(list(factors.values()))
     kept = {p: f for p, f in zip(factors, fs) if not (f == df).all()}
     bound = math.prod(max(1, int(a.sum())) for a in ws) * math.prod(max(1, int(a.max())) for a in kept.values())
-    dtype = np.float64 if bound < 2**53 else np.int64 if bound < 2**63 else object
-    cast = {key: (a.astype(np.int64) if dtype is object and a.dtype != object else a).astype(dtype)
+    dtype = exact_dtype(bound)
+    cast = {key: (a.astype(np.int64) if dtype == "object" and a.dtype != object else a).astype(dtype)
             for key, a in {id(a): a for a in [*ws, *kept.values()]}.items()}
     total = _sum([cast[id(a)] for a in ws], {p: cast[id(a)] for p, a in kept.items()})
     return Fraction(total, dw ** len(ws) * df ** len(kept))

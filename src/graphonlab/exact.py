@@ -31,6 +31,13 @@ def to_fraction(x: Number) -> Fraction:
     raise InputError(f"cannot interpret {type(x).__name__} as a number")
 
 
+def exact_dtype(bound: int) -> str:
+    """The numpy dtype in which integer sums that stay below `bound` in
+    absolute value are exact: float64 below 2^53, which BLAS multiplies
+    fastest, int64 below 2^63, else Python ints in object arrays."""
+    return "float64" if bound < 2**53 else "int64" if bound < 2**63 else "object"
+
+
 def read_text(path: str) -> str:
     """The whole of an input file, which must be ASCII; a missing,
     unreadable or non-ASCII file raises InputError."""

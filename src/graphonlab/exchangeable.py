@@ -17,7 +17,6 @@ from typing import Callable, Collection, KeysView, Mapping, Sequence, Union
 
 import numpy as np
 
-from .densities import TERM_CAP, _as_labelled, t_ind
 from .errors import CapacityError, InputError
 from .exact import Number
 from .graphon import (
@@ -30,6 +29,8 @@ from .graphs import (  # check_class_size and isomorphism_class are re-exported
 )
 from .rng import chunk_sizes, run_chunked
 
+# densities, the contraction engine, is imported inside the functions that count
+# or contract, so that the samplers and the tests on them never load it.
 PREFIX_CAP = 16
 
 
@@ -97,6 +98,8 @@ def prefix_law_exact(w: StepGraphon, k: int) -> PrefixLaw:
     on isomorphism classes, so each class gets one exact_ind_density, and
     each member its class's integer mass over one common denominator; the
     law keeps the classes of non-zero mass, so none is enumerated again."""
+    from .densities import TERM_CAP
+
     if k < 1:
         raise InputError("k must be >= 1")
     npairs = k * (k - 1) // 2
@@ -436,6 +439,8 @@ def correspondence_check(
 ) -> CorrespondenceResult:
     """Exact identity: the kernel density of f equals the prefix-law mass of
     all k-vertex labelled graphs containing f."""
+    from .densities import _as_labelled
+
     fl = _as_labelled(f)
     if not fl.n <= k:
         raise InputError(f"pattern on {fl.n} vertices does not fit in prefix of {k}")
@@ -457,6 +462,8 @@ def martingale_trace(
     One path, restricted downward; never independent resamples, so the
     trace is a single realisation of the reverse martingale.
     """
+    from .densities import _as_labelled, t_ind
+
     fl = _as_labelled(f)
     grid = list(n_grid)
     if any(b <= a for a, b in zip(grid, grid[1:])):

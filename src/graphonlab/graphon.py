@@ -11,26 +11,22 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .densities import (
-    DensityEstimate,
-    GraphLike,
-    _as_labelled,
-    _check_pattern,
-    hoeffding_halfwidth,
-    kernel_sum,
-)
 from .errors import CapacityError, InputError
-from .exact import Number, content_lines, number_rows, parse_line, read_text, rows_lines, to_fraction
+from .exact import Number, content_lines, exact_dtype, number_rows, parse_line, read_text, rows_lines, to_fraction
 from .graphs import LabelledGraph, graph_from_bool_matrix, pair_order, unpack_rows
+
+if TYPE_CHECKING:  # the samplers and cut norms never load the contraction engine
+    from .densities import DensityEstimate, GraphLike
 
 CUT_NORM_CAP = 16
 CUT_DIST_CAP = 8
 MEASURE_TOL = Fraction(1, 10**12)
 STRIP = 1 << 15  # uniforms per Bernoulli strip
+COUNTED_BLOCKS = 224  # draw_blocks counts labels (in uint8, so below 256) up to this many blocks, then searches
 CUT_CELLS = 1 << 18  # column sums per block of the all-subsets cut norm
 
 
@@ -154,6 +150,8 @@ def graph_as_graphon(g: LabelledGraph) -> StepGraphon:
 def exact_density(f: GraphLike, w: StepGraphon) -> Fraction:
     """Exact pattern density of the step kernel: the block-assignment sum
     of mu-weights times edge factors, in rational arithmetic."""
+    from .densities import _as_labelled, _check_pattern, kernel_sum
+
     fl = _as_labelled(f)
     _check_pattern(fl)
     return kernel_sum([w.mu] * fl.n, {(u - 1, v - 1): w.w for u, v in fl.edges()})
@@ -162,6 +160,8 @@ def exact_density(f: GraphLike, w: StepGraphon) -> Fraction:
 def exact_ind_density(f: GraphLike, w: StepGraphon) -> Fraction:
     """Exact probability that the v(f)-prefix of the W-random graph is f:
     the kernel value per edge, its complement per non-edge."""
+    from .densities import _as_labelled, _check_pattern, kernel_sum
+
     fl = _as_labelled(f)
     _check_pattern(fl)
     comp = tuple(tuple(1 - x for x in row) for row in w.w)
@@ -176,10 +176,19 @@ def draw_blocks(mu: Sequence[Number], shape: tuple[int, ...], rng: np.random.Gen
     every latent block draw and every mixture component pick goes through
     here. The labels are rng.choice(len(mu), size=shape, p=mu), by choice's
     own step without its checks: the same normalised cdf, the same uniforms,
-    and for each uniform the number of cdf points at or below it."""
+    and for each uniform the number of cdf points at or below it. Up to
+    COUNTED_BLOCKS blocks that number is counted, one vector compare per
+    inner cut point (the last point, 1, lies above every uniform), in uint8;
+    above, each uniform is binary-searched."""
     cdf = np.array([float(x) for x in mu]).cumsum()
     cdf /= cdf[-1]
-    return cdf.searchsorted(rng.random(shape), side="right").astype(np.int64, copy=False)
+    u = rng.random(shape)
+    if len(cdf) > COUNTED_BLOCKS:
+        return cdf.searchsorted(u, side="right").astype(np.int64, copy=False)
+    labels = np.zeros(shape, dtype=np.uint8)
+    for cut in cdf[:-1]:
+        labels += u >= cut
+    return labels.astype(np.int64)
 
 
 def bernoulli(
@@ -237,17 +246,17 @@ def pair_bits(
 def sample_w_random(w: StepGraphon | GeneralGraphon, n: int, rng: np.random.Generator) -> LabelledGraph:
     """G(n, W): iid latent labels, then conditionally independent edges
     over the pairs i < j in row-major order, drawn row by row straight into
-    the adjacency matrix, so no index array of all n(n-1)/2 pairs is built.
-    The uniforms are those of one draw over all pairs: Generator.random(a)
-    then random(b) gives the doubles of random(a + b)."""
+    both triangles of the adjacency matrix, so no index array of all
+    n(n-1)/2 pairs and no transposed copy is built. The uniforms are those
+    of one draw over all pairs: Generator.random(a) then random(b) gives
+    the doubles of random(a + b)."""
     if n < 1:
         raise InputError("n must be >= 1")
     read = _latent_reader(w, (1, n), rng)
     cols = np.arange(n)
     a = np.zeros((n, n), dtype=bool)
     for i in range(n - 1):
-        a[i, i + 1:] = bernoulli(lambda s: read(i, cols[i + 1:][s]), n - 1 - i, 1, rng)[0]
-    a |= a.T
+        a[i, i + 1:] = a[i + 1:, i] = bernoulli(lambda s: read(i, cols[i + 1:][s]), n - 1 - i, 1, rng)[0]
     return graph_from_bool_matrix(a)
 
 
@@ -256,6 +265,8 @@ def mc_density_product_sum(
 ) -> float:
     """Sum over iid uniform tuples of the product of kernel values along
     f's edges; chunk-mergeable core of mc_density."""
+    from .densities import _as_labelled, _check_pattern
+
     fl = _as_labelled(f)
     _check_pattern(fl)
     read = _latent_reader(w, (count, fl.n), rng)
@@ -274,6 +285,8 @@ def mc_density(
 ) -> DensityEstimate:
     """Monte Carlo quadrature of the density integral: the average over iid
     uniform tuples of the product of kernel values along f's edges."""
+    from .densities import DensityEstimate, hoeffding_halfwidth
+
     if samples < 1:
         raise InputError("samples must be >= 1")
     total = mc_density_product_sum(f, w, samples, rng)
@@ -384,19 +397,20 @@ def kernel_difference(w1: StepGraphon, w2: StepGraphon) -> SignedStepKernel:
 
 def _scaled_q(mu: Sequence[Fraction], mats: Sequence[Sequence[Sequence[Fraction]]]) -> tuple[np.ndarray, int]:
     """The stack of q = mu mu^T o d over the d in mats, as integers over one
-    denominator (also returned): int64 if the sum of |q| fits, else objects."""
+    denominator (also returned), in the exact_dtype of the sum of |q|, which
+    bounds every subset sum that _cut_norms takes, also of a difference of two."""
     q = [[mu[a] * mu[b] * x for b, x in enumerate(row)] for d in mats for a, row in enumerate(d)]
     den = math.lcm(*(x.denominator for row in q for x in row))
     ints = [[int(x * den) for x in row] for row in q]
-    big = sum(abs(x) for row in ints for x in row) >= 2**63
-    return np.array(ints, dtype=object if big else np.int64).reshape(len(mats), len(mu), len(mu)), den
+    dtype = exact_dtype(sum(abs(x) for row in ints for x in row))
+    return np.array(ints, dtype=dtype).reshape(len(mats), len(mu), len(mu)), den
 
 
 def _cut_norms(q: np.ndarray) -> np.ndarray:
-    """Cut norms of a stack q (p, m, m) of integer matrices: for a row set S
-    the best column set takes the positive or the negative column sums of
-    q over S, and all 2^m sets S go at once, as the subset matrix times q,
-    in blocks of about CUT_CELLS column sums."""
+    """Cut norms of a stack q (p, m, m) of integer-valued matrices: for a
+    row set S the best column set takes the positive or the negative column
+    sums of q over S, and all 2^m sets S go at once, as the subset matrix
+    times q, in blocks of about CUT_CELLS column sums."""
     p, m, _ = q.shape
     step = max(1, CUT_CELLS // (p * m))
     best = np.zeros(p, dtype=q.dtype)

@@ -11,6 +11,7 @@ from graphonlab.densities import t
 from graphonlab.errors import CapacityError, InputError
 from graphonlab.exchangeable import GraphSource
 from graphonlab.graphon import (
+    COUNTED_BLOCKS,
     BlockMap,
     GeneralGraphon,
     SignedStepKernel,
@@ -26,6 +27,7 @@ from graphonlab.graphon import (
     pair_bits,
     pushforward,
     sample_w_random,
+    _scaled_q,
 )
 from graphonlab.graphs import LabelledGraph, enumerate_unlabelled, graph_from_bool_matrix, pair_order
 from graphonlab.rng import stream
@@ -218,15 +220,18 @@ class TestSampler:
             assert abs(freq - exact) <= 3 / (2 * math.sqrt(n)), (name, freq, exact)
 
     @settings(max_examples=80, deadline=None)
-    @given(st.integers(1, 80).flatmap(
+    @given(st.integers(1, COUNTED_BLOCKS + 8).flatmap(
                lambda m: st.lists(st.integers(1, 1000), min_size=m, max_size=m)),
            st.sampled_from([(1,), (7,), (300, 5), (2, 3, 4)]), st.integers(0, 2**32 - 1))
     @example([1], (7,), 0)
     @example([1] * 80, (300, 5), 1)
+    @example([1] * COUNTED_BLOCKS, (300, 5), 2)
+    @example([1] * (COUNTED_BLOCKS + 1), (300, 5), 3)
+    @example(list(range(1, COUNTED_BLOCKS + 1)), (2, 3, 4), 4)
     def test_draw_blocks_is_generator_choice(self, raw, shape, seed):
         """The block draws, and a mixture's component picks, are exactly
         Generator.choice on a twin stream, which is left where choice leaves
-        it."""
+        it: counted up to COUNTED_BLOCKS blocks, searched above."""
         mu = [Fraction(x, sum(raw)) for x in raw]
         p = np.array([float(x) for x in mu])
         g1, g2 = stream(seed), stream(seed)
@@ -239,6 +244,17 @@ class TestSampler:
             got, want = src._pick_components(shape[0], g1), g2.choice(len(raw), size=shape[0], p=p)
             assert got.dtype == want.dtype and np.array_equal(got, want)
             assert g1.random() == g2.random()
+
+    @pytest.mark.parametrize("m", [4, 256])
+    def test_a_uniform_on_a_cut_point_takes_the_block_above(self, m):
+        """As searchsorted(side="right") does, on the counting path (4
+        blocks) and the searching one (256): cut points k/m are exact."""
+
+        class Uniforms:
+            def random(self, shape):
+                return np.array([0.0, 1 / m, np.nextafter(1 / m, 0), 3 / m, np.nextafter(1.0, 0)])
+
+        assert draw_blocks([Fraction(1, m)] * m, (5,), Uniforms()).tolist() == [0, 1, 0, 3, m - 1]
 
     @pytest.mark.parametrize("w", [W3, StepGraphon.constant(Fraction(1, 3)), GeneralGraphon(lambda x, y: x * y)])
     @pytest.mark.parametrize("n", [1, 2, 3, 256, 257, 300])
@@ -253,9 +269,9 @@ class TestSampler:
         assert sample_w_random(w, n, stream(n, 3)) == graph_from_bool_matrix(a | a.T)
 
     def test_sampling_4000_vertices_holds_no_pair_arrays(self):
-        """Two int64 arrays of all pairs would take 8 bytes per n^2, and a
-        bool array of the drawn bits 0.5 more; the dense bool matrix and
-        the copy that a |= a.T makes take 2."""
+        """Two int64 arrays of all pairs would take 8 bytes per n^2, a bool
+        array of the drawn bits 0.5 more, and a transposed copy of the
+        dense bool matrix 1 more; the matrix itself takes 1."""
         n = 4000
         tracemalloc.start()
         try:
@@ -263,7 +279,7 @@ class TestSampler:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert g.n == n and peak < 2.5 * n * n, peak
+        assert g.n == n and peak < 1.5 * n * n, peak
 
     def test_boys_girls_convergence_rate(self):
         # deviation of the edge density shrinks roughly like n^(-1/2)
@@ -341,7 +357,9 @@ class TestCutNorm:
 
     def test_large_denominators_match_brute_oracle(self):
         """Denominators this large push the scaled q past int64, so the
-        subset sums run on Python ints."""
+        subset sums run on Python ints; the two non-negative kernels after them
+        put the sum of |q| at 2^53 - 1 (float64) and 2^53 + 3 (int64, whose
+        odd cut norm float64 would round)."""
         big = 10**12 + 39
         rng = stream(13)
         for m in (1, 2, 3, 4):
@@ -349,6 +367,12 @@ class TestCutNorm:
             mu = [Fraction(x, sum(mu_raw)) for x in mu_raw]
             vals = [[Fraction(int(rng.integers(-big, big)), big) for _ in range(m)] for _ in range(m)]
             d = SignedStepKernel(tuple(mu), tuple(tuple(row) for row in vals))
+            assert cut_norm(d) == brute_cut_norm(list(d.mu), [list(r) for r in d.values])
+        den = 2**53 + 5
+        for (a, b, c), dtype in [((2**52 - 1, 1, 2**52 - 2), np.float64), ((2**52 + 1, 1, 2**52), np.int64)]:
+            vals = ((Fraction(a, den), Fraction(b, den)), (Fraction(b, den), Fraction(c, den)))
+            d = SignedStepKernel((Fraction(1, 2), Fraction(1, 2)), vals)
+            assert _scaled_q(d.mu, [d.values])[0].dtype == dtype
             assert cut_norm(d) == brute_cut_norm(list(d.mu), [list(r) for r in d.values])
 
     def test_cap(self):

@@ -130,17 +130,35 @@ def test_rows_become_bytes_in_one_function():
     assert owners == {"graphs.row_words"}
 
 
-# A fresh child runs one command through cli.main and says whether
-# numpy.random is loaded.
-DRAWLESS = r'''
+# A fresh child runs one command through cli.main and lists which of the
+# watched modules (its first argument, comma-separated) are loaded.
+LOADED = r"""
 import json
 import sys
 
 from graphonlab.cli import main
 
-code = main(sys.argv[1:])
-print(json.dumps([code, "numpy.random" in sys.modules]))
-'''
+watched = sys.argv[1].split(",")
+code = main(sys.argv[2:])
+print(json.dumps([code, [m for m in watched if m in sys.modules]]))
+"""
+
+
+def _run_watching(cwd, argv, watched):
+    """The exit code of one command in a fresh child, and the watched
+    modules it loaded; the report goes to out.csv."""
+    (cwd / "two.txt").write_text("2\n1/3 2/3\n1/2 1/5\n1/5 3/4\n")
+    (cwd / "owt.txt").write_text("2\n1/3 2/3\n3/4 1/5\n1/5 1/2\n")
+    (cwd / "src.txt").write_text("wrandom two.txt\n")
+    (cwd / "pairs.txt").write_text("1-2 | 3-4\n")
+    (cwd / "k3.txt").write_text("3 3\n1 2\n1 3\n2 3\n")
+    (cwd / "edge.txt").write_text("2 1\n1 2\n")
+    res = subprocess.run([sys.executable, "-c", LOADED, ",".join(watched), *argv, "-o", "out.csv"], cwd=cwd,
+                         env=child_env(), capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    code, loaded = json.loads(res.stdout.splitlines()[-1])
+    assert (cwd / "out.csv").read_text().strip()
+    return code, loaded
 
 
 @pytest.mark.parametrize("argv", [["test-exchangeable", "-src", "src.txt", "-k", "4"],
@@ -150,16 +168,22 @@ def test_commands_that_never_draw_load_no_numpy_random(tmp_path, argv):
     leave numpy.random, and the secrets and hashlib it loads, unloaded.
     numpy releases that import numpy.random with numpy itself (1.24 does)
     pass trivially."""
-    (tmp_path / "half.txt").write_text("1\n1\n1/2\n")
-    (tmp_path / "src.txt").write_text("wrandom half.txt\n")
-    (tmp_path / "k3.txt").write_text("3 3\n1 2\n1 3\n2 3\n")
-    (tmp_path / "edge.txt").write_text("2 1\n1 2\n")
     control = subprocess.run([sys.executable, "-c", "import sys, numpy; print('numpy.random' in sys.modules)"],
                              env=child_env(), capture_output=True, text=True, timeout=60)
     assert control.returncode == 0, control.stderr
-    res = subprocess.run([sys.executable, "-c", DRAWLESS, *argv, "-o", "out.csv"], cwd=tmp_path, env=child_env(),
-                         capture_output=True, text=True, timeout=120)
-    assert res.returncode == 0, res.stderr
-    code, loaded = json.loads(res.stdout.splitlines()[-1])
-    assert code == 0 and (tmp_path / "out.csv").read_text().strip()
+    code, loaded = _run_watching(tmp_path, argv, ["numpy.random"])
+    assert code == 0
     assert not loaded or control.stdout.split() == ["True"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "-W", "two.txt", "-n", "40"],
+    ["test-exchangeable", "-src", "src.txt", "-k", "4", "--samples", "3000"],
+    ["test-extreme", "-src", "src.txt", "--pairs", "pairs.txt", "--samples", "3000"],
+    ["cutdist", "-W", "two.txt", "-W2", "owt.txt"],
+], ids=["sample", "empirical-law", "extreme", "cutdist"])
+def test_sampler_commands_load_no_contraction_engine(tmp_path, argv):
+    """Commands that only draw, or only score cut norms, never count or
+    contract, so graphonlab.densities, the contraction engine, stays
+    unloaded; each child would otherwise compile it for nothing."""
+    assert _run_watching(tmp_path, argv, ["graphonlab.densities", "graphonlab.graphon"]) == (0, ["graphonlab.graphon"])
