@@ -8,15 +8,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .densities import BoundCheck, falling, host_count, kernel_sum
 from .errors import CapacityError, InputError
 from .exact import Number, content_lines, number_rows, parse_line, rows_lines, to_fraction
 from .graphon import _checked_matrix, _normalized_measures, _reader, bernoulli, draw_blocks
 from .graphs import column_rows, pack_rows, pair_rows, row_bits, rows_text, text_rows, unpack_rows
+
+if TYPE_CHECKING:  # the sampler never loads the contraction engine
+    from .densities import BoundCheck
 
 BIP_PATTERN_CAP = 6
 
@@ -75,6 +77,8 @@ def _as_one_graph(g: BipartiteGraph) -> list[int]:
 def _bip_count(f: BipartiteGraph, g: BipartiteGraph, injective: bool, induced: bool) -> int:
     """Part-respecting maps preserving f's edges (optionally injective,
     optionally reflecting non-edges): a side mask per pattern vertex."""
+    from .densities import host_count
+
     rows = _as_one_graph(g)
     sides = [(1 << g.n1) - 1] * f.n1 + [((1 << g.n2) - 1) << g.n1] * f.n2
     return host_count(_as_one_graph(f), rows, rows, sides, injective, induced)
@@ -83,6 +87,8 @@ def _bip_count(f: BipartiteGraph, g: BipartiteGraph, injective: bool, induced: b
 def _density(f: BipartiteGraph, g: BipartiteGraph, injective: bool, induced: bool) -> Fraction:
     """_bip_count over all part-respecting maps, or over the injective
     ones; 0 when an injective pattern's part outnumbers the host's."""
+    from .densities import falling
+
     _check_bip_pattern(f)
     maps = falling(g.n1, f.n1) * falling(g.n2, f.n2) if injective else g.n1**f.n1 * g.n2**f.n2
     return Fraction(_bip_count(f, g, injective, induced), maps) if maps else Fraction(0)
@@ -111,6 +117,8 @@ def bip_sampling_bound(f: BipartiteGraph, g: BipartiteGraph) -> Fraction:
 
 def bip_sampling_bound_check(f: BipartiteGraph, g: BipartiteGraph) -> BoundCheck:
     """|t - t_inj| against the two-part repeated-vertex bound."""
+    from .densities import BoundCheck
+
     gap = abs(bip_t(f, g) - bip_t_inj(f, g))
     bound = bip_sampling_bound(f, g)
     return BoundCheck(gap, bound, gap <= bound)
@@ -165,6 +173,8 @@ def bip_graph_as_kernel(g: BipartiteGraph) -> BipartiteKernel:
 
 
 def _bip_kernel_sum(f: BipartiteGraph, w: BipartiteKernel, induced: bool) -> Fraction:
+    from .densities import kernel_sum
+
     _check_bip_pattern(f)
     comp = tuple(tuple(1 - x for x in row) for row in w.w)
     factors = {

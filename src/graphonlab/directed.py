@@ -15,11 +15,13 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .densities import falling, host_count, kernel_sum
 from .errors import CapacityError, InputError
 from .exact import Number, content_lines, number_rows, parse_line, rows_lines, to_fraction
 from .graphon import _checked_matrix, _normalized_measures, draw_blocks
 from .graphs import column_rows, pack_rows, pair_order, pair_rows, row_bits, rows_text, text_rows
+
+# densities, the contraction engine, is imported inside the functions that
+# count or sum, so that the samplers never load it.
 
 DIR_PATTERN_CAP = 6
 
@@ -273,6 +275,8 @@ def _density(f: DirectedGraph, g: DirectedGraph, injective: bool, induced: bool)
     indicator matrix. f's loops become image masks; g keeps its loops in
     its rows, since a non-injective map may send an arc onto a loop.
     """
+    from .densities import falling, host_count
+
     _check_dir_pattern(f)
     maps = falling(g.n, f.n) if injective else g.n**f.n
     if not maps:
@@ -288,6 +292,8 @@ def _kernel_sum(f: DirectedGraph, kernel: DirectedKernel, induced: bool) -> Frac
     """Block-assignment sum: one latent state per pattern vertex, weighted
     by its measure where its loop flag meets f's loop requirement, and per
     unordered pair the probability of the required joint indicators."""
+    from .densities import kernel_sum
+
     _check_dir_pattern(f)
     _check_kernel(kernel)
     states = range(len(kernel.w00))

@@ -152,28 +152,38 @@ class GraphSource:
         part = self.components[self._pick_components(1, rng)[0]][1]
         return part(n, rng) if callable(part) else sample_w_random(part, n, rng)
 
-    def pair_bits_batch(self, k: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    def pair_bits_batch(self, k: int, count: int, rng: np.random.Generator, used: Sequence[int] | None = None,
+                        *, sample_order: bool = True) -> np.ndarray:
         """Boolean array (count, k*(k-1)/2): edge indicators of iid k-prefixes,
-        columns in colex pair order."""
+        columns in colex pair order, or only the increasing pair indices
+        `used`. Each component draws its prefixes in one block, in component
+        order; the rows go back to sample order unless sample_order=False,
+        for callers that only sum or count them."""
         jj, ii = np.tril_indices(k, -1)  # colex: (0,1), (0,2), (1,2), (0,3), ...
         comp = self._pick_components(count, rng)
-        out = np.zeros((count, len(ii)), dtype=bool)
-        for c, (_, part) in enumerate(self.components):
-            mask = comp == c
-            n_c = int(mask.sum())
-            if n_c and callable(part):
-                out[mask] = unpack_rows([pair_bits_of(restrict_prefix(part(k, rng), k)) for _ in range(n_c)],
-                                        len(ii))
-            elif n_c:
-                out[mask] = pair_bits(part, k, n_c, ii, jj, rng)
-        return out
+        out = np.empty((len(ii) if used is None else len(used), count), dtype=bool)  # transposed, as pair_bits draws
+        start = 0
+        sizes = np.bincount(comp, minlength=len(self.components)).tolist()
+        for c, ((_, part), n_c) in enumerate(zip(self.components, sizes)):
+            if not n_c:
+                continue
+            if callable(part):
+                bits = unpack_rows([pair_bits_of(restrict_prefix(part(k, rng), k)) for _ in range(n_c)], len(ii))
+                bits = bits if used is None else bits[:, used]
+            else:
+                bits = pair_bits(part, k, n_c, ii, jj, rng, used)
+            rows = comp == c if sample_order and len(self.components) > 1 else slice(start, start + n_c)
+            out[:, rows] = bits.T
+            start += n_c
+        return out.T
 
 
 def prefix_law_empirical(
     src: GraphSource, k: int, samples: int, rng: np.random.Generator
 ) -> PrefixLaw:
     """Empirical distribution of the k-prefix over seeded iid samples. The
-    support lists each chunk's new codes in increasing order, chunk by chunk."""
+    support lists each chunk's new codes in increasing order, chunk by chunk;
+    np.unique sorts them, so a chunk's rows are read component-major."""
     if samples < 1:
         raise InputError("samples must be >= 1")
     if k < 1:
@@ -182,7 +192,7 @@ def prefix_law_empirical(
         raise CapacityError(f"prefix size capped at {PREFIX_CAP} vertices, got {k}")
     counts: dict[int, int] = {}
     for batch in chunk_sizes(samples):
-        bits = src.pair_bits_batch(k, batch, rng)
+        bits = src.pair_bits_batch(k, batch, rng, sample_order=False)
         if bits.shape[1] < 64:  # the codes fit in int64
             codes = bits @ (1 << np.arange(bits.shape[1], dtype=np.int64))
         else:
@@ -382,11 +392,16 @@ class ExtremalityVerdict:
 def _pair_sums_chunk(
     src: GraphSource, pairs: Sequence[PatternPair], k: int, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    bits = src.pair_bits_batch(k, count, rng)
+    """Per pair, the counts of prefixes holding the first pattern, the
+    second, and both: sums, so the rows are drawn component-major, and only
+    at the pair columns that some pattern reads."""
+    used = sorted({c for pair in pairs for which in (1, 2) for c in pair.columns(which)})
+    at = {c: i for i, c in enumerate(used)}
+    bits = src.pair_bits_batch(k, count, rng, used, sample_order=False)
     sums = np.zeros((len(pairs), 3), dtype=np.int64)
     for idx, pair in enumerate(pairs):
-        a = bits[:, pair.columns(1)].all(axis=1)
-        b = bits[:, pair.columns(2)].all(axis=1)
+        a = bits[:, [at[c] for c in pair.columns(1)]].all(axis=1)
+        b = bits[:, [at[c] for c in pair.columns(2)]].all(axis=1)
         sums[idx] = (int(a.sum()), int(b.sum()), int((a & b).sum()))
     return sums
 

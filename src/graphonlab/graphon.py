@@ -18,6 +18,7 @@ import numpy as np
 from .errors import CapacityError, InputError
 from .exact import Number, content_lines, exact_dtype, number_rows, parse_line, read_text, rows_lines, to_fraction
 from .graphs import LabelledGraph, graph_from_bool_matrix, pair_order, unpack_rows
+from .rng import skip
 
 if TYPE_CHECKING:  # the samplers and cut norms never load the contraction engine
     from .densities import DensityEstimate, GraphLike
@@ -192,34 +193,57 @@ def draw_blocks(mu: Sequence[Number], shape: tuple[int, ...], rng: np.random.Gen
 
 
 def bernoulli(
-    probs_of: Callable[[slice], np.ndarray | float], cells: int, count: int, rng: np.random.Generator
+    probs_of: Callable[[slice], np.ndarray | float], cells: int, count: int, rng: np.random.Generator,
+    used: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Boolean array (count, cells) of independent indicators; probs_of(s)
     gives the probabilities of the cells in slice s as (cells, count), or
     one float for all of them. The uniforms are drawn cell-major, all of
     cell 0 first, in strips of about STRIP values so that the arrays of a
-    strip stay in cache."""
-    out = np.empty((cells, count), dtype=bool)
+    strip stay in cache. Given `used`, increasing cell indices, only those
+    columns are drawn and returned, (count, len(used)): strips cover runs of
+    used cells and every other cell's uniforms are skipped in place, so each
+    indicator and the draws after the call are those of the full draw."""
+    runs = [[0, cells]] if used is None else []
+    for c in [] if used is None else used:
+        if runs and runs[-1][1] == c:
+            runs[-1][1] += 1
+        else:
+            runs.append([c, c + 1])
+    out = np.empty((sum(b - a for a, b in runs), count), dtype=bool)
     step = max(1, STRIP // max(1, count))
-    for a in range(0, cells, step):
-        b = min(a + step, cells)
-        np.less(rng.random((b - a, count)), probs_of(slice(a, b)), out=out[a:b])
+    row = done = 0
+    for a, b in runs:
+        skip(rng, (a - done) * count)
+        for s in range(a, b, step):
+            e = min(s + step, b)
+            np.less(rng.random((e - s, count)), probs_of(slice(s, e)), out=out[row:row + e - s])
+            row += e - s
+        done = b
+    skip(rng, (cells - done) * count)
     return out.T
 
 
 def _latent_reader(w: StepGraphon | GeneralGraphon, shape: tuple[int, int], rng: np.random.Generator):
     """_reader at iid latents of shape (count, k), the same for rows and columns; drawn
-    here, so that no caller holds them where a one-value reader does not."""
-    xt = (draw_blocks(w.mu, shape, rng) if isinstance(w, StepGraphon) else rng.random(shape)).T
+    here, so that no caller holds them where a one-value reader does not. A
+    one-block kernel's reader is that value, so its latents are skipped, not drawn."""
+    if isinstance(w, GeneralGraphon):
+        xt = rng.random(shape).T
+    elif w.m > 1:
+        xt = draw_blocks(w.mu, shape, rng).T
+    else:
+        skip(rng, shape[0] * shape[1])
+        xt = None
     return _reader(w, xt, xt)
 
 
-def _reader(w, xt: np.ndarray, yt: np.ndarray) -> Callable[[object, object], np.ndarray | float]:
+def _reader(w, xt: np.ndarray | None, yt: np.ndarray | None) -> Callable[[object, object], np.ndarray | float]:
     """read(i, j): kernel values at the row latents xt[i] and column latents
     yt[j] (ints or index arrays; yt is xt for a simple graph). The value
     matrix w of a step or bipartite kernel becomes a float table with row
-    offsets once, or one value when 1x1; a general kernel sees its latents
-    flat, for its per-pair fallback."""
+    offsets once, or one value when 1x1, which reads no latents (they may be
+    None); a general kernel sees its latents flat, for its per-pair fallback."""
     if isinstance(w, GeneralGraphon):
         def read(i, j):
             xi, yj = np.broadcast_arrays(xt[i], yt[j])
@@ -235,12 +259,13 @@ def _reader(w, xt: np.ndarray, yt: np.ndarray) -> Callable[[object, object], np.
 
 def pair_bits(
     w: StepGraphon | GeneralGraphon, k: int, count: int, ii: np.ndarray, jj: np.ndarray,
-    rng: np.random.Generator,
+    rng: np.random.Generator, used: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Boolean array (count, len(ii)): edge indicators of `count` iid
-    W-random graphs on k vertices at the 0-based vertex pairs (ii, jj)."""
+    W-random graphs on k vertices at the 0-based vertex pairs (ii, jj), or
+    only at the increasing pair indices `used`, as bernoulli draws them."""
     read = _latent_reader(w, (count, k), rng)
-    return bernoulli(lambda s: read(ii[s], jj[s]), len(ii), count, rng)
+    return bernoulli(lambda s: read(ii[s], jj[s]), len(ii), count, rng, used)
 
 
 def sample_w_random(w: StepGraphon | GeneralGraphon, n: int, rng: np.random.Generator) -> LabelledGraph:

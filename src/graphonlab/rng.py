@@ -25,6 +25,22 @@ def stream(seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
 
 
+def skip(gen: np.random.Generator, n: int) -> None:
+    """Move gen past n float64 draws: every later draw is the one that
+    follows gen.random(n). A PCG64 steps once per double, so it jumps
+    ahead in O(log n) by advance(n). Any other bit generator (Philox's
+    advance counts blocks of four words), or a PCG64 holding a buffered
+    32-bit value, which advance would drop, draws and discards in chunks."""
+    if n <= 0:
+        return
+    bits = getattr(gen, "bit_generator", None)
+    if isinstance(bits, (np.random.PCG64, np.random.PCG64DXSM)) and not bits.state["has_uint32"]:
+        bits.advance(n)
+        return
+    for size in chunk_sizes(n):
+        gen.random(size)
+
+
 def thread_count(explicit: int | None = None) -> int:
     """Resolve a thread cap: explicit flag, else GRAPHONLAB_THREADS, else 1."""
     env = os.environ.get("GRAPHONLAB_THREADS")

@@ -230,16 +230,23 @@ class TestExitCodes:
         (["-k", "4", "--alpha", "0"], 2),  # exact mode
         (["-k", "8", "--samples", "1000000"], 3),
         (["-k", "17", "--samples", "10"], 3),
+        (["-k", "4", "--samples", "1000"], 4),  # controls: valid arguments reach a spy, which faults
+        (["-k", "4"], 4),
     ])
     def test_test_exchangeable_validates_before_any_law(self, workdir, capsys, monkeypatch,
                                                         argv, code):
-        def no_law(*_args):
+        built = []
+
+        def no_law(*_args, **_kwargs):
+            built.append(True)
             raise AssertionError("a prefix law was built before the arguments were checked")
 
+        # the two calls that draw or sum a law: the empirical law draws its prefixes through pair_bits_batch
         monkeypatch.setattr(GraphSource, "pair_bits_batch", no_law)
         monkeypatch.setattr(exchangeable, "prefix_law_exact", no_law)
         got, _ = run_main(["test-exchangeable", "-src", "src_det.txt", *argv], workdir, capsys)
         assert got == code
+        assert bool(built) == (code == 4)
 
     @pytest.mark.parametrize("target", ["missing/out.csv", ""])  # no such directory; a directory
     @pytest.mark.parametrize("argv", [

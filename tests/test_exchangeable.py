@@ -26,7 +26,7 @@ from graphonlab.exchangeable import (
 )
 from graphonlab.graphon import GeneralGraphon, StepGraphon, boys_girls, exact_ind_density
 from graphonlab.graphs import LabelledGraph, enumerate_unlabelled, graph_from_pair_bits, pair_bits_of
-from graphonlab.rng import CHUNK, stream
+from graphonlab.rng import CHUNK, chunk_sizes, stream
 
 from conftest import all_labelled_graphs
 from oracles import brute_kernel_sum
@@ -365,6 +365,89 @@ class TestExtremality:
 
     def test_covariance_ztest_degenerate(self):
         assert covariance_ztest(100, 100, 100, 100) == (0.0, 0.0, 1.0)
+
+
+def _hook(n, rng):
+    """A sampler hook; its bounded 32-bit draw leaves a half word buffered,
+    so a kernel drawn after it must draw its skipped uniforms, not jump."""
+    return graph_from_pair_bits(n, int(rng.integers(0, 1 << n * (n - 1) // 2)))
+
+
+# mixtures whose components draw in blocks: one-block (skipped latents), two-block, general, a
+# sampler hook, and a zero-weight component that no sample picks
+AGGREGATED = {
+    "one-block": GraphSource.w_random(StepGraphon.constant(Fraction(3, 10))),
+    "two-block": GraphSource.w_random(BG),
+    "mixture": GraphSource.mixture([(Fraction(1, 4), StepGraphon.constant(Fraction(3, 10))), (Fraction(1, 4), BG),
+                                    (Fraction(1, 2), GeneralGraphon(lambda x, y: x * y))]),
+    "hook": GraphSource.mixture([(Fraction(1, 2), _hook), (Fraction(1, 2), StepGraphon.constant(Fraction(3, 5)))]),
+    "zero-weight": GraphSource(((Fraction(1, 2), StepGraphon.constant(Fraction(1, 5))), (Fraction(0), BG),
+                                (Fraction(1, 2), _hook))),
+}
+PAIRS = [DISJOINT_EDGES, PatternPair(((1, 3), (2, 3)), ((4, 5),)), PatternPair(((5, 6),), ((1, 2), (2, 3)))]
+
+
+def _sums_in_sample_order(src, pairs, count, rng):
+    """The three counts of each pair from the sample-order batch at every column."""
+    bits = src.pair_bits_batch(max(p.k() for p in pairs), count, rng)
+    out = []
+    for pair in pairs:
+        a, b = (bits[:, pair.columns(which)].all(axis=1) for which in (1, 2))
+        out.append((int(a.sum()), int(b.sum()), int((a & b).sum())))
+    return out
+
+
+def _law_in_sample_order(src, k, samples, rng):
+    """prefix_law_empirical's masses, in its order, from sample-order batches."""
+    mass = {}
+    for batch in chunk_sizes(samples):
+        bits = src.pair_bits_batch(k, batch, rng)
+        codes, counts = np.unique(bits @ (1 << np.arange(bits.shape[1], dtype=np.int64)), return_counts=True)
+        for code, n in zip(codes.tolist(), counts.tolist()):
+            mass[code] = mass.get(code, 0) + n
+    return mass
+
+
+class TestComponentMajorAggregates:
+    """The empirical law and the extremality sums read each chunk
+    component-major and only at the columns they use; they must equal
+    what the sample-order batch at every column gives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(AGGREGATED)), st.integers(1, 6), st.sampled_from([1, 2, 37, 400]), st.data(),
+           st.integers(0, 2**32 - 1))
+    def test_batches_agree_on_used_columns_and_rows(self, name, k, count, data, seed):
+        src = AGGREGATED[name]
+        used = sorted(data.draw(st.sets(st.integers(0, max(0, k * (k - 1) // 2 - 1)), max_size=k * (k - 1) // 2)))
+        g1, g2, g3 = stream(seed), stream(seed), stream(seed)
+        full = src.pair_bits_batch(k, count, g1)
+        assert np.array_equal(src.pair_bits_batch(k, count, g2, used), full[:, used])
+        grouped = src.pair_bits_batch(k, count, g3, used, sample_order=False)
+        assert Counter(map(tuple, grouped.tolist())) == Counter(map(tuple, full[:, used].tolist()))
+        assert g1.random() == g2.random() == g3.random()
+
+    @pytest.mark.parametrize("name", sorted(AGGREGATED))
+    @pytest.mark.parametrize("count", [1, 2, 300])
+    @pytest.mark.parametrize("npairs", [1, 2, 3])
+    def test_extremality_sums(self, name, count, npairs):
+        src, pairs = AGGREGATED[name], PAIRS[:npairs]
+        sums = _sums_in_sample_order(src, pairs, count, stream(count, 0))  # the one chunk's stream
+        v = extremality_test(src, pairs, count, seed=count)
+        assert [(s.p1, s.p2, s.p12) for s in v.pair_stats] == [(a / count, b / count, ab / count)
+                                                               for a, b, ab in sums]
+
+    @pytest.mark.parametrize("name", sorted(AGGREGATED))
+    @pytest.mark.parametrize("k, samples", [(1, 1), (3, 1), (4, 2), (5, 300), (6, 2000)])
+    def test_empirical_law_masses_and_order(self, name, k, samples):
+        law = prefix_law_empirical(AGGREGATED[name], k, samples, stream(k, samples))
+        assert list(law.mass.items()) == list(_law_in_sample_order(AGGREGATED[name], k, samples,
+                                                                   stream(k, samples)).items())
+
+    @pytest.mark.parametrize("name", ["one-block", "mixture"])
+    def test_empirical_law_over_two_chunks(self, name):
+        law = prefix_law_empirical(AGGREGATED[name], 5, CHUNK + 5, stream(9))
+        assert list(law.mass.items()) == list(_law_in_sample_order(AGGREGATED[name], 5, CHUNK + 5,
+                                                                   stream(9)).items())
 
 
 class TestCorrespondence:

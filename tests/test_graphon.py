@@ -268,6 +268,23 @@ class TestSampler:
         a[iu[bits], ju[bits]] = True
         assert sample_w_random(w, n, stream(n, 3)) == graph_from_bool_matrix(a | a.T)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(["one-block", "two-block", "general"]), st.integers(2, 6), st.sampled_from([1, 7, 5000]),
+           st.data(), st.integers(0, 2**32 - 1))
+    def test_used_cells_read_the_full_draws_uniforms(self, kernel, k, count, data, seed):
+        """pair_bits at any increasing subset of its pairs gives the full
+        draw's columns on those pairs and leaves the stream where the full
+        draw leaves it: unread latents and cells are skipped in place, and
+        at count 5000 a strip covers 6 cells, so long runs take several."""
+        w = {"one-block": StepGraphon.constant(Fraction(2, 5)), "two-block": BG,
+             "general": GeneralGraphon(lambda x, y: x * y)}[kernel]
+        jj, ii = np.tril_indices(k, -1)
+        used = sorted(data.draw(st.sets(st.integers(0, len(ii) - 1))))
+        g1, g2 = stream(seed), stream(seed)
+        got, full = pair_bits(w, k, count, ii, jj, g1, used), pair_bits(w, k, count, ii, jj, g2)
+        assert got.shape == (count, len(used)) and np.array_equal(got, full[:, used])
+        assert g1.random() == g2.random()
+
     def test_sampling_4000_vertices_holds_no_pair_arrays(self):
         """Two int64 arrays of all pairs would take 8 bytes per n^2, a bool
         array of the drawn bits 0.5 more, and a transposed copy of the

@@ -114,20 +114,33 @@ def test_no_module_needs_numpy_2():
     assert [p.name for p in sorted(src.glob("*.py")) if "bitwise_count" in p.read_text()] == []
 
 
-def test_rows_become_bytes_in_one_function():
-    """graphs.row_words is the one packer from bitmask rows to numpy, so
-    the row format is written once: `.to_bytes(` occurs in no other
-    function of the package."""
+def _owners(needle: str) -> set[str]:
+    """module.function of the innermost function around each line of the
+    package that holds `needle` (`<module>` outside any function)."""
     owners = set()
     for path in sorted(Path(graphonlab.__file__).parent.glob("*.py")):
         text = path.read_text()
         funcs = [f for f in ast.walk(ast.parse(text)) if isinstance(f, ast.FunctionDef)]
         for at, line in enumerate(text.splitlines(), 1):
-            if ".to_bytes(" in line:  # the innermost function holding the line
+            if needle in line:
                 inner = min((f for f in funcs if f.lineno <= at <= f.end_lineno), key=lambda f: f.end_lineno - f.lineno,
                             default=None)
                 owners.add(f"{path.stem}.{inner.name if inner else '<module>'}")
-    assert owners == {"graphs.row_words"}
+    return owners
+
+
+def test_rows_become_bytes_in_one_function():
+    """graphs.row_words is the one packer from bitmask rows to numpy, so
+    the row format is written once: `.to_bytes(` occurs in no other
+    function of the package."""
+    assert _owners(".to_bytes(") == {"graphs.row_words"}
+
+
+def test_one_path_skips_draws():
+    """rng.skip is the one place that jumps a generator ahead, so the
+    guard on a buffered 32-bit value, which advance would drop, is kept
+    once: `.advance(` occurs in no other function of the package."""
+    assert _owners(".advance(") == {"rng.skip"}
 
 
 # A fresh child runs one command through cli.main and lists which of the
@@ -153,6 +166,8 @@ def _run_watching(cwd, argv, watched):
     (cwd / "pairs.txt").write_text("1-2 | 3-4\n")
     (cwd / "k3.txt").write_text("3 3\n1 2\n1 3\n2 3\n")
     (cwd / "edge.txt").write_text("2 1\n1 2\n")
+    (cwd / "bipk.txt").write_text("2 1\n1/3 2/3\n1\n1/3\n1/2\n")
+    (cwd / "tourn.txt").write_text("1\n1\nW00\n0\nW01\n1/2\nW10\n1/2\nW11\n0\nw\n0\n")
     res = subprocess.run([sys.executable, "-c", LOADED, ",".join(watched), *argv, "-o", "out.csv"], cwd=cwd,
                          env=child_env(), capture_output=True, text=True, timeout=120)
     assert res.returncode == 0, res.stderr
@@ -178,10 +193,12 @@ def test_commands_that_never_draw_load_no_numpy_random(tmp_path, argv):
 
 @pytest.mark.parametrize("argv", [
     ["sample", "-W", "two.txt", "-n", "40"],
+    ["sample", "--kind", "bipartite", "-W", "bipk.txt", "-n", "9", "--n2", "7"],
+    ["sample", "--kind", "directed", "-W", "tourn.txt", "-n", "12"],
     ["test-exchangeable", "-src", "src.txt", "-k", "4", "--samples", "3000"],
     ["test-extreme", "-src", "src.txt", "--pairs", "pairs.txt", "--samples", "3000"],
     ["cutdist", "-W", "two.txt", "-W2", "owt.txt"],
-], ids=["sample", "empirical-law", "extreme", "cutdist"])
+], ids=["sample", "sample-bipartite", "sample-directed", "empirical-law", "extreme", "cutdist"])
 def test_sampler_commands_load_no_contraction_engine(tmp_path, argv):
     """Commands that only draw, or only score cut norms, never count or
     contract, so graphonlab.densities, the contraction engine, stays
