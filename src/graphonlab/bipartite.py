@@ -15,7 +15,7 @@ import numpy as np
 from .errors import CapacityError, InputError
 from .exact import Number, content_lines, number_rows, parse_line, rows_lines, to_fraction
 from .graphon import _checked_matrix, _normalized_measures, _reader, bernoulli, draw_blocks
-from .graphs import column_rows, pack_rows, pair_rows, row_bits, rows_text, text_rows, unpack_rows
+from .graphs import Packed, column_words, pack_bits, pair_words, unpack_bits
 
 if TYPE_CHECKING:  # the sampler never loads the contraction engine
     from .densities import BoundCheck
@@ -23,43 +23,20 @@ if TYPE_CHECKING:  # the sampler never loads the contraction engine
 BIP_PATTERN_CAP = 6
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
-    """Vertex sets [n1] and [n2]; edges only across parts, as bitmask rows."""
+@dataclass(frozen=True, eq=False)
+class BipartiteGraph(Packed):
+    """Vertex sets [n1] and [n2]; edges only across parts, one row per
+    part-1 vertex over the n2 columns of part 2."""
 
     n1: int
     n2: int
-    rows: tuple[int, ...]
+    words: np.ndarray
+
+    shape = property(lambda self: (self.n1, self.n2))  # (rows, columns)
 
     @classmethod
     def from_edges(cls, n1: int, n2: int, edges: Iterable[tuple[int, int]]) -> "BipartiteGraph":
-        return cls(n1, n2, pair_rows(edges, (n1, n2), False))
-
-    @classmethod
-    def complete(cls, n1: int, n2: int) -> "BipartiteGraph":
-        return cls(n1, n2, tuple((1 << n2) - 1 for _ in range(n1)))
-
-    @classmethod
-    def empty(cls, n1: int, n2: int) -> "BipartiteGraph":
-        return cls(n1, n2, tuple(0 for _ in range(n1)))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.rows[u - 1] >> (v - 1) & 1)
-
-    def edges(self) -> list[tuple[int, int]]:
-        return row_bits(self.rows)
-
-    @property
-    def num_edges(self) -> int:
-        return sum(r.bit_count() for r in self.rows)
-
-    def to_text(self) -> str:
-        return rows_text(f"{self.n1} {self.n2}", self.rows, self.n2, False)
-
-    @classmethod
-    def from_text(cls, text: str) -> "BipartiteGraph":
-        (n1, n2, _), rows = text_rows(text, "'n1 n2 m' header", 3, False)
-        return cls(n1, n2, rows)
+        return cls._of(n1, n2, pair_words(edges, (n1, n2), False))
 
 
 def _check_bip_pattern(f: BipartiteGraph) -> None:
@@ -69,19 +46,17 @@ def _check_bip_pattern(f: BipartiteGraph) -> None:
         )
 
 
-def _as_one_graph(g: BipartiteGraph) -> list[int]:
-    """Both parts as one symmetric graph on n1 + n2 vertices, part 1 first."""
-    return [*(r << g.n1 for r in g.rows), *column_rows(g.rows, g.n2)]
-
-
 def _bip_count(f: BipartiteGraph, g: BipartiteGraph, injective: bool, induced: bool) -> int:
     """Part-respecting maps preserving f's edges (optionally injective,
-    optionally reflecting non-edges): a side mask per pattern vertex."""
+    optionally reflecting non-edges): f as one symmetric pattern, part 1
+    first, into g's two parts, each over its own columns."""
     from .densities import host_count
 
-    rows = _as_one_graph(g)
-    sides = [(1 << g.n1) - 1] * f.n1 + [((1 << g.n2) - 1) << g.n1] * f.n2
-    return host_count(_as_one_graph(f), rows, rows, sides, injective, induced)
+    cols = column_words(g.words, g.n2)
+    prows = [r << f.n1 for r in f.rows] + [sum((r >> v & 1) << u for u, r in enumerate(f.rows)) for v in range(f.n2)]
+    doms = [np.arange(g.n1)] * f.n1 + [np.arange(g.n2)] * f.n2
+    host = {(0, 1): (g.words, g.words), (1, 0): (cols, cols)}
+    return host_count(prows, [0] * f.n1 + [1] * f.n2, doms, host, injective, induced)
 
 
 def _density(f: BipartiteGraph, g: BipartiteGraph, injective: bool, induced: bool) -> Fraction:
@@ -168,7 +143,7 @@ class BipartiteKernel:
 def bip_graph_as_kernel(g: BipartiteGraph) -> BipartiteKernel:
     """Adjacency kernel of a bipartite graph: uniform measures per side,
     0/1 values; reproduces bip_t(F, g) exactly for every pattern."""
-    w = unpack_rows(g.rows, g.n2).astype(int).tolist()
+    w = unpack_bits(g.words, g.n2).astype(int).tolist()
     return BipartiteKernel((Fraction(1, g.n1),) * g.n1, (Fraction(1, g.n2),) * g.n2, w)
 
 
@@ -205,7 +180,7 @@ def sample_bip_w_random(
     if n1 < 1 or n2 < 1:
         raise InputError("both parts need at least one vertex")
     bits = bip_cell_bits_batch(w, n1, n2, 1, rng)[0].reshape(n1, n2)
-    return BipartiteGraph(n1, n2, pack_rows(bits))
+    return BipartiteGraph._of(n1, n2, pack_bits(bits))
 
 
 def bip_cell_bits_batch(

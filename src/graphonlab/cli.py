@@ -174,8 +174,7 @@ def cmd_sample(args) -> tuple[list[str], int]:
         from .graphon import read_step_graphon, sample_w_random
 
         w = read_step_graphon(args.kernel)
-        g = sample_w_random(w, args.n, rng)
-        text = g.to_text()
+        text = sample_w_random(w, args.n, rng).to_text()
     elif args.kind == "bipartite":
         from .bipartite import BipartiteKernel, sample_bip_w_random
 
@@ -309,12 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="graphonlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seeded=True):
+    def common(p, fn, seeded=True):  # the options every command shares, and the command it runs
         p.add_argument("-o", "--output", help="write the report here instead of stdout")
         if seeded:
             p.add_argument("--seed", type=_non_negative, default=0)
             p.add_argument("--threads", type=int, default=None,
                            help="worker cap; results do not depend on it")
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("density", help="pattern densities against hosts or a kernel")
     p.add_argument("-F", dest="patterns", action="append", default=[], metavar="PATTERN")
@@ -323,16 +323,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["simple", "bipartite", "directed"], default="simple")
     p.add_argument("--mc", "--samples", dest="mc", type=_positive, default=None, metavar="N",
                    help="Monte Carlo samples instead of exact t")
-    common(p)
-    p.set_defaults(fn=cmd_density)
+    common(p, cmd_density)
 
     p = sub.add_parser("sample", help="draw one W-random graph")
     p.add_argument("-W", dest="kernel", required=True)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--n2", type=int, default=None, help="second part size (bipartite)")
     p.add_argument("--kind", choices=["simple", "bipartite", "directed"], default="simple")
-    common(p)
-    p.set_defaults(fn=cmd_sample)
+    common(p, cmd_sample)
 
     p = sub.add_parser("converge", help="metric distance of graph embeddings to a reference")
     p.add_argument("-G", dest="graphs", action="append", default=[], metavar="GRAPH")
@@ -341,8 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-pattern", type=int, default=3,
                    help="enumeration depth; exact counting of dense 4/5-vertex "
                         "patterns is slow on hosts beyond a few hundred vertices")
-    common(p, seeded=False)
-    p.set_defaults(fn=cmd_converge)
+    common(p, cmd_converge, seeded=False)
 
     p = sub.add_parser("test-exchangeable", help="isomorphism-class homogeneity of a prefix law")
     p.add_argument("-src", dest="src", required=True)
@@ -350,29 +347,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_positive, default=None,
                    help="empirical mode sample count (omit for exact mode)")
     p.add_argument("--alpha", type=float, default=0.01)
-    common(p)
-    p.set_defaults(fn=cmd_test_exchangeable)
+    common(p, cmd_test_exchangeable)
 
     p = sub.add_parser("test-extreme", help="product-criterion extremality test")
     p.add_argument("-src", dest="src", required=True)
     p.add_argument("--pairs", required=True)
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--alpha", type=float, default=0.01)
-    common(p)
-    p.set_defaults(fn=cmd_test_extreme)
+    common(p, cmd_test_extreme)
 
     p = sub.add_parser("cutdist", help="cut-distance upper bound between step graphons")
     p.add_argument("-W", dest="kernel", required=True)
     p.add_argument("-W2", dest="kernel2", required=True)
-    common(p, seeded=False)
-    p.set_defaults(fn=cmd_cutdist)
+    common(p, cmd_cutdist, seeded=False)
 
     p = sub.add_parser("trace-martingale", help="induced-density trace along one nested prefix")
     p.add_argument("-src", dest="src", required=True)
     p.add_argument("-F", dest="pattern", required=True)
     p.add_argument("--grid", required=True, help="comma-separated prefix sizes")
-    common(p)
-    p.set_defaults(fn=cmd_trace_martingale)
+    common(p, cmd_trace_martingale)
 
     return parser
 

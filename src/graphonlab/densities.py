@@ -5,7 +5,7 @@ contract evaluates by variable elimination for kernels and hosts alike;
 host_count decides for every finite host, simple, bipartite or directed,
 and leaves the injective and induced counts and the hom counts no plan
 fits to _count_maps, a search over blocks of partial maps whose
-candidate sets are uint64 words packed from the same pair-row tables.
+candidate sets are uint64 words gathered from the host's word tables.
 
 Exact values are arbitrary-precision rationals (fractions.Fraction); the
 inclusion-exclusion identities and multiplicativity over disjoint unions
@@ -31,12 +31,16 @@ from .graphs import (
     GraphEnumeration,
     LabelledGraph,
     UnlabelledGraph,
+    bit_of,
     disjoint_union,
     graph_from_pair_bits,
     pair_bits_of,
     pair_order,
-    row_words,
-    unpack_rows,
+    popcount,
+    set_bits,
+    tail_mask,
+    unpack_bits,
+    word_bits,
 )
 
 PATTERN_CAP = 8
@@ -50,115 +54,117 @@ def _as_labelled(f: GraphLike) -> LabelledGraph:
     return f.canon if isinstance(f, UnlabelledGraph) else f
 
 
-def _check_pattern(f: LabelledGraph) -> None:
+def _check_pattern(f: GraphLike) -> LabelledGraph:
+    """f as a labelled pattern, once it is known to be within PATTERN_CAP."""
+    f = _as_labelled(f)
     if f.n > PATTERN_CAP:
         raise CapacityError(f"pattern capped at {PATTERN_CAP} vertices, got {f.n}")
+    return f
 
 
 falling = math.perm  # n (n-1) ... (n-k+1): the injective maps of k vertices into n, 0 when k > n
 
 
 FRONTIER_CELLS = 1 << 15  # uint64 candidate words, and new partial maps, per block of the search
-_ONE = np.uint64(1)
-_SWAR = [np.uint64(c) for c in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
-                                0x0101010101010101, 2, 4, 56)]
 
 
-def _popcount(w: np.ndarray) -> np.ndarray:
-    """Set bits of each uint64 word, by SWAR: numpy 1.24 has no popcount ufunc."""
-    m1, m2, m4, h01, s2, s4, s56 = _SWAR
-    w = w - ((w >> _ONE) & m1)
-    w = (w & m2) + ((w >> s2) & m2)
-    return (((w + (w >> s4)) & m4) * h01) >> s56
+def _block(tables: Sequence[tuple[np.ndarray, bool]], rows: np.ndarray, dom: np.ndarray, size: int,
+           own: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """(block, at): row at[x] of block (row x when at is None, as when rows
+    are all the tables' rows), for x in rows, is the AND of row x of each
+    table, complemented where flagged, masked to dom (a domain of a part
+    of `size` vertices), and with `own` less x itself. One unflagged table
+    over whole parts, with no x to clear, is its own block."""
+    (table, negated), n = tables[0], len(tables[0][0])
+    at = None if len(rows) == n else np.searchsorted(rows, np.arange(n))  # each vertex's index in rows
+    if len(tables) == 1 and not negated and at is None and len(dom) == size and not (
+            own and word_bits(table, rows, rows).any()):
+        return table, at
+    block = None
+    for table, negated in tables:
+        got = table[rows]
+        got = np.invert(got, out=got) if negated else got
+        block = got if block is None else np.bitwise_and(block, got, out=block)
+    block[:, -1] &= tail_mask(size)  # a complement sets the columns past the part
+    if len(dom) < size:
+        block &= set_bits(np.zeros((1, block.shape[1]), dtype=WORD), 0 * dom, dom)
+    if own:
+        block[np.arange(len(rows)), rows >> 6] &= ~bit_of(rows)
+    return block, at
 
 
-def _count_maps(masks: Sequence[int], tables: Mapping[tuple[int, int], list], injective: bool,
-                adj: Sequence[int]) -> int:
-    """Count maps phi, phi(u) in masks[u], with phi(v) in row phi(u) of
-    every row table in tables[u, v]; optionally injective. The pattern
-    vertices are placed in turn, each one touching as many placed ones in
-    adj (symmetric bitmask rows) as it can, so candidate sets stay tight.
+def _count_maps(parts: Sequence[int], doms: Sequence[np.ndarray], tables: Mapping[tuple[int, int], list],
+                injective: bool, adj: Sequence[int]) -> int:
+    """Count the maps of host_count, phi(u) in doms[u], phi(v) in row phi(u)
+    of every table in tables[u, v]; optionally injective within each part.
+    The pattern vertices are placed in turn, each one touching as many
+    placed ones in adj (symmetric bitmask rows) as it can.
 
-    The search is breadth-first over blocks of partial maps, each an
-    (F, d) array of the host vertices given to the first d placed, and
-    depth-first across blocks. The candidates for the next vertex u are
-    a row of uint64 words per partial map over the words masks[u] spans:
-    one packed row per placed neighbour v, ANDed, or masks[u] when none
-    is placed. Row x of a pair's block is the AND of its tables' rows x
-    and masks[u], less x itself in an injective count, over the x in
-    masks[v]; graphs.row_words packs it once per call, and once for all
-    pairs with the same tables and masks. An injective count then clears
-    the bits of the placed vertices that are not neighbours. The last
-    vertex's candidates are only counted, into a Python int; any other's
-    are unpacked into the next block, cut so that no block holds more
-    than FRONTIER_CELLS candidate words, nor new partial maps beyond
-    FRONTIER_CELLS and one row's."""
-    k, order, placed = len(masks), [], 0
+    The search is breadth-first over blocks of partial maps, each an (F, d)
+    array of the host vertices given to the first d placed, and depth-first
+    across blocks. The candidates for the next vertex u are a row of words
+    per partial map: the _block rows of its placed neighbours, ANDed (one
+    _block per distinct tables and domains), or doms[u]'s words; an
+    injective count then clears the placed vertices of u's part."""
+    k, order, placed = len(doms), [], 0
     for _ in range(k):
         best = max((v for v in range(k) if not placed >> v & 1),
                    key=lambda v: ((adj[v] & placed).bit_count(), adj[v].bit_count(), -v))
         order.append(best)
         placed |= 1 << best
-    if not all(masks):
+    if not all(len(dom) for dom in doms):
         return 0
-    n = max(m.bit_length() for m in masks)
-    doms = {m: np.arange(n) if m == (1 << n) - 1 else np.flatnonzero(unpack_rows([m], n)[0])
-            for m in set(masks)}
     blocks, steps = {}, []
     for d, u in enumerate(order):
-        lo = ((masks[u] & -masks[u]).bit_length() - 1) >> 6
-        width = ((masks[u].bit_length() + 63) >> 6) - lo
         checks = []
         for e, v in enumerate(order[:d]):
             if (v, u) in tables:
-                key = tuple(map(id, tables[v, u])), masks[v], masks[u]
+                key = tuple((id(t), neg) for t, neg in tables[v, u]), id(doms[v]), id(doms[u])
                 if key not in blocks:
-                    dom, at = doms[masks[v]].tolist(), None
-                    if len(dom) < n:  # the row of each host vertex in the block
-                        at = np.zeros(n, dtype=np.intp)
-                        at[dom] = np.arange(len(dom))
-                    # row i: the tables' rows dom[i] AND masks[u], less dom[i] itself when injective
-                    blocks[key] = row_words(lambda i: functools.reduce(
-                        operator.and_, (t[dom[i]] for t in tables[v, u]),
-                        masks[u] & ~(injective << dom[i])), len(dom), lo, width), at
+                    own = injective and parts[v] == parts[u]
+                    blocks[key] = _block(tables[v, u], doms[v], doms[u], len(tables[u, v][0][0]), own)
                 checks.append((e, *blocks[key]))
-        clears = [e for e, v in enumerate(order[:d]) if injective and masks[v] & masks[u] and (v, u) not in tables]
-        steps.append((lo, width, checks, clears, None if checks else row_words(lambda _: masks[u], 1, lo, width)))
+        if not checks:  # no placed neighbour: the words of doms[u], one row read by every partial map
+            words = set_bits(np.zeros((1, (int(doms[u][-1]) >> 6) + 1), dtype=WORD), 0 * doms[u], doms[u])
+            checks = [(0, words, np.zeros(int(doms[order[0]][-1]) + 1, dtype=np.intp))]
+        steps.append((checks, [e for e, v in enumerate(order[:d])
+                               if injective and parts[v] == parts[u] and (v, u) not in tables]))
+    first = doms[order[0]]
+    return len(first) if k == 1 else _grow(steps, first[:, None], 1)
 
-    def level(maps: np.ndarray, d: int) -> int:
-        lo, width, checks, clears, mask = steps[d]
-        total, step = 0, max(1, FRONTIER_CELLS // width)
-        for a in range(0, len(maps), step):
-            part = maps[a:a + step]
-            cand = None
-            for e, block, at in checks:
-                got = block[part[:, e] if at is None else at[part[:, e]]]
-                cand = got if cand is None else np.bitwise_and(cand, got, out=cand)
-            if cand is None:
-                cand = np.repeat(mask, len(part), axis=0)
-            if clears:
-                pos = part[:, clears] - 64 * lo
-                row, col = np.nonzero((pos >= 0) & (pos < 64 * width))
-                p = pos[row, col]
-                np.bitwise_and.at(cand, (row, p >> 6), ~(_ONE << (p & 63).astype(WORD)))
-            if d == k - 1:
-                total += int(_popcount(cand).sum())
-                continue
-            cuts = [0, len(part)]
-            if len(part) * width * 64 > FRONTIER_CELLS:  # cut where the new maps pass a multiple
-                ends = np.cumsum(_popcount(cand).sum(axis=1)) // FRONTIER_CELLS
-                cuts[1:1] = (np.flatnonzero(np.diff(ends)) + 1).tolist()
-            for s, t in zip(cuts, cuts[1:]):
-                r, w = np.nonzero(cand[s:t])
-                j = np.flatnonzero(np.unpackbits(cand[s:t][r, w].view(np.uint8), bitorder="little"))
-                grown = np.empty((len(j), d + 1), dtype=np.intp)
-                grown[:, :d] = part[s:t][r[j >> 6]]
-                grown[:, d] = (w[j >> 6] + lo) * 64 + (j & 63)
-                total += level(grown, d + 1)
-        return total
 
-    first = doms[masks[order[0]]]
-    return len(first) if k == 1 else level(first[:, None], 1)
+def _grow(steps: list, maps: np.ndarray, d: int) -> int:
+    """The extensions of the partial maps `maps` of the first d placed by
+    steps[d:]: the last vertex's candidates only counted, any other's
+    unpacked into the next block, cut so that no block holds more than
+    FRONTIER_CELLS candidate words, nor new maps beyond that and one row's."""
+    checks, clears = steps[d]
+    width = checks[0][1].shape[1]
+    total, step = 0, max(1, FRONTIER_CELLS // width)
+    for a in range(0, len(maps), step):
+        part = maps[a:a + step]
+        cand = functools.reduce(lambda x, y: np.bitwise_and(x, y, out=x),
+                                [b[part[:, e] if at is None else at[part[:, e]]] for e, b, at in checks])
+        if clears:
+            pos = part[:, clears]
+            row, col = np.nonzero(pos < 64 * width)
+            p = pos[row, col]
+            np.bitwise_and.at(cand, (row, p >> 6), ~bit_of(p))
+        if d == len(steps) - 1:
+            total += int(popcount(cand).sum())
+            continue
+        cuts = [0, len(part)]
+        if len(part) * width * 64 > FRONTIER_CELLS:
+            ends = np.cumsum(popcount(cand).sum(axis=1)) // FRONTIER_CELLS  # cut where new maps pass a multiple
+            cuts[1:1] = (np.flatnonzero(np.diff(ends)) + 1).tolist()
+        for s, t in zip(cuts, cuts[1:]):
+            r, w = np.nonzero(cand[s:t])
+            j = np.flatnonzero(np.unpackbits(cand[s:t][r, w].view(np.uint8), bitorder="little"))
+            grown = np.empty((len(j), d + 1), dtype=np.intp)
+            grown[:, :d] = part[s:t][r[j >> 6]]
+            grown[:, d] = w[j >> 6] * 64 + (j & 63)
+            total += _grow(steps, grown, d + 1)
+    return total
 
 
 def _bits(mask: int) -> list[int]:
@@ -311,55 +317,54 @@ def kernel_sum(weights: Sequence, factors: Mapping[tuple[int, int], object]) -> 
 
 def host_count(
     prows: Sequence[int],
-    hout: Sequence[int],
-    hin: Sequence[int],
-    masks: Sequence[int],
+    parts: Sequence[int],
+    doms: Sequence[np.ndarray],
+    host: Mapping[tuple[int, int], tuple[np.ndarray, np.ndarray]],
     injective: bool,
     induced: bool,
 ) -> int:
     """Count maps phi from the pattern's vertices to the host's, phi(u) in
-    masks[u], that send every pattern arc u->v (u != v) to a host arc;
+    doms[u], that send every pattern arc u->v (u != v) to a host arc;
     optionally injective, optionally (induced) also sending non-arcs to
-    non-arcs. Rows are bitmasks: prows and hout of out-neighbours, hin of
-    the host's in-neighbours, hout itself when the host is symmetric.
-    Pattern loops belong in masks; host loops stay in the rows, where a
-    non-injective map may send an arc onto one.
+    non-arcs. prows are the pattern's out-neighbour bitmasks; u maps into
+    the host part parts[u], and doms[u] is a sorted array of its vertices.
+    host[a, b] = (out, in): WORD tables whose row x, a vertex of part a,
+    holds x's out- and in-neighbours in part b; `in is out` in a symmetric
+    host, and parts with no entry have no arcs between them. Pattern loops
+    belong in doms; host loops stay in the tables.
 
-    Per ordered pattern pair (u, v), tables[u, v] lists the row tables
-    whose row i holds the host vertices allowed for phi(v) when phi(u) = i:
-    hout for an arc u->v, hin for an arc v->u (left out when hin is hout
-    and both arcs agree), their complements for non-arcs when induced,
-    built only when some ordered pattern pair is a non-arc. A
-    hom count is contracted when a plan fits, over the host vertices each
-    mask allows, each block the AND of a pair's tables over the smaller
-    domain's rows; any other count is searched by _count_maps, which packs
-    each pair's tables into uint64 words over the placed vertex's domain
-    rows and the words the other vertex's mask spans."""
-    k, n, full = len(prows), len(hout), (1 << len(hout)) - 1
-    nout = nin = None
-    if induced and any(r | 1 << u != (1 << k) - 1 for u, r in enumerate(prows)):
-        nout = [full ^ r for r in hout]
-        nin = nout if hin is hout else [full ^ r for r in hin]
+    tables[u, v] lists (table, complemented) pairs whose row i holds the
+    vertices allowed for phi(v) when phi(u) = i: out for an arc u->v, in
+    for an arc v->u (left out when in is out and both arcs agree), and
+    complemented ones for non-arcs when induced. A hom count is contracted
+    when a plan fits, each block the AND of a pair's tables at the smaller
+    domain's rows, unpacked to the other's columns; any other count is
+    searched by _count_maps."""
+    k = len(prows)
     tables = {}
     for u, v in itertools.permutations(range(k), 2):
         fwd, back = prows[u] >> v & 1, prows[v] >> u & 1
-        sides = [(fwd, hout, nout)] + ([(back, hin, nin)] if hin is not hout or fwd != back else [])
-        if allowed := [yes if arc else no for arc, yes, no in sides if arc or induced]:
+        if (parts[u], parts[v]) not in host:
+            if fwd or back:
+                return 0
+            continue
+        out, into = host[parts[u], parts[v]]
+        sides = [(fwd, out)] + ([(back, into)] if into is not out or fwd != back else [])
+        if allowed := [(table, not arc) for arc, table in sides if arc or induced]:
             tables[u, v] = allowed
     pairs = [p for p in pair_order(k) if p in tables]
-    sizes = tuple(m.bit_count() for m in masks)
+    sizes = tuple(len(dom) for dom in doms)
     if injective or induced or plan(sizes, frozenset(pairs)) is None:
         adj = [(prows[u] | sum((r >> u & 1) << v for v, r in enumerate(prows))) & ~(1 << u) for u in range(k)]
-        return _count_maps(masks, tables, injective, adj)
-    doms = {m: range(n) if m == full else np.flatnonzero(unpack_rows([m], n)[0]) for m in set(masks)}
+        return _count_maps(parts, doms, tables, injective, adj)
     blocks, factors = {}, {}  # one array per distinct (tables, domain, domain): contract casts each once
     for u, v in pairs:
-        key = tuple(map(id, tables[u, v])), masks[u], masks[v]
+        key = tuple(id(t) for t, _ in tables[u, v]), id(doms[u]), id(doms[v])
         if key not in blocks:  # the smaller domain's rows, unpacked, then the other's columns
             a, b = (v, u) if sizes[v] < sizes[u] else (u, v)
-            rows = [functools.reduce(operator.and_, (t[i] for t in tables[a, b])) for i in doms[masks[a]]]
-            mat = unpack_rows(rows, n)
-            mat = mat if masks[b] == full else mat[:, doms[masks[b]]]
+            rows = functools.reduce(np.bitwise_and, (t[doms[a]] for t, _ in tables[a, b]))
+            mat, dom = unpack_bits(rows, 64 * rows.shape[1]), doms[b]
+            mat = mat[:, :len(dom)] if not len(dom) or dom[-1] == len(dom) - 1 else mat[:, dom]  # 0..m-1 is a slice
             blocks[key] = mat if a == u else mat.T
         factors[u, v] = blocks[key]
     ones = {size: np.ones(size, dtype=bool) for size in set(sizes)}
@@ -369,11 +374,12 @@ def host_count(
 def _density(f: GraphLike, g: LabelledGraph, injective: bool, induced: bool) -> Fraction:
     """host_count over the n^k maps, or over the n!/(n-k)! injective ones;
     0 when an injective pattern has more vertices than the host."""
-    f = _as_labelled(f)
-    _check_pattern(f)
+    f = _check_pattern(f)
     maps = falling(g.n, f.n) if injective else g.n ** f.n
-    masks = [(1 << g.n) - 1] * f.n
-    return Fraction(host_count(f.rows, g.rows, g.rows, masks, injective, induced), maps) if maps else Fraction(0)
+    if not maps:
+        return Fraction(0)
+    host = {(0, 0): (g.words, g.words)}
+    return Fraction(host_count(f.rows, [0] * f.n, [np.arange(g.n)] * f.n, host, injective, induced), maps)
 
 
 def inj_count(f: GraphLike, g: LabelledGraph) -> int:
@@ -406,25 +412,25 @@ def supergraphs(f: LabelledGraph) -> list[LabelledGraph]:
             for mask in range(1 << len(free))]
 
 
-def inj_from_ind(f: LabelledGraph, ind_table: Mapping[LabelledGraph, Fraction]) -> Fraction:
-    """Containment density as the sum of induced densities over supergraphs."""
+def _over_supergraphs(f: LabelledGraph, table: Mapping[LabelledGraph, Fraction], sign: Callable) -> Fraction:
+    """The sum of sign(sup) * table[sup] over the supergraphs of f."""
     total = Fraction(0)
     for sup in supergraphs(f):
-        if sup not in ind_table:
+        if sup not in table:
             raise InputError(f"table missing supergraph with edges {sup.edges()}")
-        total += ind_table[sup]
+        total += sign(sup) * table[sup]
     return total
+
+
+def inj_from_ind(f: LabelledGraph, ind_table: Mapping[LabelledGraph, Fraction]) -> Fraction:
+    """Containment density as the sum of induced densities over supergraphs."""
+    return _over_supergraphs(f, ind_table, lambda sup: 1)
 
 
 def ind_from_inj(f: LabelledGraph, inj_table: Mapping[LabelledGraph, Fraction]) -> Fraction:
     """Induced density by inclusion-exclusion over supergraph containment."""
-    total = Fraction(0)
     e0 = f.num_edges
-    for sup in supergraphs(f):
-        if sup not in inj_table:
-            raise InputError(f"table missing supergraph with edges {sup.edges()}")
-        total += (-1) ** (sup.num_edges - e0) * inj_table[sup]
-    return total
+    return _over_supergraphs(f, inj_table, lambda sup: (-1) ** (sup.num_edges - e0))
 
 
 @dataclass(frozen=True)
@@ -442,7 +448,6 @@ def sampling_bound(f, g) -> Fraction:
 
 def sampling_bound_check(f: GraphLike, g: LabelledGraph) -> BoundCheck:
     """|t - t_inj| against the repeated-vertex bound."""
-    f = _as_labelled(f)
     gap = abs(t(f, g) - t_inj(f, g))
     bound = sampling_bound(f, g)
     return BoundCheck(gap, bound, gap <= bound)
@@ -477,14 +482,13 @@ class DensityEstimate:
 
 def mc_containment_hits(f: GraphLike, g: LabelledGraph, count: int, rng: np.random.Generator) -> int:
     """Number of uniform with-replacement k-samples whose pattern contains f;
-    pair (vi, vj) is an edge iff bit vj & 63 of g.words[vi, vj >> 6] is set."""
+    pair (vi, vj) is an edge iff bit vj of row vi of g.words is set."""
     f = _as_labelled(f)
-    words = g.words
     draws = rng.integers(0, g.n, size=(count, f.n))
     ok = np.ones(count, dtype=bool)
     for u, v in f.edges():
         vi, vj = draws[:, u - 1], draws[:, v - 1]
-        ok &= (vi != vj) & (words[vi, vj >> 6] >> (vj & 63).astype(WORD) & _ONE).astype(bool)
+        ok &= (vi != vj) & word_bits(g.words, vi, vj)
     return int(ok.sum())
 
 

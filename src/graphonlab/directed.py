@@ -18,7 +18,7 @@ import numpy as np
 from .errors import CapacityError, InputError
 from .exact import Number, content_lines, number_rows, parse_line, rows_lines, to_fraction
 from .graphon import _checked_matrix, _normalized_measures, draw_blocks
-from .graphs import column_rows, pack_rows, pair_order, pair_rows, row_bits, rows_text, text_rows
+from .graphs import Packed, column_words, pack_bits, pair_order, pair_words, word_bits
 
 # densities, the contraction engine, is imported inside the functions that
 # count or sum, so that the samplers never load it.
@@ -28,37 +28,25 @@ DIR_PATTERN_CAP = 6
 PAIR_STATES = ((0, 0), (0, 1), (1, 0), (1, 1))  # (alpha, beta) = (X_ij, X_ji), i < j
 
 
-@dataclass(frozen=True)
-class DirectedGraph:
-    """Directed graph on [n] with loops allowed; rows[i] bit j set iff
+@dataclass(frozen=True, eq=False)
+class DirectedGraph(Packed):
+    """Directed graph on [n] with loops allowed; bit j of row i set iff
     there is an edge (i+1) -> (j+1)."""
 
     n: int
-    rows: tuple[int, ...]
+    words: np.ndarray
+
+    shape = property(lambda self: (self.n, self.n))  # (rows, columns)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "DirectedGraph":
-        return cls(n, pair_rows(edges, (n, n), False))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.rows[u - 1] >> (v - 1) & 1)
+        return cls._of(n, pair_words(edges, (n, n), False))
 
     def has_loop(self, u: int) -> bool:
         return self.has_edge(u, u)
 
-    def edges(self) -> list[tuple[int, int]]:
-        return row_bits(self.rows)
-
     def loops(self) -> list[int]:
         return [i + 1 for i in range(self.n) if self.has_loop(i + 1)]
-
-    def to_text(self) -> str:
-        return rows_text(str(self.n), self.rows, self.n, False)
-
-    @classmethod
-    def from_text(cls, text: str) -> "DirectedGraph":
-        (n, _), rows = text_rows(text, "'n m' header", 2, False)
-        return cls(n, rows)
 
 
 @dataclass(frozen=True)
@@ -177,10 +165,7 @@ class DirectedKernelQuadruplePlusP:
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "p", p)
 
-    @property
-    def m(self) -> int:
-        return len(self.mu)
-
+    m = DirectedKernelQuintuple.m
     pair_matrix = DirectedKernelQuintuple.pair_matrix
 
     def ext_measure(self, e: int) -> Fraction:
@@ -236,19 +221,15 @@ def sample_directed_pair_codes(
     return loops, (u >= c).sum(axis=0, dtype=np.int8)
 
 
-def _graph_from_codes(n: int, loops: np.ndarray, codes: np.ndarray) -> DirectedGraph:
-    a = np.diag(loops.astype(bool))
-    jj, ii = np.tril_indices(n, -1)  # colex pair order, i < j
-    a[ii, jj] = codes >> 1 & 1  # X_ij
-    a[jj, ii] = codes & 1  # X_ji
-    return DirectedGraph(n, pack_rows(a))
-
-
 def sample_directed(kernel: DirectedKernel, n: int, rng: np.random.Generator) -> DirectedGraph:
     """One draw of the n-prefix under either kernel: loops from the latent
     state, pair indicators jointly from the pair law."""
     loops, codes = sample_directed_pair_codes(kernel, n, 1, rng)
-    return _graph_from_codes(n, loops[0], codes[0])
+    a = np.diag(loops[0].astype(bool))
+    jj, ii = np.tril_indices(n, -1)  # colex pair order, i < j
+    a[ii, jj] = codes[0] >> 1 & 1  # X_ij
+    a[jj, ii] = codes[0] & 1  # X_ji
+    return DirectedGraph._of(n, pack_bits(a))
 
 
 def loop_sequence_law(kernel: DirectedKernel, n: int, rng: np.random.Generator) -> tuple[int, ...]:
@@ -272,8 +253,9 @@ def _density(f: DirectedGraph, g: DirectedGraph, injective: bool, induced: bool)
 
     Containment asks every f-edge (u,v), loops included, to be present at
     (phi(u), phi(v)); induced asks for exact equality of the pulled-back
-    indicator matrix. f's loops become image masks; g keeps its loops in
-    its rows, since a non-injective map may send an arc onto a loop.
+    indicator matrix. A looped vertex of f ranges over g's looped vertices,
+    any other over all (induced: the unlooped); g keeps its loops in its
+    words, since a non-injective map may send an arc onto a loop.
     """
     from .densities import falling, host_count
 
@@ -281,11 +263,12 @@ def _density(f: DirectedGraph, g: DirectedGraph, injective: bool, induced: bool)
     maps = falling(g.n, f.n) if injective else g.n**f.n
     if not maps:
         return Fraction(0)
-    full = (1 << g.n) - 1
-    loops = sum(1 << i for i in range(g.n) if g.rows[i] >> i & 1)
-    unlooped = full ^ loops if induced else full
-    masks = [loops if f.has_loop(u + 1) else unlooped for u in range(f.n)]
-    return Fraction(host_count(f.rows, g.rows, column_rows(g.rows, g.n), masks, injective, induced), maps)
+    every = np.arange(g.n)
+    looped = word_bits(g.words, every, every)
+    loops, others = np.flatnonzero(looped), np.flatnonzero(~looped) if induced else every
+    doms = [loops if f.has_loop(u + 1) else others for u in range(f.n)]
+    host = {(0, 0): (g.words, column_words(g.words, g.n))}
+    return Fraction(host_count(f.rows, [0] * f.n, doms, host, injective, induced), maps)
 
 
 def _kernel_sum(f: DirectedGraph, kernel: DirectedKernel, induced: bool) -> Fraction:

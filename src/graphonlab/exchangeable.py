@@ -25,7 +25,7 @@ from .graphon import (
 )
 from .graphs import (  # check_class_size and isomorphism_class are re-exported
     CLASS_CAP, LabelledGraph, UnlabelledGraph, check_class_size, check_host_size, graph_from_pair_bits,
-    isomorphism_class, pack_rows, pair_bits_of, pair_code_classes, pair_index, restrict_prefix, unpack_rows,
+    isomorphism_class, pack_bits, pair_bits_of, pair_code_classes, pair_index, restrict_prefix, unpack_bits, word_ints,
 )
 from .rng import chunk_sizes, run_chunked
 
@@ -168,7 +168,7 @@ class GraphSource:
             if not n_c:
                 continue
             if callable(part):
-                bits = unpack_rows([pair_bits_of(restrict_prefix(part(k, rng), k)) for _ in range(n_c)], len(ii))
+                bits = np.array([unpack_bits(restrict_prefix(part(k, rng), k).words, k)[ii, jj] for _ in range(n_c)])
                 bits = bits if used is None else bits[:, used]
             else:
                 bits = pair_bits(part, k, n_c, ii, jj, rng, used)
@@ -196,7 +196,7 @@ def prefix_law_empirical(
         if bits.shape[1] < 64:  # the codes fit in int64
             codes = bits @ (1 << np.arange(bits.shape[1], dtype=np.int64))
         else:
-            codes = np.array(pack_rows(bits), dtype=object)
+            codes = np.array(word_ints(pack_bits(bits)), dtype=object)
         vals, cnts = np.unique(codes, return_counts=True)  # in increasing code order
         for v, c in zip(vals.tolist(), cnts.tolist()):
             counts[v] = counts.get(v, 0) + c

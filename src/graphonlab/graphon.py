@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CapacityError, InputError
 from .exact import Number, content_lines, exact_dtype, number_rows, parse_line, read_text, rows_lines, to_fraction
-from .graphs import LabelledGraph, graph_from_bool_matrix, pair_order, unpack_rows
+from .graphs import LabelledGraph, graph_from_bool_matrix, pair_order, unpack_bits
 from .rng import skip
 
 if TYPE_CHECKING:  # the samplers and cut norms never load the contraction engine
@@ -145,26 +145,24 @@ def boys_girls(theta: Number, p: Number, p_prime: Number, p_dblprime: Number) ->
 def graph_as_graphon(g: LabelledGraph) -> StepGraphon:
     """Adjacency-matrix kernel: uniform blocks, 0/1 values; has the same
     density t(F, .) as g for every pattern F."""
-    return StepGraphon((Fraction(1, g.n),) * g.n, unpack_rows(g.rows, g.n).astype(int).tolist())
+    return StepGraphon((Fraction(1, g.n),) * g.n, unpack_bits(g.words, g.n).astype(int).tolist())
 
 
 def exact_density(f: GraphLike, w: StepGraphon) -> Fraction:
     """Exact pattern density of the step kernel: the block-assignment sum
     of mu-weights times edge factors, in rational arithmetic."""
-    from .densities import _as_labelled, _check_pattern, kernel_sum
+    from .densities import _check_pattern, kernel_sum
 
-    fl = _as_labelled(f)
-    _check_pattern(fl)
+    fl = _check_pattern(f)
     return kernel_sum([w.mu] * fl.n, {(u - 1, v - 1): w.w for u, v in fl.edges()})
 
 
 def exact_ind_density(f: GraphLike, w: StepGraphon) -> Fraction:
     """Exact probability that the v(f)-prefix of the W-random graph is f:
     the kernel value per edge, its complement per non-edge."""
-    from .densities import _as_labelled, _check_pattern, kernel_sum
+    from .densities import _check_pattern, kernel_sum
 
-    fl = _as_labelled(f)
-    _check_pattern(fl)
+    fl = _check_pattern(f)
     comp = tuple(tuple(1 - x for x in row) for row in w.w)
     return kernel_sum(
         [w.mu] * fl.n,
@@ -290,10 +288,9 @@ def mc_density_product_sum(
 ) -> float:
     """Sum over iid uniform tuples of the product of kernel values along
     f's edges; chunk-mergeable core of mc_density."""
-    from .densities import _as_labelled, _check_pattern
+    from .densities import _check_pattern
 
-    fl = _as_labelled(f)
-    _check_pattern(fl)
+    fl = _check_pattern(f)
     read = _latent_reader(w, (count, fl.n), rng)
     prod = np.ones(count)
     for u, v in fl.edges():

@@ -2,19 +2,19 @@
 classes, canonical forms and the enumeration of unlabelled graphs, all read
 from one table of relabellings.
 
-Vertices are labelled 1..n at the API surface. Internally each graph
-stores one bitmask row per vertex (bit j-1 of rows[i-1] set iff i~j),
-which keeps neighbourhood intersection at one word op per 64 vertices.
-All graph values are immutable and hashable.
-
-The edge-list files of simple, bipartite and directed graphs share one
-core here: edge_rows checks and packs an edge array, row_edges undoes it.
-row_words is the one packer of rows into numpy words, for every reader.
+Vertices are labelled 1..n at the API surface. A graph of every kind
+stores only its `words`: a read-only WORD table, bit j of word w of row i
+set iff vertex i + 1 is joined to vertex 64 w + j + 1. Every writer and
+every engine works on words; `rows`, one Python int per row, is a lazy
+view for patterns and API callers. All graph values are immutable and
+hashable. The edge-list files of all three kinds share one core here:
+edge_words checks an edge array and sets its bits, word_edges undoes it.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
@@ -28,7 +28,6 @@ CANON_CAP = 8  # the largest simple pattern; its (8!, 28) relabelling table is 9
 CLASS_CAP = 7  # class scans and the enumeration relabel by all k! permutations
 HOST_CAP = 1 << 16  # vertices per part of a host graph, read or sampled
 _REVERSED_BYTES = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)])  # each byte, bit-reversed
-ROW_BLOCK = 1 << 20  # cells of the boolean strip that rows are packed from or unpacked to
 WORD = np.dtype("<u8")  # the word of packed rows; bit j of word w is column 64 w + j
 
 
@@ -41,25 +40,92 @@ def pair_order(k: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(1, k) for i in range(j)]
 
 
-@dataclass(frozen=True)
-class LabelledGraph:
-    """Finite simple graph on vertex set {1..n}; adjacency as bitmask rows."""
+class Packed:
+    """What the three graph kinds share. A subclass is a frozen dataclass
+    whose fields are its part sizes, then `words`, given as a WORD table
+    or as bitmask rows (ints) for word_table to check and pack, and whose
+    `shape` is (rows, columns). The writers here build through _of."""
+
+    symmetric = False  # a simple graph: no loops, and bit j of row i iff bit i of row j
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "words", word_table(self.words, self.shape, self.symmetric))
+
+    @classmethod
+    def _of(cls, *values):
+        """The graph of these part sizes and WORD table, made by a writer
+        here (no bit past the last column; simple if symmetric): unchecked."""
+        values[-1].flags.writeable = False
+        graph = object.__new__(cls)
+        graph.__dict__.update(zip([f.name for f in fields(cls)], values))
+        return graph
+
+    @cached_property
+    def rows(self) -> tuple[int, ...]:
+        """The words as one bitmask int per row, made on first use."""
+        return word_ints(self.words)
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return bool(int(self.words[u - 1, (v - 1) >> 6]) >> ((v - 1) & 63) & 1)
+
+    def edges(self) -> list[tuple[int, int]]:
+        return [(u, v) for u, v in word_edges(self.words).tolist() if u < v or not self.symmetric]
+
+    @property
+    def num_edges(self) -> int:
+        w, step = self.words, 1 + (1 << 15) // (1 + self.words.shape[1])  # rows per popcount strip
+        return sum(int(popcount(w[s:s + step]).sum()) for s in range(0, len(w), step)) // (1 + self.symmetric)
+
+    def to_text(self) -> str:
+        """The edge-list file: the part sizes and the edge count, then one
+        line 'u v' per edge in row-major order (u < v when symmetric)."""
+        edges = word_edges(self.words)
+        edges = edges[edges[:, 0] < edges[:, 1]] if self.symmetric else edges
+        head = " ".join(str(getattr(self, f.name)) for f in fields(self)[:-1])
+        return f"{head} {len(edges)}\n" + ("%d %d\n" * len(edges)) % tuple(edges.ravel().tolist())
+
+    @classmethod
+    def from_text(cls, text: str):  # the header holds the part sizes, then the edge count m
+        names = [f.name for f in fields(cls)[:-1]]
+        head, words = text_words(text, f"'{' '.join(names)} m' header", len(names) + 1, cls.symmetric)
+        return cls._of(*head[:-1], words)
+
+    @classmethod
+    def empty(cls, *sizes: int):
+        """The graph of these part sizes (n, or n1 and n2) with no edges."""
+        return cls._of(*sizes, word_rows((sizes[0], sizes[-1])))
+
+    @classmethod
+    def complete(cls, *sizes: int):
+        """The graph of these part sizes with every edge (a directed one's loops too)."""
+        words = word_rows((sizes[0], sizes[-1]))
+        words[:] = ~np.uint64(0)
+        words[:, -1] = tail_mask(sizes[-1])  # no bit past the last column
+        if cls.symmetric:
+            i = np.arange(sizes[0])
+            words[i, i >> 6] &= ~bit_of(i)
+        return cls._of(*sizes, words)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self.shape == other.shape and np.array_equal(self.words, other.words)
+
+    def __hash__(self) -> int:
+        return hash((self.shape, self.words.tobytes()))
+
+
+@dataclass(frozen=True, eq=False)
+class LabelledGraph(Packed):
+    """Finite simple graph on vertex set {1..n}."""
 
     n: int
-    rows: tuple[int, ...]
+    words: np.ndarray
+
+    symmetric = True
+    shape = property(lambda self: (self.n, self.n))  # (rows, columns)
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "LabelledGraph":
-        return cls(n, pair_rows(edges, (n, n), True))
-
-    @classmethod
-    def empty(cls, n: int) -> "LabelledGraph":
-        return cls.from_edges(n, [])
-
-    @classmethod
-    def complete(cls, n: int) -> "LabelledGraph":
-        full = (1 << n) - 1
-        return cls(n, tuple(full ^ (1 << i) for i in range(n)))
+        return cls._of(n, pair_words(edges, (n, n), True))
 
     @classmethod
     def path(cls, n: int) -> "LabelledGraph":
@@ -75,49 +141,20 @@ class LabelledGraph:
     def complete_bipartite(cls, a: int, b: int) -> "LabelledGraph":
         return cls.from_edges(a + b, [(i, a + j) for i in range(1, a + 1) for j in range(1, b + 1)])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.rows[u - 1] >> (v - 1) & 1)
-
     def degree(self, u: int) -> int:
-        return self.rows[u - 1].bit_count()
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u, v in row_bits(self.rows) if u < v]
-
-    @cached_property
-    def words(self) -> np.ndarray:
-        """Read-only row_words of the rows, n^2/8 bytes, packed once and shared."""
-        w = row_words(self.rows.__getitem__, self.n, 0, (self.n + 63) >> 6)
-        w.flags.writeable = False
-        return w
-
-    @property
-    def num_edges(self) -> int:
-        return sum(r.bit_count() for r in self.rows) // 2
+        return int(popcount(self.words[u - 1]).sum())
 
     def permuted(self, perm: Sequence[int]) -> "LabelledGraph":
         """Relabel: vertex u becomes perm[u-1] (perm is 1-based values)."""
         if sorted(perm) != list(range(1, self.n + 1)):
             raise InputError("not a permutation of 1..n")
-        rows = [0] * self.n
-        for u, v in self.edges():
-            a, b = perm[u - 1] - 1, perm[v - 1] - 1
-            rows[a] |= 1 << b
-            rows[b] |= 1 << a
-        return LabelledGraph(self.n, tuple(rows))
+        p, e = np.array(perm, dtype=np.intp) - 1, word_edges(self.words) - 1
+        return LabelledGraph._of(self.n, set_bits(np.zeros_like(self.words), p[e[:, 0]], p[e[:, 1]]))
 
     def code(self) -> tuple[int, ...]:
         """Adjacency code in identity order: chunk j holds the bits towards
         vertices 1..j of vertex j+1, earliest vertex most significant."""
         return tuple(sum((self.rows[u] >> v & 1) << v - 1 - u for u in range(v)) for v in range(1, self.n))
-
-    def to_text(self) -> str:
-        return rows_text(str(self.n), self.rows, self.n, True)
-
-    @classmethod
-    def from_text(cls, text: str) -> "LabelledGraph":
-        (n, _), rows = text_rows(text, "'n m' header", 2, True)
-        return cls(n, rows)
 
 
 def induced_pattern(g: LabelledGraph, verts: Sequence[int]) -> LabelledGraph:
@@ -126,26 +163,18 @@ def induced_pattern(g: LabelledGraph, verts: Sequence[int]) -> LabelledGraph:
     Edge {i,j} iff verts[i] != verts[j] and they are adjacent in g; a
     repeated vertex never yields an edge since g is loopless.
     """
-    k = len(verts)
     for v in verts:
         if not 1 <= v <= g.n:
             raise InputError(f"vertex id {v} out of range 1..{g.n}")
-    rows = [0] * k
-    for i in range(k):
-        for j in range(i + 1, k):
-            a, b = verts[i], verts[j]
-            if a != b and g.has_edge(a, b):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return LabelledGraph(k, tuple(rows))
+    v = np.array(verts, dtype=np.intp) - 1
+    return LabelledGraph._of(len(v), pack_bits(word_bits(g.words, v[:, None], v[None, :])))
 
 
 def sample_with_replacement(g: LabelledGraph, k: int, rng: np.random.Generator) -> LabelledGraph:
     """Pattern of k vertices drawn uniformly with replacement."""
     if k < 1:
         raise InputError("k must be >= 1")
-    verts = rng.integers(1, g.n + 1, size=k)
-    return induced_pattern(g, [int(v) for v in verts])
+    return induced_pattern(g, rng.integers(1, g.n + 1, size=k).tolist())
 
 
 def sample_without_replacement(g: LabelledGraph, k: int, rng: np.random.Generator) -> LabelledGraph:
@@ -154,14 +183,12 @@ def sample_without_replacement(g: LabelledGraph, k: int, rng: np.random.Generato
         raise InputError("k must be >= 1")
     if k > g.n:
         raise InputError(f"k={k} exceeds vertex count {g.n}")
-    verts = rng.permutation(g.n)[:k] + 1
-    return induced_pattern(g, [int(v) for v in verts])
+    return induced_pattern(g, (rng.permutation(g.n)[:k] + 1).tolist())
 
 
 def random_relabel(g: LabelledGraph, rng: np.random.Generator) -> LabelledGraph:
     """g with vertices renamed by a uniform random permutation of [v(g)]."""
-    perm = [int(x) + 1 for x in rng.permutation(g.n)]
-    return g.permuted(perm)
+    return g.permuted((rng.permutation(g.n) + 1).tolist())
 
 
 @dataclass(frozen=True)
@@ -261,20 +288,19 @@ def pair_index(u: int, v: int) -> int:
 
 
 def pair_bits_of(g: LabelledGraph) -> int:
-    """Edge set packed into an int, bit pair_index(u,v) per edge."""
-    bits = 0
-    for u, v in g.edges():
-        bits |= 1 << pair_index(u, v)
-    return bits
+    """Edge set packed into an int, bit pair_index(u,v) per edge: the bits
+    of row j below column j are the chunk of pairs (i, j), i < j."""
+    return sum((r & (1 << j) - 1) << j * (j - 1) // 2 for j, r in enumerate(g.rows))
 
 
 def graph_from_pair_bits(k: int, bits: int) -> LabelledGraph:
+    """The graph on [k] of a pair code (k <= 64: one word per row)."""
     rows = [0] * k
     for idx, (i, j) in enumerate(pair_order(k)):
         if bits >> idx & 1:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
-    return LabelledGraph(k, tuple(rows))
+    return LabelledGraph._of(k, np.array(rows, dtype=WORD).reshape(k, (k + 63) >> 6))
 
 
 def check_class_size(k: int) -> None:
@@ -328,72 +354,26 @@ def restrict_prefix(g: LabelledGraph, n: int) -> LabelledGraph:
     """Induced subgraph on the first n vertices."""
     if not 1 <= n <= g.n:
         raise InputError(f"prefix size {n} out of range 1..{g.n}")
-    mask = (1 << n) - 1
-    return LabelledGraph(n, tuple(r & mask for r in g.rows[:n]))
+    words = g.words[:n, :(n + 63) >> 6].copy()
+    words[:, -1] &= tail_mask(n)
+    return LabelledGraph._of(n, words)
 
 
 def disjoint_union(parts: Sequence[LabelledGraph]) -> LabelledGraph:
     if not parts:
         raise InputError("disjoint union of nothing")
-    rows: list[int] = []
-    for p in parts:
-        rows += [r << len(rows) for r in p.rows]
-    return LabelledGraph(len(rows), tuple(rows))
+    rows = [r << at for p, at in zip(parts, itertools.accumulate([p.n for p in parts], initial=0)) for r in p.rows]
+    return LabelledGraph(len(rows), rows)
 
 
-def pack_rows(a: np.ndarray) -> tuple[int, ...]:
-    """Each row of a boolean matrix as a bitmask: bit j of row i is a[i, j]."""
-    packed = np.packbits(a, axis=1, bitorder="little")
-    data, width = packed.tobytes(), packed.shape[1]
-    return tuple(int.from_bytes(data[i * width:(i + 1) * width], "little") for i in range(len(a)))
+def bit_of(j: np.ndarray) -> np.ndarray:
+    """Per column index j, the WORD with column j's bit set, for word j >> 6."""
+    return np.left_shift(np.uint64(1), (j & 63).astype(WORD))
 
 
-def row_words(row: Callable[[int], int], count: int, lo: int, width: int) -> np.ndarray:
-    """(count, width) WORD array of words lo .. lo + width - 1 of the bitmasks
-    row(0), ..., row(count - 1), which have no bits beyond them: the one place
-    rows become numpy, in strips of about ROW_BLOCK bits held as bytes."""
-    out = np.empty((count, width), dtype=WORD)
-    step = max(1, ROW_BLOCK // (64 * width or 1))
-    for a in range(0, count, step):
-        data = b"".join((row(i) >> 64 * lo).to_bytes(8 * width, "little") for i in range(a, min(a + step, count)))
-        out[a:a + step] = np.frombuffer(data, dtype=WORD).reshape(min(step, count - a), width)
-    return out
-
-
-def unpack_rows(rows: Sequence[int], width: int) -> np.ndarray:
-    """Boolean matrix (len(rows), width) of bitmask rows: the inverse of pack_rows."""
-    words = row_words(rows.__getitem__, len(rows), 0, (width + 63) >> 6)
-    return np.unpackbits(words.view(np.uint8), axis=1, count=width, bitorder="little").view(bool)
-
-
-def row_bits(rows: Sequence[int]) -> list[tuple[int, int]]:
-    """1-based (i, j) for every set bit j-1 of rows[i-1], row by row: the
-    edges of a small graph, by a pure-Python bit loop."""
-    out = []
-    for i, r in enumerate(rows, 1):
-        while r:
-            low = r & -r
-            out.append((i, low.bit_length()))
-            r ^= low
-    return out
-
-
-def row_edges(rows: Sequence[int], width: int) -> np.ndarray:
-    """(m, 2) int64 array of 1-based (i, j), one per set bit j-1 of
-    rows[i-1], in row-major order: the inverse of edge_rows. Non-empty rows
-    are read as row_words one strip of about ROW_BLOCK cells at a time, and
-    only their non-zero bytes are unpacked, so sparse rows cost O(edges) cells."""
-    busy = np.flatnonzero(np.fromiter(map(bool, rows), dtype=bool, count=len(rows)))
-    step = max(1, ROW_BLOCK // width)
-    parts = [np.empty((0, 2), dtype=np.int64)]
-    for a in range(0, len(busy), step):
-        idx = busy[a:a + step]
-        data = row_words(lambda i: rows[idx[i]], len(idx), 0, (width + 63) >> 6).view(np.uint8)
-        i, j = np.nonzero(data)  # non-zero bytes, row-major
-        bit = np.flatnonzero(np.unpackbits(data[i, j], bitorder="little"))
-        byte = bit >> 3
-        parts.append(np.column_stack([idx[i[byte]] + 1, j[byte] * 8 + (bit & 7) + 1]))
-    return np.concatenate(parts)
+def word_bits(words: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Boolean array: bit j of row i of a WORD table, per pair of 0-based indices."""
+    return (words[i, j >> 6] & bit_of(j)) != 0
 
 
 def check_host_size(*sizes: int) -> None:
@@ -402,21 +382,109 @@ def check_host_size(*sizes: int) -> None:
         raise CapacityError(f"host graphs capped at {HOST_CAP} vertices per part, got {max(sizes)}")
 
 
-def edge_rows(
-    edges: np.ndarray, shape: tuple[int, int], symmetric: bool, name: Callable[[int], str]
-) -> tuple[int, ...]:
-    """Bitmask rows of shape[0] vertices over shape[1] columns from an (m, 2)
-    int64 array of 1-based edges (u, v), scattered into a boolean strip of
-    about ROW_BLOCK cells at a time and packed; strips without edges cost
-    nothing. An edge must lie in range and not repeat an earlier one; in a
-    symmetric graph (u, v) sets both bits, repeats an earlier (v, u), and
-    u = v is a self edge. The first bad edge raises InputError, named by
-    name(i).
-    """
+def word_rows(shape: tuple[int, int]) -> np.ndarray:
+    """The WORD table of a graph of shape (rows, columns) with every bit
+    clear, after the size checks of every writer."""
     n1, n2 = shape
     if n1 < 1 or n2 < 1:
         raise InputError(f"vertex count must be >= 1, got {min(n1, n2)}")
     check_host_size(n1, n2)
+    return np.zeros((n1, (n2 + 63) >> 6), dtype=WORD)
+
+
+def word_table(data: np.ndarray | Iterable[int], shape: tuple[int, int], symmetric: bool) -> np.ndarray:
+    """The read-only WORD table of a graph of shape (rows, columns) from
+    `data`: a WORD table of that shape, copied, or its bitmask rows (ints),
+    checked for their number, for bits past the last column and, in a
+    symmetric graph, for loops and symmetry. The first bad row raises
+    InputError."""
+    n1, n2 = shape
+    step = (n2 + 63) >> 6
+    if isinstance(data, np.ndarray):
+        if data.dtype != WORD or data.shape != (n1, step):
+            raise InputError(f"not a WORD table of {n1} rows over {n2} columns")
+        data = data.copy()
+        bad = np.flatnonzero(data[:, -1] & ~tail_mask(n2)) if step else ()
+    else:
+        rows = [operator.index(r) for r in data]
+        if len(rows) != n1:
+            raise InputError(f"a graph of {n1} rows takes {n1} bitmask rows, got {len(rows)}")
+        bad = [i for i, r in enumerate(rows) if r < 0 or r >> n2][:1]
+        words = bytes(8 * n1 * step) if bad else b"".join(r.to_bytes(8 * step, "little") for r in rows)
+        data = np.frombuffer(words, dtype=WORD).reshape(n1, step)
+    if len(bad):
+        raise InputError(f"row {bad[0] + 1} has a bit outside columns 1..{n2}")
+    bad = np.flatnonzero((data != column_words(data, n2)).any(axis=1) | word_bits(data, *np.diag_indices(n1))
+                         ) if symmetric and n1 else ()
+    if len(bad):
+        why = "has a loop" if word_bits(data, bad[0], bad[0]) else f"differs from column {bad[0] + 1}"
+        raise InputError(f"row {bad[0] + 1} {why}: not a simple graph")
+    data.flags.writeable = False
+    return data
+
+
+def tail_mask(width: int) -> np.uint64:
+    """The columns of the last word of a WORD table `width` columns wide."""
+    return ~np.uint64(0) >> np.uint64(-width & 63)
+
+
+_SWAR = [np.uint64(c) for c in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+                                0x0101010101010101, 1, 2, 4, 56)]
+
+
+def popcount(w: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64 word, by SWAR: numpy 1.24 has no popcount ufunc."""
+    m1, m2, m4, h01, s1, s2, s4, s56 = _SWAR
+    w = w - ((w >> s1) & m1)
+    w = (w & m2) + ((w >> s2) & m2)
+    return (((w + (w >> s4)) & m4) * h01) >> s56
+
+
+def word_ints(words: np.ndarray) -> tuple[int, ...]:
+    """Each row of a WORD table as a bitmask int, as word_table reads them."""
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in words)
+
+
+def pack_bits(a: np.ndarray) -> np.ndarray:
+    """(rows, ceil(columns / 64)) WORD table of a boolean matrix: bit j of
+    row i is a[i, j]. The one packer of bits into words."""
+    out = np.zeros((len(a), 8 * ((a.shape[1] + 63) >> 6)), dtype=np.uint8)
+    out[:, :(a.shape[1] + 7) >> 3] = np.packbits(a, axis=1, bitorder="little")
+    return out.view(WORD)
+
+
+def unpack_bits(words: np.ndarray, width: int) -> np.ndarray:
+    """Boolean matrix (rows, width) of a WORD table: the inverse of pack_bits."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=width, bitorder="little").view(bool)
+
+
+def word_edges(words: np.ndarray) -> np.ndarray:
+    """(m, 2) int64 array of 1-based (i, j), one per set bit j-1 of row i-1,
+    row-major: the inverse of edge_words, unpacking only non-zero bytes."""
+    data = words.view(np.uint8)
+    i, j = np.nonzero(data)
+    bit = np.flatnonzero(np.unpackbits(data[i, j], bitorder="little"))
+    byte = bit >> 3
+    return np.column_stack([i[byte] + 1, j[byte] * 8 + (bit & 7) + 1]).astype(np.int64, copy=False)
+
+
+def set_bits(words: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """words, with bit j of row i set for each pair of 0-based indices."""
+    np.bitwise_or.at(words.reshape(-1), i * words.shape[1] + (j >> 6), bit_of(j))
+    return words
+
+
+def edge_words(
+    edges: np.ndarray, shape: tuple[int, int], symmetric: bool, name: Callable[[int], str]
+) -> np.ndarray:
+    """WORD table of shape[0] rows over shape[1] columns from an (m, 2)
+    int64 array of 1-based edges (u, v). An edge must lie in range and not
+    repeat an earlier one; in a symmetric graph (u, v) sets both bits,
+    repeats an earlier (v, u), and u = v is a self edge. The first bad
+    edge raises InputError, named by name(i).
+    """
+    n1, n2 = shape
+    words = word_rows(shape)
     u, v = edges[:, 0], edges[:, 1]
     outside = (u < 1) | (u > n1) | (v < 1) | (v > n2)
     lo, hi = (np.minimum(u, v), np.maximum(u, v)) if symmetric else (u, v)
@@ -431,24 +499,14 @@ def edge_rows(
         raise InputError(f"{name(i)} {why}")
     if symmetric:
         u, v = np.concatenate([u, v]), np.concatenate([v, u])
-    order = np.argsort(u, kind="stable")
-    u, v = u[order] - 1, v[order] - 1
-    step = max(1, ROW_BLOCK // n2)
-    rows = [0] * n1
-    strip = u // step  # sorted, so each strip with edges is one run
-    for top in (strip[np.diff(strip, prepend=-1) != 0] * step).tolist():
-        first, last = np.searchsorted(u, [top, top + step])
-        block = np.zeros((min(step, n1 - top), n2), dtype=bool)
-        block[u[first:last] - top, v[first:last]] = True
-        rows[top:top + len(block)] = pack_rows(block)
-    return tuple(rows)
+    return set_bits(words, u - 1, v - 1)
 
 
-def column_rows(rows: Sequence[int], width: int) -> tuple[int, ...]:
-    """Rows of the transpose, `width` rows over len(rows) columns: the edges
-    of row_edges with their columns swapped, repacked by edge_rows, so no
-    len(rows) x width matrix is made."""
-    return edge_rows(row_edges(rows, width)[:, ::-1], (width, len(rows)), False, str)
+def column_words(words: np.ndarray, width: int) -> np.ndarray:
+    """WORD table of the transpose, `width` rows over len(words) columns,
+    from the swapped word_edges: no len(words) x width matrix is made."""
+    e = word_edges(words) - 1
+    return set_bits(word_rows((width, len(words))), e[:, 1], e[:, 0])
 
 
 def _edge_array(pairs: Iterable[Sequence[int]]) -> np.ndarray:
@@ -461,12 +519,10 @@ def _edge_array(pairs: Iterable[Sequence[int]]) -> np.ndarray:
         return np.clip(np.array(pairs, dtype=object), -2**62, 2**62).astype(np.int64).reshape(-1, 2)
 
 
-def pair_rows(
-    pairs: Iterable[Sequence[int]], shape: tuple[int, int], symmetric: bool
-) -> tuple[int, ...]:
-    """edge_rows of integer pairs (u, v); an error names the pair."""
+def pair_words(pairs: Iterable[Sequence[int]], shape: tuple[int, int], symmetric: bool) -> np.ndarray:
+    """edge_words of integer pairs (u, v); an error names the pair."""
     edges = _edge_array(pairs)
-    return edge_rows(edges, shape, symmetric, lambda i: f"edge ({edges[i, 0]},{edges[i, 1]})")
+    return edge_words(edges, shape, symmetric, lambda i: f"edge ({edges[i, 0]},{edges[i, 1]})")
 
 
 def _bulk_edges(text: str, fields: int) -> tuple[list[int], np.ndarray] | None:
@@ -491,10 +547,10 @@ def _bulk_edges(text: str, fields: int) -> tuple[list[int], np.ndarray] | None:
     return numbers[:fields].tolist(), numbers[fields:].reshape(-1, 2)
 
 
-def text_rows(
+def text_words(
     text: str, header: str, fields: int, symmetric: bool
-) -> tuple[list[int], tuple[int, ...]]:
-    """(header numbers, edge_rows) of an edge-list file: a header line of
+) -> tuple[list[int], np.ndarray]:
+    """(header numbers, edge_words) of an edge-list file: a header line of
     `fields` integers, the vertex counts first and the edge count m last,
     then m lines 'u v', with u < v in a symmetric graph. An error quotes
     the first bad line.
@@ -517,21 +573,12 @@ def text_rows(
     down = np.flatnonzero(edges[:, 0] >= edges[:, 1]) if symmetric else []
     if len(down):
         raise InputError(f"edge line {line(down[0] + 1)} must satisfy u < v")
-    rows = edge_rows(edges, (head[0], head[-2]), symmetric, lambda i: f"edge line {line(i + 1)}")
-    return head, rows
-
-
-def rows_text(header: str, rows: Sequence[int], width: int, symmetric: bool) -> str:
-    """The edge-list file of bitmask rows: the header, the edge count, then
-    one line 'u v' per edge in row-major order (u < v when symmetric)."""
-    edges = row_edges(rows, width)
-    edges = edges[edges[:, 0] < edges[:, 1]] if symmetric else edges
-    return f"{header} {len(edges)}\n" + ("%d %d\n" * len(edges)) % tuple(edges.ravel().tolist())
+    return head, edge_words(edges, (head[0], head[-2]), symmetric, lambda i: f"edge line {line(i + 1)}")
 
 
 def graph_from_bool_matrix(a: np.ndarray) -> LabelledGraph:
     """Build a graph from a symmetric boolean matrix with empty diagonal."""
-    return LabelledGraph(a.shape[0], pack_rows(a))
+    return LabelledGraph._of(a.shape[0], pack_bits(a))
 
 
 def read_graph(path: str) -> LabelledGraph:

@@ -18,6 +18,18 @@ from fractions import Fraction
 from graphonlab.graphs import LabelledGraph
 
 
+def bit_loop_edges(rows) -> list[tuple[int, int]]:
+    """1-based (i, j) for every set bit j-1 of the bitmask int rows[i-1],
+    row by row, by a pure-Python bit loop."""
+    out = []
+    for i, r in enumerate(rows, 1):
+        while r:
+            low = r & -r
+            out.append((i, low.bit_length()))
+            r ^= low
+    return out
+
+
 def brute_t(f: LabelledGraph, g: LabelledGraph) -> Fraction:
     """t by enumerating all v(g)^v(f) vertex sequences."""
     k, n = f.n, g.n

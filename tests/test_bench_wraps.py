@@ -9,7 +9,8 @@ resolves each target the way the tracer does.
 The tracer replaces a module function by rebinding the module attributes
 that hold it, so a call through a module-level dict, list or tuple built
 at import keeps the unwrapped function and is never traced; no graphonlab
-module may hold a wrapped function that way.
+module may hold a wrapped function that way. It also reads the graphs it
+sees: a directed host is what has `rows`, and counts are keyed by hash.
 """
 from __future__ import annotations
 
@@ -17,18 +18,26 @@ import importlib
 import importlib.util
 import inspect
 import pkgutil
+from fractions import Fraction
 from pathlib import Path
 
 import graphonlab
+from graphonlab.bipartite import BipartiteGraph
+from graphonlab.directed import DirectedGraph, quadruple_from_quintuple, tournament_kernel
+from graphonlab.graphs import LabelledGraph
 
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 
 
-def wrap_targets() -> list[tuple[str, str]]:
+def bench_layers():
     spec = importlib.util.spec_from_file_location("bench_layers", LAYERS)
     layers = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(layers)
-    return [(modname, attr) for modname, attr, _, _ in layers.WRAPS] + [("rng", "run_chunked")]
+    return layers
+
+
+def wrap_targets() -> list[tuple[str, str]]:
+    return [(modname, attr) for modname, attr, _, _ in bench_layers().WRAPS] + [("rng", "run_chunked")]
 
 
 def test_every_bench_wrap_target_resolves():
@@ -70,3 +79,22 @@ def test_no_wrapped_function_sits_in_a_module_level_container():
                 if callable(func) and func in wrapped:
                     held.append(f"{info.name}.{name} holds {wrapped[func]}")
     assert held == []
+
+
+def test_hosts_are_what_the_tracer_takes_them_for():
+    """The tracer tells a directed host from a directed kernel by
+    hasattr(host, "rows"), and keys a count by hash((kind, pattern,
+    host)): a DirectedGraph has rows and neither kernel class does, and
+    equal patterns and hosts of each kind hash alike."""
+    layers = bench_layers()
+    f = DirectedGraph.from_edges(2, [(1, 2)])
+    host = DirectedGraph.from_edges(70, [(1, 70), (70, 70)])
+    kernels = [tournament_kernel(), quadruple_from_quintuple(tournament_kernel(), Fraction(1, 3))]
+    assert layers._directed_layer((f, host)) == "directed.count"
+    assert [layers._directed_layer((f, w)) for w in kernels] == ["directed.contract"] * 2
+    assert layers._directed_terms((f, host), {}, None) is None
+    key = layers._count_key("t")
+    for make in [lambda: (LabelledGraph.complete(3), LabelledGraph.from_edges(70, [(1, 70)])),
+                 lambda: (DirectedGraph.from_edges(2, [(1, 2)]), DirectedGraph.from_edges(70, [(70, 1)])),
+                 lambda: (BipartiteGraph.complete(1, 2), BipartiteGraph.from_edges(3, 70, [(3, 70)]))]:
+        assert key(make(), {}, None) == key(make(), {}, None)

@@ -4,8 +4,8 @@ contract is checked against the frontier search (host_count with no
 plan, so it contracts nothing) and the brute-force oracles, for patterns
 up to 6 vertices and hosts up to 12, on simple, bipartite and directed
 hosts and kernels, and host_count, which contracts over the host vertices
-each mask allows, against the backtracker and the oracles on masks that
-are not full. Host weights are scaled so that the same counts
+of each domain, against the backtracker and the oracles on domains that
+are not a whole part. Host weights are scaled so that the same counts
 run once in float64, once in int64 and once in Python-int object arrays;
 kernels with large denominators run in object arrays.
 """
@@ -17,11 +17,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphonlab import densities
-from graphonlab.bipartite import BipartiteGraph, BipartiteKernel, _as_one_graph, _bip_count, bip_exact_ind_density, bip_t
+from graphonlab.bipartite import BipartiteGraph, BipartiteKernel, _bip_count, bip_exact_ind_density, bip_t
 from graphonlab.densities import PLAN_BUDGET, contract, host_count, mc_containment_hits, plan, t, t_ind, t_inj
 from graphonlab.directed import DirectedGraph, directed_t
 from graphonlab.graphon import StepGraphon, exact_density, exact_ind_density
-from graphonlab.graphs import LabelledGraph, column_rows, unpack_rows
+from graphonlab.graphs import LabelledGraph, column_words, pack_bits, unpack_bits, word_ints
 from graphonlab.rng import stream
 
 from oracles import (brute_bip, brute_bip_kernel_sum, brute_containment_hits, brute_directed, brute_kernel_sum,
@@ -60,12 +60,38 @@ def backtrack(*args) -> int:
         return host_count(*args)
 
 
+def domain(mask: int) -> np.ndarray:
+    """The vertices of a bitmask, as host_count's sorted index array."""
+    return np.array([i for i in range(mask.bit_length()) if mask >> i & 1], dtype=np.intp)
+
+
+def directed_host(g: DirectedGraph) -> dict:
+    return {(0, 0): (g.words, column_words(g.words, g.n))}
+
+
+def looped(g: DirectedGraph) -> int:
+    return sum(1 << i for i in range(g.n) if g.has_loop(i + 1))
+
+
+def bip_args(f: BipartiteGraph, g: BipartiteGraph) -> tuple:
+    """host_count's pattern rows, parts, domains and host for a bipartite
+    count: f as one symmetric pattern, part 1 first, and each part of g
+    over its own columns."""
+    k1, k = f.n1, f.n1 + f.n2
+    a = np.zeros((k, k), dtype=bool)
+    a[:k1, k1:] = unpack_bits(f.words, f.n2)
+    cols = pack_bits(unpack_bits(g.words, g.n2).T)
+    doms = [np.arange(g.n1)] * f.n1 + [np.arange(g.n2)] * f.n2
+    host = {(0, 1): (g.words, g.words), (1, 0): (cols, cols)}
+    return word_ints(pack_bits(a | a.T)), [0] * f.n1 + [1] * f.n2, doms, host
+
+
 @given(simple_graphs(6), simple_graphs(12))
 @settings(max_examples=60, deadline=None)
 def test_simple_host(f, g):
-    a = unpack_rows(g.rows, g.n)
+    a = unpack_bits(g.words, g.n)
     factors = {(u - 1, v - 1): a for u, v in f.edges()}
-    count = backtrack(f.rows, g.rows, list(g.rows), [(1 << g.n) - 1] * f.n, False, False)
+    count = backtrack(f.rows, [0] * f.n, [np.arange(g.n)] * f.n, {(0, 0): (g.words, g.words.copy())}, False, False)
     assert scaled_counts([np.ones(g.n)] * f.n, factors, f.n) == {count}
     assert t(f, g) == Fraction(count, g.n ** f.n)
 
@@ -73,7 +99,7 @@ def test_simple_host(f, g):
 @given(simple_graphs(4), simple_graphs(6))
 @settings(max_examples=40, deadline=None)
 def test_simple_host_oracle(f, g):
-    a = unpack_rows(g.rows, g.n)
+    a = unpack_bits(g.words, g.n)
     count = contract([np.ones(g.n, dtype=bool)] * f.n, {(u - 1, v - 1): a for u, v in f.edges()})
     assert count / g.n ** f.n == brute_t(f, g)
 
@@ -81,7 +107,7 @@ def test_simple_host_oracle(f, g):
 @given(bipartite_graphs(3), bipartite_graphs(6))
 @settings(max_examples=60, deadline=None)
 def test_bipartite_host(f, g):
-    a = unpack_rows(g.rows, g.n2)
+    a = unpack_bits(g.words, g.n2)
     factors = {(u - 1, f.n1 + v - 1): a for u, v in f.edges()}
     weights = [np.ones(g.n1)] * f.n1 + [np.ones(g.n2)] * f.n2
     count = _bip_count(f, g, False, False)
@@ -96,12 +122,12 @@ def test_bipartite_host(f, g):
 def test_directed_host(f, g):
     """Each arc u -> v of f is its own factor, (u, v) or (v, u) as it
     comes; f's loops weight a vertex by the host's loop indicator."""
-    a = unpack_rows(g.rows, g.n)
+    a = unpack_bits(g.words, g.n)
     factors = {(u - 1, v - 1): a for u, v in f.edges() if u != v}
     weights = [np.diagonal(a) if f.has_loop(u + 1) else np.ones(g.n) for u in range(f.n)]
-    loops = sum(1 << i for i in range(g.n) if g.rows[i] >> i & 1)
-    masks = [loops if f.has_loop(u + 1) else (1 << g.n) - 1 for u in range(f.n)]
-    count = backtrack(f.rows, g.rows, column_rows(g.rows, g.n), masks, False, False)
+    loops, every = domain(looped(g)), np.arange(g.n)
+    doms = [loops if f.has_loop(u + 1) else every for u in range(f.n)]
+    count = backtrack(f.rows, [0] * f.n, doms, directed_host(g), False, False)
     assert scaled_counts(weights, factors, f.n) == {count}
     assert directed_t(f, g) == Fraction(count, g.n ** f.n)
     if f.n <= 3 and g.n <= 5:
@@ -111,10 +137,10 @@ def test_directed_host(f, g):
 @given(bipartite_graphs(3), bipartite_graphs(7))
 @settings(max_examples=60, deadline=None)
 def test_host_count_on_side_masks(f, g):
-    """Each pattern vertex ranges over its own part of the one-graph host."""
-    prows, rows = _as_one_graph(f), _as_one_graph(g)
-    sides = [(1 << g.n1) - 1] * f.n1 + [((1 << g.n2) - 1) << g.n1] * f.n2
-    assert host_count(prows, rows, rows, sides, False, False) == backtrack(prows, rows, rows, sides, False, False)
+    """Each pattern vertex ranges over its own part of the host, each part
+    read over its own columns."""
+    args = bip_args(f, g)
+    assert host_count(*args, False, False) == backtrack(*args, False, False) == _bip_count(f, g, False, False)
 
 
 @given(directed_graphs(5), directed_graphs(10), st.data())
@@ -122,11 +148,10 @@ def test_host_count_on_side_masks(f, g):
 def test_host_count_on_looped_vertices(f, g, data):
     """A looped pattern vertex ranges over the host's looped vertices, any
     other over a drawn subset (possibly empty, possibly all)."""
-    loops = sum(1 << i for i in range(g.n) if g.rows[i] >> i & 1)
-    masks = [loops if f.has_loop(u + 1) else data.draw(st.integers(0, (1 << g.n) - 1)) for u in range(f.n)]
-    hin = column_rows(g.rows, g.n)
-    count = host_count(f.rows, g.rows, hin, masks, False, False)
-    assert count == backtrack(f.rows, g.rows, hin, masks, False, False)
+    masks = [looped(g) if f.has_loop(u + 1) else data.draw(st.integers(0, (1 << g.n) - 1)) for u in range(f.n)]
+    args = f.rows, [0] * f.n, [domain(m) for m in masks], directed_host(g)
+    count = host_count(*args, False, False)
+    assert count == backtrack(*args, False, False)
     if np.prod([m.bit_count() for m in masks]) <= 2000:
         assert count == brute_masked_count(f.rows, g.rows, masks)
 
@@ -138,11 +163,13 @@ def test_host_count_on_masks_against_the_oracle(f, g, data):
     over a drawn subset, on a directed host (out- and in-rows) and on its
     symmetric closure (one table per pair)."""
     masks = [data.draw(st.integers(0, (1 << g.n) - 1)) for _ in range(f.n)]
-    sym = [r | c for r, c in zip(g.rows, column_rows(g.rows, g.n))]
-    for hout, hin in [(g.rows, column_rows(g.rows, g.n)), (sym, sym)]:
+    doms = [domain(m) for m in masks]
+    hout, hin = directed_host(g)[0, 0]
+    sym = hout | hin
+    for host in [{(0, 0): (hout, hin)}, {(0, 0): (sym, sym)}]:
         for injective, induced in [(False, False), (True, False), (True, True)]:
-            assert host_count(f.rows, hout, hin, masks, injective, induced) == brute_masked_count(
-                f.rows, hout, masks, injective, induced)
+            assert host_count(f.rows, [0] * f.n, doms, host, injective, induced) == brute_masked_count(
+                f.rows, word_ints(host[0, 0][0]), masks, injective, induced)
 
 
 def test_looped_domains_let_a_plan_fit():
@@ -157,10 +184,10 @@ def test_looped_domains_let_a_plan_fit():
     f = DirectedGraph.from_edges(4, [(1, 2), (3, 2), (3, 4)] + [(u, u) for u in range(1, 5)])
     path = frozenset({(0, 1), (1, 2), (2, 3)})
     assert plan((n,) * 4, path) is None and plan((len(looped),) * 4, path) is not None
-    masks, hin = [sum(1 << i for i in looped)] * 4, column_rows(g.rows, n)
-    count = backtrack(f.rows, g.rows, hin, masks, False, False)
+    args = f.rows, [0] * 4, [np.array(looped)] * 4, directed_host(g)
+    count = backtrack(*args, False, False)
     assert count > 0
-    assert host_count(f.rows, g.rows, hin, masks, False, False) == count
+    assert host_count(*args, False, False) == count
     assert directed_t(f, g) == Fraction(count, n**4)
 
 
@@ -192,12 +219,11 @@ def test_lopsided_bipartite_host_blocks_are_its_sides(monkeypatch):
     n2 = 6000
     g = BipartiteGraph.from_edges(1, n2, [(1, int(j) + 1) for j in np.flatnonzero(rng.random(n2) < 0.3)])
     f = BipartiteGraph.from_edges(1, 2, [(1, 1), (1, 2)])
-    prows, rows = _as_one_graph(f), _as_one_graph(g)
-    sides = [1] + [((1 << n2) - 1) << 1] * 2
+    args = bip_args(f, g)
     shapes = _block_shapes(monkeypatch)
-    count, peak = _traced_peak(host_count, prows, rows, rows, sides, False, False)
-    assert peak < len(rows) ** 2 // 32
-    assert count == backtrack(prows, rows, rows, sides, False, False) == bin(g.rows[0]).count("1") ** 2
+    count, peak = _traced_peak(host_count, *args, False, False)
+    assert peak < (1 + n2) ** 2 // 32
+    assert count == backtrack(*args, False, False) == bin(g.rows[0]).count("1") ** 2
     assert shapes == [(1, n2)] * 2
     assert bip_t(f, g) == Fraction(count, n2**2)
 
@@ -212,11 +238,11 @@ def test_few_loops_on_a_large_directed_host_give_small_blocks(monkeypatch):
     arcs |= {(i, j) for i in looped for j in looped if i == j or rng.random() < 0.7}
     g = DirectedGraph.from_edges(n, [(i + 1, j + 1) for i, j in arcs])
     f = DirectedGraph.from_edges(4, [(1, 2), (3, 2), (3, 4), (4, 3)] + [(u, u) for u in range(1, 5)])
-    masks, hin = [sum(1 << i for i in looped)] * 4, column_rows(g.rows, n)
+    args = f.rows, [0] * 4, [np.array(looped)] * 4, directed_host(g)
     shapes = _block_shapes(monkeypatch)
-    count, peak = _traced_peak(host_count, f.rows, g.rows, hin, masks, False, False)
+    count, peak = _traced_peak(host_count, *args, False, False)
     assert peak < n**2 // 32
-    assert count == backtrack(f.rows, g.rows, hin, masks, False, False) > 0
+    assert count == backtrack(*args, False, False) > 0
     assert shapes == [(5, 5)] * 3
     assert directed_t(f, g) == Fraction(count, n**4)
 
@@ -239,9 +265,8 @@ def test_directed_path_on_a_sparse_host_makes_no_n_by_n_matrix():
 
 def test_bipartite_star_on_a_sparse_host_makes_no_n1_by_n2_matrix():
     """bip_t of a two-leaf star on a sparse 10,000 x 10,000 host: the
-    one-graph's second part comes from the edges, so the traced peak
-    stays below half the n1 x n2 boolean matrix an unpacked transpose
-    would take."""
+    part-2 rows come from the edges, so the traced peak stays below half
+    the n1 x n2 boolean matrix an unpacked transpose would take."""
     rng = np.random.default_rng(19)
     n1 = n2 = 10_000
     edges = np.unique(rng.integers(0, n1, size=(3 * n1, 2)), axis=0)

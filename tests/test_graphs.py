@@ -19,14 +19,14 @@ from graphonlab.graphs import (
     induced_pattern,
     is_isomorphic,
     isomorphism_class,
-    pack_rows,
+    pack_bits,
     pair_bits_of,
     pair_code_classes,
     random_relabel,
     restrict_prefix,
     sample_with_replacement,
     sample_without_replacement,
-    unpack_rows,
+    unpack_bits,
 )
 from graphonlab.rng import stream
 
@@ -315,6 +315,6 @@ class TestHelpers:
     @pytest.mark.parametrize("shape", [(3, 0), (0, 5), (4, 9), (2, 63), (2, 64), (2, 65), (3, 129)])
     def test_pack_rows_roundtrip(self, shape):
         a = stream(4).random(shape) < 0.5
-        rows = pack_rows(a)
-        assert len(rows) == shape[0] and (shape[1] or rows == (0,) * shape[0])
-        assert (unpack_rows(rows, shape[1]) == a).all() and unpack_rows(rows, shape[1]).shape == shape
+        words = pack_bits(a)
+        assert words.dtype == np.dtype("<u8") and words.shape == (shape[0], (shape[1] + 63) // 64)
+        assert (unpack_bits(words, shape[1]) == a).all() and unpack_bits(words, shape[1]).shape == shape

@@ -6,6 +6,7 @@ fresh child, where no submodule has been imported yet.
 """
 import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -107,11 +108,17 @@ def test_unknown_name_is_an_attribute_error():
         graphonlab.no_such_name  # noqa: B018
 
 
+# names numpy 2.0 added that bit and word code might reach for
+NUMPY_2_NAMES = re.compile(
+    r"bitwise_count|np\.bool\b|np\.bitwise_invert|np\.bitwise_left_shift|np\.astype\(|np\.concat\(")
+
+
 def test_no_module_needs_numpy_2():
     """pyproject promises numpy >= 1.24, which the CI numpy-floor job
-    installs; np.bitwise_count came only in numpy 2.0."""
+    installs; np.bitwise_count, np.bool, np.bitwise_invert,
+    np.bitwise_left_shift, np.astype and np.concat came only in numpy 2.0."""
     src = Path(graphonlab.__file__).parent
-    assert [p.name for p in sorted(src.glob("*.py")) if "bitwise_count" in p.read_text()] == []
+    assert [p.name for p in sorted(src.glob("*.py")) if NUMPY_2_NAMES.search(p.read_text())] == []
 
 
 def _owners(needle: str) -> set[str]:
@@ -129,11 +136,23 @@ def _owners(needle: str) -> set[str]:
     return owners
 
 
-def test_rows_become_bytes_in_one_function():
-    """graphs.row_words is the one packer from bitmask rows to numpy, so
-    the row format is written once: `.to_bytes(` occurs in no other
-    function of the package."""
-    assert _owners(".to_bytes(") == {"graphs.row_words"}
+def test_rows_are_a_view_behind_the_words():
+    """A host is its WORD table, and bitmask ints are a view behind it:
+    `.to_bytes(` occurs only in graphs.word_table (the rows a direct
+    constructor is given) and `int.from_bytes(` only in graphs.word_ints
+    (the lazy `rows`). No function of densities, nor the bipartite and
+    directed _density and _bip_count, reads the `.rows` of anything but
+    the pattern f."""
+    assert _owners(".to_bytes(") == {"graphs.word_table"}
+    assert _owners("int.from_bytes(") == {"graphs.word_ints"}
+    src = Path(graphonlab.__file__).parent
+    funcs = {f"{path.stem}.{f.name}": f for path in sorted(src.glob("*.py"))
+             for f in ast.walk(ast.parse(path.read_text())) if isinstance(f, ast.FunctionDef)}
+    counters = [f for name, f in funcs.items() if name.startswith("densities.") or name in
+                {"bipartite._density", "bipartite._bip_count", "directed._density"}]
+    read = {ast.unparse(node.value) for f in counters for node in ast.walk(f)
+            if isinstance(node, ast.Attribute) and node.attr == "rows"}
+    assert len(counters) > 20 and read == {"f"}
 
 
 def test_one_path_skips_draws():

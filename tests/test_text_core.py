@@ -13,7 +13,9 @@ from graphonlab.bipartite import BipartiteGraph, BipartiteKernel
 from graphonlab.directed import DirectedGraph, DirectedKernelQuintuple
 from graphonlab.errors import InputError
 from graphonlab.graphon import StepGraphon
-from graphonlab.graphs import LabelledGraph, column_rows, pack_rows, row_bits, row_edges, row_words, unpack_rows
+from graphonlab.graphs import LabelledGraph, column_words, pack_bits, unpack_bits, word_edges, word_ints, word_table
+
+from oracles import bit_loop_edges
 
 
 @st.composite
@@ -50,7 +52,9 @@ def test_text_round_trip(kind, data):
     g = data.draw(graphs(kind))
     text = g.to_text()
     # the bulk writer prints exactly the edges of the pure-Python bit loop
-    assert text == f"{header(g)} {len(g.edges())}\n" + "".join(f"{u} {v}\n" for u, v in g.edges())
+    edges = [(u, v) for u, v in bit_loop_edges(g.rows) if u < v or kind != "simple"]
+    assert g.edges() == edges
+    assert text == f"{header(g)} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
     assert type(g).from_text(text) == g
 
 
@@ -71,53 +75,59 @@ def test_line_by_line_reader_agrees_with_bulk_reader(kind, data):
 
 def test_rows_round_trip_through_boolean_matrix():
     a = np.random.default_rng(0).random((7, 70)) < 0.3
-    rows = pack_rows(a)
-    assert np.array_equal(unpack_rows(rows, 70), a)
+    words = pack_bits(a)
+    assert words.dtype == np.dtype("<u8") and words.shape == (7, 2)
+    assert np.array_equal(unpack_bits(words, 70), a)
     i, j = np.nonzero(a)
-    assert np.array_equal(row_edges(rows, 70), np.column_stack([i, j]) + 1)
+    assert np.array_equal(word_edges(words), np.column_stack([i, j]) + 1)
 
 
-@given(st.integers(1, 12), st.integers(1, 80), st.data())
+def rows_of(draw, n: int, width: int) -> list[int]:
+    return draw(st.lists(st.just(0) | st.integers(0, (1 << width) - 1), min_size=n, max_size=n))
+
+
+def words_of(rows: list[int], width: int):
+    """The WORD table of bitmask rows, as a directed graph's constructor packs them."""
+    return word_table(rows, (len(rows), width), False)
+
+
+@given(st.integers(1, 12), st.integers(1, 200), st.data())
 @settings(max_examples=60, deadline=None)
 def test_column_rows_is_the_transpose(n, width, data):
-    """In-rows from the swapped edges equal the unpacked transpose, rows
-    with no edges and width != row count included."""
-    rows = data.draw(st.lists(st.just(0) | st.integers(0, (1 << width) - 1), min_size=n, max_size=n))
-    assert column_rows(rows, width) == pack_rows(unpack_rows(rows, width).T)
+    """column_words from the swapped edges equals the packed transpose,
+    rows with no edges, widths across word boundaries and width != row
+    count included."""
+    words = words_of(rows_of(data.draw, n, width), width)
+    assert np.array_equal(column_words(words, width), pack_bits(unpack_bits(words, width).T))
 
 
-@given(st.integers(0, 12), st.integers(1, 200), st.integers(1, 300), st.data())
+@given(st.integers(0, 12), st.integers(1, 200), st.data())
 @settings(max_examples=80, deadline=None)
-def test_row_edges_is_the_bit_loop(n, width, block, data):
-    """row_edges gives the edges of the pure-Python row_bits, in its order:
-    widths off a multiple of 8 and of 64, rows of several words, rows with
-    no edges, and (with ROW_BLOCK made small) rows split over several
-    strips included."""
-    rows = data.draw(st.lists(st.just(0) | st.integers(0, (1 << width) - 1), min_size=n, max_size=n))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("graphonlab.graphs.ROW_BLOCK", block)
-        got = row_edges(rows, width)
+def test_row_edges_is_the_bit_loop(n, width, data):
+    """word_edges gives the edges of the pure-Python bit loop, in its
+    order: widths off a multiple of 8 and of 64, rows of several words and
+    rows with no edges included."""
+    rows = rows_of(data.draw, n, width)
+    got = word_edges(words_of(rows, width))
     assert got.dtype == np.int64 and got.shape == (len(got), 2)
-    assert got.tolist() == [list(e) for e in row_bits(rows)]
+    assert got.tolist() == [list(e) for e in bit_loop_edges(rows)]
 
 
-@given(st.integers(0, 12), st.integers(1, 3), st.integers(0, 3), st.integers(1, 300), st.data())
+@given(st.integers(0, 12), st.integers(1, 200), st.data())
 @settings(max_examples=60, deadline=None)
-def test_row_words_at_a_word_offset_are_python_shifts(n, lo, width, block, data):
-    """Word w of row i of row_words(row, n, lo, width) is row(i) >> 64 (lo
-    + w) masked to 64 bits, for rows with bits in and below those words,
-    none above; strips of a small ROW_BLOCK and width 0 included."""
-    rows = data.draw(st.lists(st.integers(0, (1 << 64 * (lo + width)) - 1), min_size=n, max_size=n))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr("graphonlab.graphs.ROW_BLOCK", block)
-        got = row_words(rows.__getitem__, n, lo, width)
-    assert got.dtype == np.dtype("<u8") and got.shape == (n, width)
-    assert got.tolist() == [[r >> 64 * (lo + w) & (1 << 64) - 1 for w in range(width)] for r in rows]
+def test_words_of_rows_are_python_shifts(n, width, data):
+    """Word w of row i of the packed rows is rows[i] >> 64 w masked to 64
+    bits, one word per 64 columns begun; word_ints reads the ints back."""
+    rows = rows_of(data.draw, n, width)
+    got = words_of(rows, width)
+    assert got.dtype == np.dtype("<u8") and got.shape == (n, (width + 63) // 64)
+    assert got.tolist() == [[r >> 64 * w & (1 << 64) - 1 for w in range((width + 63) // 64)] for r in rows]
+    assert word_ints(got) == tuple(rows)
 
 
 def test_many_vertices_without_edges():
     g = LabelledGraph.from_text("50000 0\n")
-    assert g.n == 50000 and not any(g.rows)
+    assert g.n == 50000 and g.words.shape == (50000, 782) and not g.words.any()
     assert g.to_text() == "50000 0\n"
 
 
