@@ -15,7 +15,7 @@ import numpy as np
 from .errors import CapacityError, InputError
 from .exact import Number, content_lines, number_rows, parse_line, rows_lines, to_fraction
 from .graphon import _checked_matrix, _normalized_measures, _reader, bernoulli, draw_blocks
-from .graphs import Packed, column_words, pack_bits, pair_words, unpack_bits
+from .graphs import Packed, column_words, pair_words, strip_words, unpack_bits
 
 if TYPE_CHECKING:  # the sampler never loads the contraction engine
     from .densities import BoundCheck
@@ -176,11 +176,14 @@ def sample_bip_w_random(
     w: BipartiteKernel, n1: int, n2: int, rng: np.random.Generator
 ) -> BipartiteGraph:
     """G(n1, n2, W): independent latent labels per side, then independent
-    edges with the kernel's probabilities."""
+    edges with the kernel's probabilities: bip_cell_bits_batch at count 1,
+    row by row through graphs.strip_words."""
     if n1 < 1 or n2 < 1:
         raise InputError("both parts need at least one vertex")
-    bits = bip_cell_bits_batch(w, n1, n2, 1, rng)[0].reshape(n1, n2)
-    return BipartiteGraph._of(n1, n2, pack_bits(bits))
+    read, cols = _reader(w, draw_blocks(w.mu1, (1, n1), rng).T, draw_blocks(w.mu2, (1, n2), rng).T), np.arange(n2)
+    def draw(i, own, mirror):
+        own[:] = bernoulli(lambda s: read(i, cols[s]), n2, 1, rng)[0]
+    return BipartiteGraph._of(n1, n2, strip_words((n1, n2), draw))
 
 
 def bip_cell_bits_batch(

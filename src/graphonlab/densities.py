@@ -158,8 +158,8 @@ def _grow(steps: list, maps: np.ndarray, d: int) -> int:
             ends = np.cumsum(popcount(cand).sum(axis=1)) // FRONTIER_CELLS  # cut where new maps pass a multiple
             cuts[1:1] = (np.flatnonzero(np.diff(ends)) + 1).tolist()
         for s, t in zip(cuts, cuts[1:]):
-            r, w = np.nonzero(cand[s:t])
-            j = np.flatnonzero(np.unpackbits(cand[s:t][r, w].view(np.uint8), bitorder="little"))
+            r, w = np.divmod(flat := np.flatnonzero(cand[s:t]), width)
+            j = np.flatnonzero(np.unpackbits(cand[s:t].ravel()[flat].view(np.uint8), bitorder="little"))
             grown = np.empty((len(j), d + 1), dtype=np.intp)
             grown[:, :d] = part[s:t][r[j >> 6]]
             grown[:, d] = w[j >> 6] * 64 + (j & 63)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import CapacityError, InputError
 from .exact import Number, content_lines, number_rows, parse_line, rows_lines, to_fraction
 from .graphon import _checked_matrix, _normalized_measures, draw_blocks
-from .graphs import Packed, column_words, pack_bits, pair_order, pair_words, word_bits
+from .graphs import Packed, column_words, pair_order, pair_words, strip_words, word_bits
 
 # densities, the contraction engine, is imported inside the functions that
 # count or sum, so that the samplers never load it.
@@ -203,6 +203,14 @@ def _latent_states(
     return flags, 2 * blocks + flags
 
 
+def _pair_coder(kernel: DirectedKernel, states: np.ndarray):
+    """codes(i, j, u): 2 X_ij + X_ji of the pairs (i, j) at uniforms u, the
+    number of the running sums of W00, W01, W10 at states[..., i], states[..., j] at or below u."""
+    cdf = np.cumsum([np.array(kernel.pair_matrix(a, b), dtype=float) for a, b in PAIR_STATES[:3]], axis=0)
+    table, size = cdf.reshape(3, -1), cdf.shape[1]  # states (s, r) at column s * size + r
+    return lambda i, j, u: (u >= table.take(states[..., i] * size + states[..., j], axis=1)).sum(axis=0, dtype=np.int8)
+
+
 def sample_directed_pair_codes(
     kernel: DirectedKernel, n: int, count: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -213,23 +221,21 @@ def sample_directed_pair_codes(
     """
     _check_kernel(kernel)
     loops, states = _latent_states(kernel, n, count, rng)
-    # cdf[c, s, r] = P(code <= c) at latent states (s, r), read at column s * S + r of its (3, S * S) view
-    cdf = np.cumsum([np.array(kernel.pair_matrix(a, b), dtype=float) for a, b in PAIR_STATES[:3]], axis=0)
     jj, ii = np.tril_indices(n, -1)  # colex pair order
-    c = cdf.reshape(3, -1).take(states[:, ii] * cdf.shape[1] + states[:, jj], axis=1)  # (3, count, npairs)
-    u = rng.random((count, len(ii)))
-    return loops, (u >= c).sum(axis=0, dtype=np.int8)
+    return loops, _pair_coder(kernel, states)(ii, jj, rng.random((count, len(ii))))
 
 
 def sample_directed(kernel: DirectedKernel, n: int, rng: np.random.Generator) -> DirectedGraph:
-    """One draw of the n-prefix under either kernel: loops from the latent
-    state, pair indicators jointly from the pair law."""
-    loops, codes = sample_directed_pair_codes(kernel, n, 1, rng)
-    a = np.diag(loops[0].astype(bool))
-    jj, ii = np.tril_indices(n, -1)  # colex pair order, i < j
-    a[ii, jj] = codes[0] >> 1 & 1  # X_ij
-    a[jj, ii] = codes[0] & 1  # X_ji
-    return DirectedGraph._of(n, pack_bits(a))
+    """One draw of the n-prefix under either kernel, sample_directed_pair_codes
+    at count 1 through graphs.strip_words: row j draws the colex pairs (i, j),
+    i < j, X_ji and its loop into its own row and X_ij into the mirror."""
+    _check_kernel(kernel)
+    loops, states = _latent_states(kernel, n, 1, rng)
+    codes = _pair_coder(kernel, states[0])
+    def draw(j, own, mirror):
+        c = codes(slice(0, j), j, rng.random(j))
+        own[:j], mirror[:j], own[j] = c & 1, c >> 1, loops[0, j]
+    return DirectedGraph._of(n, strip_words((n, n), draw))
 
 
 def loop_sequence_law(kernel: DirectedKernel, n: int, rng: np.random.Generator) -> tuple[int, ...]:

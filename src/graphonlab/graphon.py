@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CapacityError, InputError
 from .exact import Number, content_lines, exact_dtype, number_rows, parse_line, read_text, rows_lines, to_fraction
-from .graphs import LabelledGraph, graph_from_bool_matrix, pair_order, unpack_bits
+from .graphs import LabelledGraph, pair_order, strip_words, unpack_bits
 from .rng import skip
 
 if TYPE_CHECKING:  # the samplers and cut norms never load the contraction engine
@@ -267,20 +267,17 @@ def pair_bits(
 
 
 def sample_w_random(w: StepGraphon | GeneralGraphon, n: int, rng: np.random.Generator) -> LabelledGraph:
-    """G(n, W): iid latent labels, then conditionally independent edges
-    over the pairs i < j in row-major order, drawn row by row straight into
-    both triangles of the adjacency matrix, so no index array of all
-    n(n-1)/2 pairs and no transposed copy is built. The uniforms are those
-    of one draw over all pairs: Generator.random(a) then random(b) gives
-    the doubles of random(a + b)."""
+    """G(n, W): iid latent labels, then conditionally independent edges over
+    the pairs i < j in row-major order, row i's pairs (i, j > i) drawn into its
+    row and its column by graphs.strip_words: no array of all pairs, no n x n
+    matrix. The uniforms are those of one draw over all pairs, as
+    Generator.random(a) then random(b) gives the doubles of random(a + b)."""
     if n < 1:
         raise InputError("n must be >= 1")
-    read = _latent_reader(w, (1, n), rng)
-    cols = np.arange(n)
-    a = np.zeros((n, n), dtype=bool)
-    for i in range(n - 1):
-        a[i, i + 1:] = a[i + 1:, i] = bernoulli(lambda s: read(i, cols[i + 1:][s]), n - 1 - i, 1, rng)[0]
-    return graph_from_bool_matrix(a)
+    read, cols = _latent_reader(w, (1, n), rng), np.arange(n)
+    def draw(i, own, mirror):
+        own[i + 1:] = mirror[i + 1:] = bernoulli(lambda s: read(i, cols[i + 1:][s]), n - 1 - i, 1, rng)[0]
+    return LabelledGraph._of(n, strip_words((n, n), draw))
 
 
 def mc_density_product_sum(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import zlib
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -110,7 +111,7 @@ class Packed:
         return type(other) is type(self) and self.shape == other.shape and np.array_equal(self.words, other.words)
 
     def __hash__(self) -> int:
-        return hash((self.shape, self.words.tobytes()))
+        return hash((self.shape, zlib.crc32(self.words)))  # read in place: the words are C-contiguous
 
 
 @dataclass(frozen=True, eq=False)
@@ -574,6 +575,24 @@ def text_words(
     if len(down):
         raise InputError(f"edge line {line(down[0] + 1)} must satisfy u < v")
     return head, edge_words(edges, (head[0], head[-2]), symmetric, lambda i: f"edge line {line(i + 1)}")
+
+
+def strip_words(shape: tuple[int, int], draw: Callable[[int, np.ndarray, np.ndarray], None]) -> np.ndarray:
+    """WORD table of a sampled graph of shape (rows, columns), the one writer of a
+    sampler's bits, drawn 64 rows (a word column) at a time: draw(i, own, mirror)
+    sets row i's bits in the clear bool row `own` and, in a square table, those it
+    sets in column i of other rows in `mirror` (mirror[j]: bit i of row j)."""
+    n1, n2 = shape
+    words = word_rows(shape)
+    for a in range(0, n1, 64):
+        own, mirror = np.zeros((64, n2), dtype=bool), np.zeros((64, n1), dtype=bool)
+        for i in range(a, min(a + 64, n1)):
+            draw(i, own[i - a], mirror[i - a])
+        words[a:a + 64] |= pack_bits(own[:n1 - a])
+        if n1 == n2:  # byte k of row j from strip rows 8k..8k+7, by einsum: np.packbits down columns is 20x slower
+            column = np.einsum("ktj,t->kj", mirror.view(np.uint8).reshape(8, 8, n1), 1 << np.arange(8, dtype=np.uint8))
+            words[:, a >> 6] |= np.ascontiguousarray(column.T).view(WORD)[:, 0]
+    return words
 
 
 def graph_from_bool_matrix(a: np.ndarray) -> LabelledGraph:

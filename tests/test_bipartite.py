@@ -184,6 +184,18 @@ class TestSampler:
             assert np.array_equal(got, bip_cell_bits_batch(full, k1, k2, count, g2))
             assert g1.random() == g2.random()
 
+    @pytest.mark.parametrize("n1, n2", [(1, 1), (3, 70), (70, 3), (63, 65), (64, 129), (129, 64), (128, 128)])
+    @pytest.mark.parametrize("w", [KERNEL_2X2, BipartiteKernel.constant(Fraction(1, 3))])
+    def test_rows_draw_the_cells_in_row_major_order(self, w, n1, n2):
+        """The graph sampled row by row, 64 rows to a strip, is the one of
+        bip_cell_bits_batch's all-cells draw at count 1 on a twin stream,
+        which it leaves where that draw leaves it."""
+        g1, g2 = stream(n1, n2), stream(n1, n2)
+        bits = bip_cell_bits_batch(w, n1, n2, 1, g2)[0].reshape(n1, n2)
+        want = BipartiteGraph.from_edges(n1, n2, (np.argwhere(bits) + 1).tolist())
+        assert sample_bip_w_random(w, n1, n2, g1) == want
+        assert g1.random() == g2.random()
+
     def test_seed_reproducibility(self):
         a = sample_bip_w_random(KERNEL_2X2, 10, 12, stream(5, 3))
         b = sample_bip_w_random(KERNEL_2X2, 10, 12, stream(5, 3))

@@ -203,6 +203,22 @@ class TestSamplers:
         sigma = math.sqrt(n * 0.3 * 0.7 / runs)
         assert abs(sum(counts) / runs - 0.3 * n) <= 3 * sigma
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 63, 64, 65, 128, 129])
+    @pytest.mark.parametrize("kernel", [TOURNAMENT, TWO_BLOCK, quadruple_from_quintuple(TWO_BLOCK, F(3, 10))])
+    def test_rows_draw_the_colex_pairs(self, kernel, n):
+        """The graph sampled row by row, 64 rows to a strip, is the one of
+        sample_directed_pair_codes at count 1 on a twin stream, which it
+        leaves where that draw leaves it: loops on the diagonal, X_ij at
+        (i, j) and X_ji at (j, i) of each colex pair i < j."""
+        g1, g2 = stream(n, 8), stream(n, 8)
+        loops, codes = sample_directed_pair_codes(kernel, n, 1, g2)
+        jj, ii = np.tril_indices(n, -1)
+        arcs = [(i + 1, i + 1) for i in np.flatnonzero(loops[0])]
+        arcs += [(i + 1, j + 1) for i, j in zip(ii[codes[0] >= 2], jj[codes[0] >= 2])]
+        arcs += [(j + 1, i + 1) for i, j in zip(ii[codes[0] & 1 == 1], jj[codes[0] & 1 == 1])]
+        assert sample_directed(kernel, n, g1) == DirectedGraph.from_edges(n, arcs)
+        assert g1.random() == g2.random()
+
     def test_seed_reproducibility(self):
         a = sample_directed(TWO_BLOCK, 20, stream(7, 1))
         b = sample_directed(TWO_BLOCK, 20, stream(7, 1))

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from graphonlab.bipartite import BipartiteKernel, sample_bip_w_random
 from graphonlab.densities import t
+from graphonlab.directed import sample_directed, tournament_kernel
 from graphonlab.errors import CapacityError, InputError
 from graphonlab.exchangeable import GraphSource
 from graphonlab.graphon import (
@@ -257,11 +259,12 @@ class TestSampler:
         assert draw_blocks([Fraction(1, m)] * m, (5,), Uniforms()).tolist() == [0, 1, 0, 3, m - 1]
 
     @pytest.mark.parametrize("w", [W3, StepGraphon.constant(Fraction(1, 3)), GeneralGraphon(lambda x, y: x * y)])
-    @pytest.mark.parametrize("n", [1, 2, 3, 256, 257, 300])
+    @pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 128, 129, 256, 257, 300])
     def test_strips_draw_the_pairs_in_row_major_order(self, w, n):
         """Rows drawn one by one give the graph of one draw over the
         n(n-1)/2 np.triu_indices pairs (which fit one strip of cells at
-        n = 256 and take two at 257 and 300)."""
+        n = 256 and take two at 257 and 300), also where the writer's
+        64-row strips end (63, 64, 65, 128, 129)."""
         iu, ju = np.triu_indices(n, k=1)
         a = np.zeros((n, n), dtype=bool)
         bits = pair_bits(w, n, 1, iu, ju, stream(n, 3))[0]
@@ -286,17 +289,21 @@ class TestSampler:
         assert g1.random() == g2.random()
 
     def test_sampling_4000_vertices_holds_no_pair_arrays(self):
-        """Two int64 arrays of all pairs would take 8 bytes per n^2, a bool
-        array of the drawn bits 0.5 more, and a transposed copy of the
-        dense bool matrix 1 more; the matrix itself takes 1."""
-        n = 4000
-        tracemalloc.start()
-        try:
-            g = sample_w_random(BG, n, stream(12))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert g.n == n and peak < 1.5 * n * n, peak
+        """No sampler of the three kinds holds anything of n1 * n2 bytes:
+        its words take n1 * n2 / 8, and the writer's two 64-row strips and
+        the rows' draws stay within 1 MiB. An n x n bool matrix would take
+        n1 * n2, and index arrays of all pairs or cells 8 bytes per pair."""
+        bip = BipartiteKernel((Fraction(1, 3), Fraction(2, 3)), (Fraction(1, 2),) * 2, ((0.2, 0.5), (0.7, 0.1)))
+        for (n1, n2), sample in [((4000, 4000), lambda: sample_w_random(BG, 4000, stream(12))),
+                                 ((4000, 4000), lambda: sample_directed(tournament_kernel(), 4000, stream(12))),
+                                 ((4000, 3000), lambda: sample_bip_w_random(bip, 4000, 3000, stream(12)))]:
+            tracemalloc.start()
+            try:
+                g = sample()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert g.shape == (n1, n2) and peak < n1 * n2 / 4 + (1 << 20), (type(g).__name__, peak)
 
     def test_boys_girls_convergence_rate(self):
         # deviation of the edge density shrinks roughly like n^(-1/2)

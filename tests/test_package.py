@@ -155,6 +155,20 @@ def test_rows_are_a_view_behind_the_words():
     assert len(counters) > 20 and read == {"f"}
 
 
+def test_one_writer_packs_every_sampled_graph():
+    """graphs.strip_words is the one place where a sampled graph's bits
+    become words: the three one-graph samplers write through it, none of
+    them builds colex index arrays by `np.tril_indices(`, and no sampler
+    (a function named sample_*) calls `pack_bits(` or
+    `graph_from_bool_matrix(`, which go through an n1 x n2 bool matrix."""
+    one_graph = {"graphon.sample_w_random", "bipartite.sample_bip_w_random", "directed.sample_directed"}
+    samplers = _owners("def sample_")
+    assert one_graph < samplers and "directed.sample_directed_pair_codes" in samplers
+    assert _owners("strip_words(") == one_graph | {"graphs.strip_words"}
+    assert not _owners("np.tril_indices(") & one_graph
+    assert not (_owners("pack_bits(") | _owners("graph_from_bool_matrix(")) & samplers
+
+
 def test_one_path_skips_draws():
     """rng.skip is the one place that jumps a generator ahead, so the
     guard on a buffered 32-bit value, which advance would drop, is kept

@@ -5,6 +5,8 @@ and empty make the checks from_edges makes, every writer leaves the bits
 past a row's last column clear, equal graphs from different writers are
 equal values, and the densities of all three kinds agree with the
 brute-force oracles at sizes around the word boundaries."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -100,6 +102,22 @@ def test_equal_graphs_from_every_writer_are_one_value():
     assert all(g == k4 and hash(g) == hash(k4) for g in same)
     assert len({k4: 1, **{g: 2 for g in same}}) == 1
     assert k4 != LabelledGraph.empty(4) and k4 != DirectedGraph(4, k4.rows)
+
+
+def test_a_hash_reads_the_words_in_place():
+    """Hashing an 8,000-vertex host (an 8 MB table) copies no table, and
+    equal graphs of each kind, from different writers, hash alike."""
+    g = LabelledGraph.from_edges(8000, [(1, 2), (5, 8000)])
+    tracemalloc.start()
+    try:
+        hash(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.words.nbytes == 8_000_000 and peak < 1 << 20, peak
+    d, b = DirectedGraph.from_edges(70, [(1, 1), (70, 2)]), BipartiteGraph.from_edges(3, 70, [(3, 70)])
+    for h, same in [(g, LabelledGraph(8000, g.rows)), (d, DirectedGraph(70, d.rows)), (b, BipartiteGraph(3, 70, b.rows))]:
+        assert hash(h) == hash(same) == hash(type(h).from_text(h.to_text()))
 
 
 def clear_past(words: np.ndarray, width: int) -> bool:
