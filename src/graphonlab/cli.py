@@ -9,6 +9,7 @@ of --threads.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import traceback
 from fractions import Fraction
@@ -162,7 +163,7 @@ def cmd_density(args) -> tuple[list[str], int]:
     return lines, 0
 
 
-def cmd_sample(args) -> tuple[list[str], int]:
+def cmd_sample(args) -> tuple[str, int]:  # the edge-list text whole, not split into lines
     from .graphs import check_host_size
     from .rng import stream
 
@@ -185,7 +186,7 @@ def cmd_sample(args) -> tuple[list[str], int]:
 
         w = DirectedKernelQuintuple.from_text(read_text(args.kernel))
         text = sample_directed(w, args.n, rng).to_text()
-    return text.splitlines(), 0
+    return text, 0
 
 
 def cmd_converge(args) -> tuple[list[str], int]:
@@ -377,8 +378,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             from .rng import thread_count
 
             args.threads = thread_count(args.threads)
-        lines, code = args.fn(args)
-        text = "\n".join(lines) + "\n"
+        report, code = args.fn(args)  # report lines, or a report's whole text
+        text = report if isinstance(report, str) else "\n".join(report) + "\n"
         if args.output:
             try:
                 with open(args.output, "w", encoding="ascii", newline="\n") as fh:
@@ -403,7 +404,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     return code
 
 
+# BLAS thread-count variables: the CLI sets them to 1 unless the user set one
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def entry() -> None:
+    """The `graphonlab` script and `python -m graphonlab`. Before any command
+    imports numpy it pins BLAS to one thread, unless the user set one of
+    BLAS_THREADS: --threads is the CLI's one pool, and an idle OpenBLAS worker
+    would spin on a second core through every run."""
+    if not any(name in os.environ for name in BLAS_THREADS):
+        os.environ.update(dict.fromkeys(BLAS_THREADS, "1"))
     sys.exit(main())
 
 

@@ -11,14 +11,19 @@ pytest are installed.
 
 Each command imports only the modules it runs: fresh children run one
 command each and list what `sys.modules` then holds.
+
+A command run through `cli.entry` starts no BLAS worker pool unless the
+user set a BLAS thread count: children count the OS threads left at exit.
 """
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
+from graphonlab.cli import BLAS_THREADS
 from graphonlab.graphon import StepGraphon, boys_girls, write_step_graphon
 from graphonlab.graphs import LabelledGraph, write_graph
 
@@ -167,3 +172,56 @@ def test_reading_edge_lists_loads_no_numpy_ma(workdir):
     assert control.returncode == 0, control.stderr
     loaded = modules_after(workdir, "density-exact")
     assert "numpy.ma" not in loaded or control.stdout.split() == ["True"]
+
+
+# Runs `graphonlab ARGS` through cli.entry, then reports the OS threads left at exit.
+THREADS_CHILD = r'''
+import atexit
+import os
+import sys
+import time
+
+from graphonlab.cli import entry
+
+
+def report():
+    for _ in range(50):  # a joined worker can take a moment to leave the task list
+        count = len(os.listdir("/proc/self/task"))
+        if count == 1:
+            break
+        time.sleep(0.01)
+    print(f"threads at exit: {count}", file=sys.stderr)
+
+
+atexit.register(report)
+entry()
+'''
+
+
+def threads_at_exit(workdir, blas_env: dict[str, str]) -> int:
+    """OS threads a `density --mc` child run through cli.entry holds at exit,
+    started with these BLAS thread variables and no other."""
+    env = {k: v for k, v in child_env().items() if k not in BLAS_THREADS} | blas_env
+    argv = ["density", "-F", "edge.txt", "-G", "k3.txt", "--mc", "70000", "--seed", "2", "--threads", "2"]
+    res = subprocess.run([sys.executable, "-c", THREADS_CHILD, *argv], cwd=workdir, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return int(res.stderr.split("threads at exit: ")[-1])
+
+
+needs_tasks = pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task to count threads")
+
+
+@needs_tasks
+def test_a_cli_run_starts_no_blas_pool(workdir):
+    """--threads is the CLI's one pool: its three chunks ran on two workers,
+    which are joined, and numpy's BLAS started no worker of its own."""
+    assert threads_at_exit(workdir, {}) == 1
+
+
+@needs_tasks
+def test_a_blas_thread_count_the_user_set_is_kept(workdir):
+    # the control of the test above: this numpy does start a BLAS pool, as large as asked
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("a BLAS pool of two needs two CPUs")
+    assert threads_at_exit(workdir, {"OPENBLAS_NUM_THREADS": "2"}) == 2
