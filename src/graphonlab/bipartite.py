@@ -13,9 +13,10 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .exact import Number, content_lines, number_rows, parse_line, rows_lines, to_fraction
-from .graphon import _checked_matrix, _normalized_measures, _reader, bernoulli, draw_blocks
+from .exact import (Number, _checked_matrix, _normalized_measures, content_lines, number_rows, parse_line,
+                    rows_lines, to_fraction)
 from .graphs import Packed, column_words, pair_words, strip_words, unpack_bits
+from .rng import bernoulli, draw_blocks, table_reader
 
 if TYPE_CHECKING:  # the sampler never loads the contraction engine
     from .densities import BoundCheck
@@ -180,7 +181,8 @@ def sample_bip_w_random(
     row by row through graphs.strip_words."""
     if n1 < 1 or n2 < 1:
         raise InputError("both parts need at least one vertex")
-    read, cols = _reader(w, draw_blocks(w.mu1, (1, n1), rng).T, draw_blocks(w.mu2, (1, n2), rng).T), np.arange(n2)
+    read = table_reader(w.w, draw_blocks(w.mu1, (1, n1), rng).T, draw_blocks(w.mu2, (1, n2), rng).T)
+    cols = np.arange(n2)
     def draw(i, own, mirror):
         own[:] = bernoulli(lambda s: read(i, cols[s]), n2, 1, rng)[0]
     return BipartiteGraph._of(n1, n2, strip_words((n1, n2), draw))
@@ -191,6 +193,6 @@ def bip_cell_bits_batch(
 ) -> np.ndarray:
     """Boolean array (count, k1*k2): edge indicators of iid (k1,k2)-prefixes,
     cells in row-major order."""
-    read = _reader(w, draw_blocks(w.mu1, (count, k1), rng).T, draw_blocks(w.mu2, (count, k2), rng).T)
+    read = table_reader(w.w, draw_blocks(w.mu1, (count, k1), rng).T, draw_blocks(w.mu2, (count, k2), rng).T)
     rows, cols = np.divmod(np.arange(k1 * k2), k2)
     return bernoulli(lambda s: read(rows[s], cols[s]), k1 * k2, count, rng)

@@ -9,9 +9,9 @@ of --threads.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-import traceback
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -148,14 +148,18 @@ def cmd_density(args) -> tuple[list[str], int]:
     for path in args.hosts or [args.kernel]:
         host = cls.from_text(read_text(path))
         for pid, pat in patterns:
-            if mc is None:
-                tv, halfwidth = t_of(pat, host), None
-            else:
+            complete, tiv, halfwidth = pat.is_complete(), None, None  # complete: t_ind = t_inj in every kind
+            if mc is not None:
                 est = _mc_row(lambda _i, count, gen: mc_sum(pat, host, count, gen),
                               mc, args.seed, args.threads, row=len(lines) - 1)
                 tv, halfwidth = to_fraction(est.point), est.confidence_halfwidth
-            tiv = tv if inj_of is None else inj_of(pat, host)
-            tdv = ind_of(pat, host)
+            elif complete and inj_of and args.kind == "simple":  # no loops: every hom of K_k is injective
+                tiv = inj_of(pat, host)
+                tv = tiv * Fraction(math.perm(host.n, pat.n), host.n ** pat.n)
+            else:
+                tv = t_of(pat, host)
+            tiv = tv if inj_of is None else inj_of(pat, host) if tiv is None else tiv
+            tdv = tiv if complete and (inj_of or mc is None) else ind_of(pat, host)  # when tiv is exact
             bound = Fraction(0) if bound_of is None else bound_of(pat, host)
             cells = [pid, _stem(path), DEC(tv), DEC(tiv), DEC(tdv), DEC(bound),
                      "bound_ok" if abs(tv - tiv) <= bound else "bound_violated"]
@@ -396,6 +400,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 4
     except Exception as exc:  # a fault in the program, not in its input
+        import traceback  # here, so that no run that succeeds loads it
         traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return 4

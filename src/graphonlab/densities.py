@@ -433,8 +433,7 @@ def ind_from_inj(f: LabelledGraph, inj_table: Mapping[LabelledGraph, Fraction]) 
     return _over_supergraphs(f, inj_table, lambda sup: (-1) ** (sup.num_edges - e0))
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     gap: Fraction
     bound: Fraction
     ok: bool
@@ -469,8 +468,7 @@ def hoeffding_halfwidth(samples: int, alpha: float = 0.01) -> float:
     return math.sqrt(math.log(2.0 / alpha) / (2.0 * samples))
 
 
-@dataclass(frozen=True)
-class DensityEstimate:
+class DensityEstimate(NamedTuple):
     point: float
     samples: int
     confidence_halfwidth: float

@@ -11,14 +11,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .exact import Number, content_lines, number_rows, parse_line, rows_lines, to_fraction
-from .graphon import _checked_matrix, _normalized_measures, draw_blocks
+from .exact import (Number, _checked_matrix, _normalized_measures, content_lines, number_rows, parse_line,
+                    rows_lines, to_fraction)
 from .graphs import Packed, column_words, pair_order, pair_words, strip_words, word_bits
+from .rng import draw_blocks
 
 # densities, the contraction engine, is imported inside the functions that
 # count or sum, so that the samplers never load it.
@@ -49,8 +50,7 @@ class DirectedGraph(Packed):
         return [i + 1 for i in range(self.n) if self.has_loop(i + 1)]
 
 
-@dataclass(frozen=True)
-class QuintupleVerdict:
+class QuintupleVerdict(NamedTuple):
     ok: bool
     detail: str | None
 

@@ -1,4 +1,4 @@
-"""Exact rational plumbing: the input-file reader and line parser, conversions, decimals."""
+"""Exact rational plumbing: the input-file reader and line parser, conversions, kernel checks, decimals."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -7,6 +7,7 @@ from typing import Callable, Iterable, Sequence, Union
 from .errors import InputError
 
 Number = Union[int, float, str, Fraction]
+MEASURE_TOL = Fraction(1, 10**12)
 
 
 def to_fraction(x: Number) -> Fraction:
@@ -29,6 +30,33 @@ def to_fraction(x: Number) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"cannot parse number {x!r}") from exc
     raise InputError(f"cannot interpret {type(x).__name__} as a number")
+
+
+def _normalized_measures(raw: Sequence[Number], what: str) -> tuple[Fraction, ...]:
+    """Block measures or mixture weights, named `what` in errors: one or more, positive, summing to 1."""
+    mu = tuple(to_fraction(x) for x in raw)
+    if not mu or any(x <= 0 for x in mu):
+        raise InputError(f"{what} must be one or more positive numbers")
+    total = sum(mu)
+    if abs(total - 1) > MEASURE_TOL:
+        raise InputError(f"{what} sum to {float(total)}, not 1")
+    # renormalise exactly so downstream laws sum to exactly 1
+    return tuple(x / total for x in mu)
+
+
+def _checked_matrix(raw: Sequence[Sequence[Number]], rows: int, cols: int, name: str,
+                    low: int = 0) -> tuple[tuple[Fraction, ...], ...]:
+    """A kernel's value matrix as exact rationals; a shape other than rows x
+    cols, or an entry outside [low, 1], raises InputError naming the first
+    bad entry."""
+    mat = tuple(tuple(to_fraction(x) for x in row) for row in raw)
+    if len(mat) != rows or any(len(row) != cols for row in mat):
+        raise InputError(f"{name} must be a {rows}x{cols} matrix")
+    for a, row in enumerate(mat):
+        for b, x in enumerate(row):
+            if not low <= x <= 1:
+                raise InputError(f"{name}[{a}][{b}] = {x} outside [{low},1]")
+    return mat
 
 
 def exact_dtype(bound: int) -> str:

@@ -13,21 +13,18 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
-from typing import Callable, Collection, KeysView, Mapping, Sequence, Union
+from typing import Callable, Collection, KeysView, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .exact import Number
-from .graphon import (
-    GeneralGraphon, StepGraphon, _normalized_measures, draw_blocks, exact_density, exact_ind_density, pair_bits,
-    sample_w_random,
-)
+from .exact import Number, _normalized_measures
+from .graphon import GeneralGraphon, StepGraphon, exact_density, exact_ind_density, pair_bits, sample_w_random
 from .graphs import (  # check_class_size and isomorphism_class are re-exported
     CLASS_CAP, LabelledGraph, UnlabelledGraph, check_class_size, check_host_size, graph_from_pair_bits,
     isomorphism_class, pack_bits, pair_bits_of, pair_code_classes, pair_index, restrict_prefix, unpack_bits, word_ints,
 )
-from .rng import chunk_sizes, run_chunked
+from .rng import chunk_sizes, draw_blocks, run_chunked
 
 # densities, the contraction engine, is imported inside the functions that count
 # or contract, so that the samplers and the tests on them never load it.
@@ -263,8 +260,7 @@ def check_alpha(alpha: float) -> None:
         raise InputError(f"alpha must lie in (0, 1), got {alpha}")
 
 
-@dataclass(frozen=True)
-class ExchangeabilityVerdict:
+class ExchangeabilityVerdict(NamedTuple):
     consistent: bool
     detail: str | None
     p_min: float | None
@@ -373,8 +369,7 @@ def covariance_ztest(n: int, sum_a: int, sum_b: int, sum_ab: int) -> tuple[float
     return cov, z, math.erfc(abs(z) / math.sqrt(2.0))
 
 
-@dataclass(frozen=True)
-class PairStat:
+class PairStat(NamedTuple):
     p1: float
     p2: float
     p12: float
@@ -382,8 +377,7 @@ class PairStat:
     p_value: float
 
 
-@dataclass(frozen=True)
-class ExtremalityVerdict:
+class ExtremalityVerdict(NamedTuple):
     extreme_consistent: bool
     pair_stats: tuple[PairStat, ...]
     p_min: float
@@ -442,8 +436,7 @@ def extremality_test(
     return ExtremalityVerdict(consistent, tuple(stats), p_min)
 
 
-@dataclass(frozen=True)
-class CorrespondenceResult:
+class CorrespondenceResult(NamedTuple):
     lhs: Fraction
     rhs: Fraction
     gap: Fraction

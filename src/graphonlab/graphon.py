@@ -11,51 +11,23 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .exact import Number, content_lines, exact_dtype, number_rows, parse_line, read_text, rows_lines, to_fraction
-from .graphs import LabelledGraph, pair_order, strip_words, unpack_bits
-from .rng import skip
+from .exact import (Number, _checked_matrix, _normalized_measures, content_lines, exact_dtype, number_rows,
+                    parse_line, read_text, rows_lines, to_fraction)
+from .rng import bernoulli, draw_blocks, skip, table_reader
 
-if TYPE_CHECKING:  # the samplers and cut norms never load the contraction engine
+if TYPE_CHECKING:  # the samplers and cut norms never load the contraction engine, nor cut norms the graphs
     from .densities import DensityEstimate, GraphLike
+    from .graphs import LabelledGraph
 
 CUT_NORM_CAP = 16
 CUT_DIST_CAP = 8
-MEASURE_TOL = Fraction(1, 10**12)
-STRIP = 1 << 15  # uniforms per Bernoulli strip
-COUNTED_BLOCKS = 224  # draw_blocks counts labels (in uint8, so below 256) up to this many blocks, then searches
 CUT_CELLS = 1 << 18  # column sums per block of the all-subsets cut norm
-
-
-def _normalized_measures(raw: Sequence[Number], what: str) -> tuple[Fraction, ...]:
-    """Block measures or mixture weights, named `what` in errors: one or more, positive, summing to 1."""
-    mu = tuple(to_fraction(x) for x in raw)
-    if not mu or any(x <= 0 for x in mu):
-        raise InputError(f"{what} must be one or more positive numbers")
-    total = sum(mu)
-    if abs(total - 1) > MEASURE_TOL:
-        raise InputError(f"{what} sum to {float(total)}, not 1")
-    # renormalise exactly so downstream laws sum to exactly 1
-    return tuple(x / total for x in mu)
-
-
-def _checked_matrix(raw: Sequence[Sequence[Number]], rows: int, cols: int, name: str,
-                    low: int = 0) -> tuple[tuple[Fraction, ...], ...]:
-    """A kernel's value matrix as exact rationals; a shape other than rows x
-    cols, or an entry outside [low, 1], raises InputError naming the first
-    bad entry."""
-    mat = tuple(tuple(to_fraction(x) for x in row) for row in raw)
-    if len(mat) != rows or any(len(row) != cols for row in mat):
-        raise InputError(f"{name} must be a {rows}x{cols} matrix")
-    for a, row in enumerate(mat):
-        for b, x in enumerate(row):
-            if not low <= x <= 1:
-                raise InputError(f"{name}[{a}][{b}] = {x} outside [{low},1]")
-    return mat
 
 
 @dataclass(frozen=True)
@@ -79,6 +51,16 @@ class StepGraphon:
     @property
     def m(self) -> int:
         return len(self.mu)
+
+    @cached_property
+    def _scaled(self) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, int]:
+        """(mu, dm, w, 1 - w, dw): the measures as integers over their denominator dm,
+        the values and their complement over theirs, dw; made once for every exact sum."""
+        from .densities import _numerators
+
+        (mu,), dm = _numerators([self.mu])
+        (w,), dw = _numerators([self.w])
+        return mu, dm, w, dw - w, dw
 
     @classmethod
     def constant(cls, p: Number) -> "StepGraphon":
@@ -145,6 +127,8 @@ def boys_girls(theta: Number, p: Number, p_prime: Number, p_dblprime: Number) ->
 def graph_as_graphon(g: LabelledGraph) -> StepGraphon:
     """Adjacency-matrix kernel: uniform blocks, 0/1 values; has the same
     density t(F, .) as g for every pattern F."""
+    from .graphs import unpack_bits
+
     return StepGraphon((Fraction(1, g.n),) * g.n, unpack_bits(g.words, g.n).astype(int).tolist())
 
 
@@ -153,106 +137,39 @@ def exact_density(f: GraphLike, w: StepGraphon) -> Fraction:
     of mu-weights times edge factors, in rational arithmetic."""
     from .densities import _check_pattern, kernel_sum
 
-    fl = _check_pattern(f)
-    return kernel_sum([w.mu] * fl.n, {(u - 1, v - 1): w.w for u, v in fl.edges()})
+    fl, (mu, dm, mat, _, dw) = _check_pattern(f), w._scaled
+    return kernel_sum([mu] * fl.n, {(u - 1, v - 1): mat for u, v in fl.edges()}) / (dm ** fl.n * dw ** fl.num_edges)
 
 
 def exact_ind_density(f: GraphLike, w: StepGraphon) -> Fraction:
     """Exact probability that the v(f)-prefix of the W-random graph is f:
     the kernel value per edge, its complement per non-edge."""
     from .densities import _check_pattern, kernel_sum
+    from .graphs import pair_order
 
-    fl = _check_pattern(f)
-    comp = tuple(tuple(1 - x for x in row) for row in w.w)
-    return kernel_sum(
-        [w.mu] * fl.n,
-        {(i, j): w.w if fl.has_edge(i + 1, j + 1) else comp for i, j in pair_order(fl.n)},
-    )
-
-
-def draw_blocks(mu: Sequence[Number], shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Latent block labels of the given shape, iid with block measures mu;
-    every latent block draw and every mixture component pick goes through
-    here. The labels are rng.choice(len(mu), size=shape, p=mu), by choice's
-    own step without its checks: the same normalised cdf, the same uniforms,
-    and for each uniform the number of cdf points at or below it. Up to
-    COUNTED_BLOCKS blocks that number is counted, one vector compare per
-    inner cut point (the last point, 1, lies above every uniform), in uint8;
-    above, each uniform is binary-searched."""
-    cdf = np.array([float(x) for x in mu]).cumsum()
-    cdf /= cdf[-1]
-    u = rng.random(shape)
-    if len(cdf) > COUNTED_BLOCKS:
-        return cdf.searchsorted(u, side="right").astype(np.int64, copy=False)
-    labels = np.zeros(shape, dtype=np.uint8)
-    for cut in cdf[:-1]:
-        labels += u >= cut
-    return labels.astype(np.int64)
-
-
-def bernoulli(
-    probs_of: Callable[[slice], np.ndarray | float], cells: int, count: int, rng: np.random.Generator,
-    used: Sequence[int] | None = None,
-) -> np.ndarray:
-    """Boolean array (count, cells) of independent indicators; probs_of(s)
-    gives the probabilities of the cells in slice s as (cells, count), or
-    one float for all of them. The uniforms are drawn cell-major, all of
-    cell 0 first, in strips of about STRIP values so that the arrays of a
-    strip stay in cache. Given `used`, increasing cell indices, only those
-    columns are drawn and returned, (count, len(used)): strips cover runs of
-    used cells and every other cell's uniforms are skipped in place, so each
-    indicator and the draws after the call are those of the full draw."""
-    runs = [[0, cells]] if used is None else []
-    for c in [] if used is None else used:
-        if runs and runs[-1][1] == c:
-            runs[-1][1] += 1
-        else:
-            runs.append([c, c + 1])
-    out = np.empty((sum(b - a for a, b in runs), count), dtype=bool)
-    step = max(1, STRIP // max(1, count))
-    row = done = 0
-    for a, b in runs:
-        skip(rng, (a - done) * count)
-        for s in range(a, b, step):
-            e = min(s + step, b)
-            np.less(rng.random((e - s, count)), probs_of(slice(s, e)), out=out[row:row + e - s])
-            row += e - s
-        done = b
-    skip(rng, (cells - done) * count)
-    return out.T
+    fl, (mu, dm, mat, comp, dw) = _check_pattern(f), w._scaled
+    factors = {(i, j): mat if fl.has_edge(i + 1, j + 1) else comp for i, j in pair_order(fl.n)}
+    return kernel_sum([mu] * fl.n, factors) / (dm ** fl.n * dw ** len(factors))
 
 
 def _latent_reader(w: StepGraphon | GeneralGraphon, shape: tuple[int, int], rng: np.random.Generator):
-    """_reader at iid latents of shape (count, k), the same for rows and columns; drawn
-    here, so that no caller holds them where a one-value reader does not. A
-    one-block kernel's reader is that value, so its latents are skipped, not drawn."""
+    """read(i, j): kernel values at iid latents xt[i] and xt[j] of shape (count, k), the
+    same for rows and columns (ints or index arrays); drawn here, so that no caller holds
+    them where a one-value reader does not. A general kernel sees its latents flat, for
+    its per-pair fallback; a step kernel is read by rng.table_reader, and a one-block
+    kernel's reader is that value, so its latents are skipped, not drawn."""
     if isinstance(w, GeneralGraphon):
         xt = rng.random(shape).T
-    elif w.m > 1:
+        def read(i, j):
+            xi, yj = np.broadcast_arrays(xt[i], xt[j])
+            return w.values(xi.ravel(), yj.ravel()).reshape(xi.shape)
+        return read
+    if w.m > 1:
         xt = draw_blocks(w.mu, shape, rng).T
     else:
         skip(rng, shape[0] * shape[1])
         xt = None
-    return _reader(w, xt, xt)
-
-
-def _reader(w, xt: np.ndarray | None, yt: np.ndarray | None) -> Callable[[object, object], np.ndarray | float]:
-    """read(i, j): kernel values at the row latents xt[i] and column latents
-    yt[j] (ints or index arrays; yt is xt for a simple graph). The value
-    matrix w of a step or bipartite kernel becomes a float table with row
-    offsets once, or one value when 1x1, which reads no latents (they may be
-    None); a general kernel sees its latents flat, for its per-pair fallback."""
-    if isinstance(w, GeneralGraphon):
-        def read(i, j):
-            xi, yj = np.broadcast_arrays(xt[i], yt[j])
-            return w.values(xi.ravel(), yj.ravel()).reshape(xi.shape)
-        return read
-    table = np.array(w.w, dtype=float)
-    if table.size == 1:
-        p = float(table[0, 0])
-        return lambda i, j: p
-    offsets, table = xt * table.shape[1], table.ravel()
-    return lambda i, j: table[offsets[i] + yt[j]]
+    return table_reader(w.w, xt, xt)
 
 
 def pair_bits(
@@ -274,6 +191,8 @@ def sample_w_random(w: StepGraphon | GeneralGraphon, n: int, rng: np.random.Gene
     Generator.random(a) then random(b) gives the doubles of random(a + b)."""
     if n < 1:
         raise InputError("n must be >= 1")
+    from .graphs import LabelledGraph, strip_words
+
     read, cols = _latent_reader(w, (1, n), rng), np.arange(n)
     def draw(i, own, mirror):
         own[i + 1:] = mirror[i + 1:] = bernoulli(lambda s: read(i, cols[i + 1:][s]), n - 1 - i, 1, rng)[0]

@@ -117,6 +117,10 @@ class Packed:
             words[i, i >> 6] &= ~bit_of(i)
         return cls._of(*sizes, words)
 
+    def is_complete(self) -> bool:
+        """Whether this is the complete graph of its part sizes."""
+        return self == self.complete(*[getattr(self, f.name) for f in fields(self)[:-1]])
+
     def __eq__(self, other: object) -> bool:
         return type(other) is type(self) and self.shape == other.shape and np.array_equal(self.words, other.words)
 

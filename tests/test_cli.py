@@ -1,6 +1,9 @@
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphonlab.bipartite import BipartiteGraph, BipartiteKernel
 from graphonlab import cli, exchangeable, graphs
@@ -13,7 +16,7 @@ from graphonlab.graphon import StepGraphon, boys_girls, write_step_graphon
 from graphonlab.graphs import HOST_CAP, LabelledGraph, write_graph
 
 from cli_child import exit_fault, run_cli
-from oracles import brute_kernel_sum
+from oracles import brute_bip, brute_directed, brute_kernel_sum, brute_t, brute_t_ind, brute_t_inj
 
 
 @pytest.fixture
@@ -105,6 +108,49 @@ class TestDensityCommand:
         assert code == 0
         w = boys_girls(0.5, 0.2, 0.4, 0.6)
         induced = brute_kernel_sum(LabelledGraph.path(7), w.mu, w.w, induced=True)
+        assert out.splitlines()[1].split(",")[4] == fraction_to_decimal(induced)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_complete_pattern_rows_match_the_oracles(self, data):
+        """A complete pattern's row takes t_ind from its t_inj count, and a
+        simple host's t too; every cell still equals the brute-force value,
+        also on hosts smaller than the pattern and under --mc, whose t_inj
+        and t_ind stay exact."""
+        def some(cells):  # a random subset of the host's cells
+            mask = data.draw(st.integers(0, (1 << len(cells)) - 1))
+            return [c for i, c in enumerate(cells) if mask >> i & 1]
+
+        kind = data.draw(st.sampled_from(["simple", "bipartite", "directed"]))
+        if kind == "bipartite":
+            f = BipartiteGraph.complete(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)))
+            n1, n2 = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+            cells = [(i, j) for i in range(1, n1 + 1) for j in range(1, n2 + 1)]
+            g = BipartiteGraph.from_edges(n1, n2, some(cells))
+            want = [brute_bip(f, g), brute_bip(f, g, True), brute_bip(f, g, True, True)]
+        else:
+            k, n = data.draw(st.integers(1, 4 if kind == "simple" else 3)), data.draw(st.integers(1, 5))
+            cls = LabelledGraph if kind == "simple" else DirectedGraph
+            cells = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if kind == "directed" or i < j]
+            f, g = cls.complete(k), cls.from_edges(n, some(cells))
+            want = ([brute_t(f, g), brute_t_inj(f, g), brute_t_ind(f, g)] if kind == "simple" else
+                    [brute_directed(f, g), brute_directed(f, g, True), brute_directed(f, g, True, True)])
+        mc = kind == "simple" and data.draw(st.booleans())
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            (d / "f.txt").write_text(f.to_text())
+            (d / "g.txt").write_text(g.to_text())
+            argv = ["density", "--kind", kind, "-F", d / "f.txt", "-G", d / "g.txt", "-o", d / "out.csv"]
+            assert main([str(a) for a in argv + (["--mc", "50"] if mc else [])]) == 0
+            row = (d / "out.csv").read_text().splitlines()[1].split(",")
+        assert row[2 + mc:5] == [fraction_to_decimal(x) for x in want][mc:]
+
+    @pytest.mark.parametrize("extra", [[], ["--mc", "1000"]])
+    def test_complete_pattern_kernel_row_keeps_an_exact_induced_cell(self, workdir, capsys, extra):
+        code, out = run_main(["density", "-F", "k3.txt", "-W", "bg.txt", *extra], workdir, capsys)
+        assert code == 0
+        w = boys_girls(0.5, 0.2, 0.4, 0.6)
+        induced = brute_kernel_sum(LabelledGraph.complete(3), w.mu, w.w, induced=True)
         assert out.splitlines()[1].split(",")[4] == fraction_to_decimal(induced)
 
     def test_mc_rejects_other_kinds(self, workdir, capsys):

@@ -13,7 +13,6 @@ from graphonlab.directed import sample_directed, tournament_kernel
 from graphonlab.errors import CapacityError, InputError
 from graphonlab.exchangeable import GraphSource
 from graphonlab.graphon import (
-    COUNTED_BLOCKS,
     BlockMap,
     GeneralGraphon,
     SignedStepKernel,
@@ -21,7 +20,6 @@ from graphonlab.graphon import (
     boys_girls,
     cut_distance_upper,
     cut_norm,
-    draw_blocks,
     exact_density,
     graph_as_graphon,
     kernel_difference,
@@ -32,7 +30,7 @@ from graphonlab.graphon import (
     _scaled_q,
 )
 from graphonlab.graphs import LabelledGraph, enumerate_unlabelled, graph_from_bool_matrix, pair_order
-from graphonlab.rng import stream
+from graphonlab.rng import COUNTED_BLOCKS, draw_blocks, stream
 
 from oracles import brute_cut_norm
 

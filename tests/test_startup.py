@@ -10,7 +10,8 @@ nor hypothesis at module level, so it also runs where only numpy and
 pytest are installed.
 
 Each command imports only the modules it runs: fresh children run one
-command each and list what `sys.modules` then holds.
+command (or one kind's commands) each and list what `sys.modules` then
+holds.
 
 A command run through `cli.entry` starts no BLAS worker pool unless the
 user set a BLAS thread count: children count the OS threads left at exit.
@@ -85,7 +86,15 @@ COMMANDS = {
     "test-exchangeable-exact": ["test-exchangeable", "-src", "src.txt", "-k", "3"],
     "test-exchangeable-empirical": ["test-exchangeable", "-src", "src.txt", "-k", "3",
                                     "--samples", "500"],
+    "density-bipartite": ["density", "--kind", "bipartite", "-F", "k22.txt", "-G", "bip.txt"],
+    "density-bipartite-kernel": ["density", "--kind", "bipartite", "-F", "k22.txt", "-W", "bipk.txt"],
+    "density-directed": ["density", "--kind", "directed", "-F", "arc.txt", "-G", "dir.txt"],
+    "density-directed-kernel": ["density", "--kind", "directed", "-F", "arc.txt", "-W", "tourn.txt"],
+    "sample-bipartite": ["sample", "--kind", "bipartite", "-W", "bipk.txt", "-n", "5", "--n2", "4"],
+    "sample-directed": ["sample", "--kind", "directed", "-W", "tourn.txt", "-n", "6", "--seed", "5"],
 }
+# the bipartite and directed commands: their kinds' kernels, counts and samplers need no graphon
+VARIANTS = [name for name, argv in COMMANDS.items() if "--kind" in argv]
 
 
 def argv_of(name: str) -> list[str]:
@@ -104,6 +113,12 @@ def workdir(tmp_path_factory):
     write_step_graphon(StepGraphon.constant(Fraction(1, 2)), d / "half.txt")
     (d / "src.txt").write_text("wrandom half.txt\n")
     (d / "pairs.txt").write_text("1-2 | 3-4\n")
+    (d / "k22.txt").write_text("2 2 4\n1 1\n1 2\n2 1\n2 2\n")
+    (d / "bip.txt").write_text("3 4 5\n1 1\n1 2\n2 3\n3 4\n3 1\n")
+    (d / "bipk.txt").write_text("2 1\n1/3 2/3\n1\n1/3\n1/2\n")
+    (d / "arc.txt").write_text("2 1\n1 2\n")
+    (d / "dir.txt").write_text("4 6\n1 2\n2 3\n3 1\n4 4\n1 4\n2 2\n")
+    (d / "tourn.txt").write_text("1\n1\nW00\n0\nW01\n1/2\nW10\n1/2\nW11\n0\nw\n0\n")
     return d
 
 
@@ -163,6 +178,31 @@ def test_simple_host_density_loads_only_what_it_runs(workdir):
               "graphonlab.graphon", "concurrent.futures"]
     assert [m for m in unused if m in loaded] == []
     assert {"graphonlab.densities", "graphonlab.graphs"} <= loaded
+
+
+def test_variant_commands_load_no_graphon(workdir):
+    """The bipartite and directed kinds draw through rng and check their
+    kernels through exact: none of their commands loads graphonlab.graphon."""
+    child = run_child(workdir, "allow", VARIANTS)
+    assert all(code == 0 for code, _ in child["results"].values()), child["results"]
+    assert "graphonlab.graphon" not in child["modules"]
+
+
+def test_cutdist_loads_no_graphs(workdir):
+    # step kernels and their cut norms need no graph
+    assert "graphonlab.graphs" not in modules_after(workdir, "cutdist")
+
+
+def test_help_and_single_chunk_commands_load_no_traceback(workdir, without_scipy):
+    """Only the internal-fault branch of cli.main imports traceback; a chunk
+    pool (concurrent.futures, through logging) would too, so every command
+    here runs one chunk. numpy releases that import traceback with numpy
+    itself pass the commands that load numpy trivially."""
+    control = subprocess.run([sys.executable, "-c", "import sys, numpy; print('traceback' in sys.modules)"],
+                             env=child_env(), capture_output=True, text=True, timeout=60)
+    assert control.returncode == 0, control.stderr
+    assert "traceback" not in modules_after(workdir, "help")
+    assert "traceback" not in without_scipy["modules"] or control.stdout.split() == ["True"]
 
 
 def test_reading_edge_lists_loads_no_numpy_ma(workdir):
