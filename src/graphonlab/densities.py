@@ -25,7 +25,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import CapacityError, InputError, InvariantError
-from .exact import exact_dtype
+from .exact import _numerators, exact_dtype
 from .graphs import (
     WORD,
     GraphEnumeration,
@@ -172,11 +172,12 @@ def _bits(mask: int) -> list[int]:
 
 
 class Plan(NamedTuple):
-    """Elimination order, multiply-adds, cells of the largest array held."""
+    """Elimination order, multiply-adds, cells of the largest array held, each step's right tensor's vertices."""
 
     order: tuple[int, ...]
     cost: int
     peak: int
+    rights: tuple[int, ...]
 
 
 def _split(masks: Sequence[int], v: int, cells: Callable[[int], int]) -> tuple[int, int, int]:
@@ -192,41 +193,28 @@ def _split(masks: Sequence[int], v: int, cells: Callable[[int], int]) -> tuple[i
     return i, peak, cost
 
 
-def _tensors(done: int, v: int, adj: Sequence[int]) -> list[int]:
-    """Vertex sets of the tensors holding v once `done` is summed out: v's
-    weight, its factors to live vertices, and per component of `done` next
-    to v one tensor over the component's live neighbours."""
-    masks = [1 << v] + [1 << v | 1 << u for u in _bits(adj[v] & ~done)]
-    left = adj[v] & done
-    while left:
-        comp = grow = left & -left
-        while grow:
-            grow = functools.reduce(operator.or_, (adj[x] for x in _bits(comp))) & done & ~comp
-            comp |= grow
-        left &= ~comp
-        masks.append(functools.reduce(operator.or_, (adj[x] for x in _bits(comp))) & ~done)
-    return masks
-
-
 @functools.lru_cache(maxsize=None)
 def plan(sizes: tuple[int, ...], pairs: frozenset[tuple[int, int]]) -> Plan | None:
     """The elimination order of least multiply-adds for a sum over vertices
     with these domain sizes and one factor per pair, by dynamic programming
-    over the sets of vertices summed out (what is left after a set does not
-    depend on its order); None when every order holds an array of more
-    than PLAN_BUDGET cells."""
+    over the sets summed out. It steps _sum's tensors as vertex bitmasks, one
+    per weight and factor: summing v out merges those holding v into their
+    union less v, so what a set leaves does not depend on its order. None
+    when every order holds an array of more than PLAN_BUDGET cells."""
     k = len(sizes)
     cells = [math.prod(sizes[u] for u in _bits(s)) for s in range(1 << k)]
-    adj = [functools.reduce(operator.or_, (1 << (u ^ v ^ x) for u, v in pairs if x in (u, v)), 0) for x in range(k)]
-    best = {0: Plan((), 0, max([*sizes] + [cells[1 << u | 1 << v] for u, v in pairs], default=1))}
+    start = [1 << u for u in range(k)] + [1 << u | 1 << v for u, v in pairs]
+    best, left = {0: Plan((), 0, max(map(cells.__getitem__, start), default=1), ())}, {0: start}
     for done in range(1, 1 << k):
         for v in _bits(done):
-            prev = best.get(done ^ 1 << v)
-            if prev is not None:
-                _, peak, cost = _split(_tensors(done ^ 1 << v, v, adj), v, cells.__getitem__)
-                step = Plan(prev.order + (v,), prev.cost + cost, max(prev.peak, peak))
-                if step.peak <= PLAN_BUDGET and (done not in best or step[1:] < best[done][1:]):
+            if (prev := best.get(done ^ 1 << v)) is not None:
+                held = left[done ^ 1 << v]
+                mine = [s for s in held if s >> v & 1]
+                i, peak, cost = _split(mine, v, cells.__getitem__)
+                step = Plan(prev.order + (v,), prev.cost + cost, max(prev.peak, peak), prev.rights + (mine[i],))
+                if step.peak <= PLAN_BUDGET and (done not in best or step[1:3] < best[done][1:3]):
                     best[done] = step
+                    left[done] = [s for s in held if not s >> v & 1] + [functools.reduce(operator.or_, mine) ^ 1 << v]
     return best.get((1 << k) - 1)
 
 
@@ -237,13 +225,12 @@ def _align(axes: Sequence[int], arr: np.ndarray, target: Sequence[int], sizes: S
     return arr.reshape([sizes[a] if a in axes else 1 for a in target])
 
 
-def _eliminate(v: int, mine: list, sizes: Sequence[int]) -> tuple[tuple[int, ...], np.ndarray]:
-    """The (vertices, array) tensor left when v is summed out of the
-    tensors holding it, by the step _split chooses."""
+def _eliminate(v: int, right: int, mine: list, sizes: Sequence[int]) -> tuple[tuple[int, ...], np.ndarray]:
+    """The (vertices, array) tensor left when v is summed out of the tensors
+    holding it, with the one over the vertex bitmask `right` on the right."""
     if len(mine) == 1:
         return (), mine[0][1].sum()
-    i, _, _ = _split([sum(1 << a for a in axes) for axes, _ in mine], v,
-                     lambda s: math.prod(sizes[a] for a in _bits(s)))
+    i = next(i for i, (axes, _) in enumerate(mine) if sum(1 << a for a in axes) == right)
     (raxes, r), left = mine[i], mine[:i] + mine[i + 1:]
     lset = {a for axes, _ in left for a in axes if a != v}
     both = [a for a in raxes if a in lset]
@@ -260,8 +247,8 @@ def _eliminate(v: int, mine: list, sizes: Sequence[int]) -> tuple[tuple[int, ...
 
 
 def _sum(weights: list[np.ndarray], factors: Mapping[tuple[int, int], np.ndarray]) -> int:
-    """The sum over assignments in the planned order; when no order fits
-    PLAN_BUDGET, the sum of the sums with the largest domain fixed."""
+    """The sum over assignments by the steps of its plan; when no order
+    fits PLAN_BUDGET, the sum of the sums with the largest domain fixed."""
     sizes = tuple(len(w) for w in weights)
     p = plan(sizes, frozenset(factors))
     if p is None:
@@ -271,20 +258,10 @@ def _sum(weights: list[np.ndarray], factors: Mapping[tuple[int, int], np.ndarray
                          for (x, y), f in factors.items()})
                    for b in range(len(weights[u])))
     tensors = [((u,), w) for u, w in enumerate(weights)] + list(factors.items())
-    for v in p.order:
+    for v, right in zip(p.order, p.rights):
         mine = [t for t in tensors if v in t[0]]
-        tensors = [t for t in tensors if v not in t[0]] + [_eliminate(v, mine, sizes)]
+        tensors = [t for t in tensors if v not in t[0]] + [_eliminate(v, right, mine, sizes)]
     return math.prod(int(arr) for _, arr in tensors)
-
-
-def _numerators(arrays: Sequence) -> tuple[list[np.ndarray], int]:
-    """The arrays over one denominator: numpy arrays as they are, nested
-    sequences of Fractions as object arrays of Python-int numerators."""
-    exact = {id(a): np.array(a, dtype=object) for a in arrays if not isinstance(a, np.ndarray)}
-    den = math.lcm(*(x.denominator for a in exact.values() for x in a.flat))
-    for key, a in exact.items():
-        exact[key] = np.array([int(x * den) for x in a.flat], dtype=object).reshape(a.shape)
-    return [a if isinstance(a, np.ndarray) else exact[id(a)] for a in arrays], den
 
 
 def contract(weights: Sequence, factors: Mapping[tuple[int, int], object]) -> Fraction:
@@ -292,19 +269,19 @@ def contract(weights: Sequence, factors: Mapping[tuple[int, int], object]) -> Fr
     (u, v) of factors[u, v][z_u][z_v]; values are non-negative numpy
     integers or bools (a host) or nested sequences of Fractions (a kernel).
 
-    Exact: weights are scaled to integers over one denominator, factors
-    over another, and factors identically 1 drop out. No partial sum
-    exceeds the product of the weight sums and factor maxima, and it runs
-    in the exact_dtype of that bound."""
-    ws, dw = _numerators(weights)
-    fs, df = _numerators(list(factors.values()))
-    kept = {p: f for p, f in zip(factors, fs) if not (f == df).all()}
-    bound = math.prod(max(1, int(a.sum())) for a in ws) * math.prod(max(1, int(a.max())) for a in kept.values())
+    Exact: 0 over an empty domain, else weights are scaled to integers over
+    one denominator and factors over another by exact._numerators; no partial
+    sum exceeds the product of the weight sums and factor maxima, and it
+    runs in the exact_dtype of that bound."""
+    if not all(len(w) for w in weights):
+        return Fraction(0)
+    (ws, dw), (fs, df) = _numerators(weights), _numerators(list(factors.values()))
+    bound = math.prod(max(1, int(a.sum())) for a in ws) * math.prod(max(1, int(a.max(initial=0))) for a in fs)
     dtype = exact_dtype(bound)
     cast = {key: (a.astype(np.int64) if dtype == "object" and a.dtype != object else a).astype(dtype)
-            for key, a in {id(a): a for a in [*ws, *kept.values()]}.items()}
-    total = _sum([cast[id(a)] for a in ws], {p: cast[id(a)] for p, a in kept.items()})
-    return Fraction(total, dw ** len(ws) * df ** len(kept))
+            for key, a in {id(a): a for a in [*ws, *fs]}.items()}
+    total = _sum([cast[id(a)] for a in ws], {p: cast[id(a)] for p, a in zip(factors, fs)})
+    return Fraction(total, dw ** len(ws) * df ** len(fs))
 
 
 def kernel_sum(weights: Sequence, factors: Mapping[tuple[int, int], object]) -> Fraction:
@@ -337,9 +314,9 @@ def host_count(
     vertices allowed for phi(v) when phi(u) = i: out for an arc u->v, in
     for an arc v->u (left out when in is out and both arcs agree), and
     complemented ones for non-arcs when induced. A hom count is contracted
-    when a plan fits, each block the AND of a pair's tables at the smaller
-    domain's rows, unpacked to the other's columns; any other count is
-    searched by _count_maps."""
+    when a plan fits, each factor a pair's _block at the smaller domain's
+    rows, unpacked at the other's columns; any other count is searched by
+    _count_maps."""
     k = len(prows)
     tables = {}
     for u, v in itertools.permutations(range(k), 2):
@@ -360,10 +337,10 @@ def host_count(
     blocks, factors = {}, {}  # one array per distinct (tables, domain, domain): contract casts each once
     for u, v in pairs:
         key = tuple(id(t) for t, _ in tables[u, v]), id(doms[u]), id(doms[v])
-        if key not in blocks:  # the smaller domain's rows, unpacked, then the other's columns
+        if key not in blocks:  # the search's block at the smaller domain's rows, unpacked at the other's columns
             a, b = (v, u) if sizes[v] < sizes[u] else (u, v)
-            rows = functools.reduce(np.bitwise_and, (t[doms[a]] for t, _ in tables[a, b]))
-            mat, dom = unpack_bits(rows, 64 * rows.shape[1]), doms[b]
+            block, _ = _block(tables[a, b], doms[a], doms[b], len(tables[b, a][0][0]), False)
+            mat, dom = unpack_bits(block, 64 * block.shape[1]), doms[b]
             mat = mat[:, :len(dom)] if not len(dom) or dom[-1] == len(dom) - 1 else mat[:, dom]  # 0..m-1 is a slice
             blocks[key] = mat if a == u else mat.T
         factors[u, v] = blocks[key]

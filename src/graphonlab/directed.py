@@ -278,9 +278,9 @@ def _density(f: DirectedGraph, g: DirectedGraph, injective: bool, induced: bool)
 
 
 def _kernel_sum(f: DirectedGraph, kernel: DirectedKernel, induced: bool) -> Fraction:
-    """Block-assignment sum: one latent state per pattern vertex, weighted
-    by its measure where its loop flag meets f's loop requirement, and per
-    unordered pair the probability of the required joint indicators."""
+    """Block-assignment sum: one latent state per pattern vertex, weighted by its measure where its loop
+    flag meets f's loop requirement, and per unordered pair the probability of the required joint
+    indicators; a containment sum leaves out each pair without an arc, whose four pair laws sum to 1."""
     from .densities import kernel_sum
 
     _check_dir_pattern(f)
@@ -293,9 +293,10 @@ def _kernel_sum(f: DirectedGraph, kernel: DirectedKernel, induced: bool) -> Frac
     factors = {}
     for i, j in pair_order(f.n):
         req = (int(f.has_edge(i + 1, j + 1)), int(f.has_edge(j + 1, i + 1)))
-        laws = [kernel.pair_matrix(a, b) for a, b in PAIR_STATES
-                if (a, b) == req or not induced and a >= req[0] and b >= req[1]]
-        factors[i, j] = [[sum(law[s][r] for law in laws) for r in states] for s in states]
+        if induced or any(req):
+            laws = [kernel.pair_matrix(a, b) for a, b in PAIR_STATES
+                    if (a, b) == req or not induced and a >= req[0] and b >= req[1]]
+            factors[i, j] = [[sum(law[s][r] for law in laws) for r in states] for s in states]
     return kernel_sum(weights, factors)
 
 

@@ -1,6 +1,7 @@
 """Exact rational plumbing: the input-file reader and line parser, conversions, kernel checks, decimals."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, Union
 
@@ -64,6 +65,17 @@ def exact_dtype(bound: int) -> str:
     absolute value are exact: float64 below 2^53, which BLAS multiplies
     fastest, int64 below 2^63, else Python ints in object arrays."""
     return "float64" if bound < 2**53 else "int64" if bound < 2**63 else "object"
+
+
+def _numerators(arrays: Sequence) -> tuple[list, int]:
+    """The arrays over one denominator, also returned: numpy arrays as they are, nested sequences of
+    Fractions as object arrays of Python-int numerators. numpy is imported here: `cli` loads this module."""
+    import numpy as np
+
+    exact = {id(a): np.array(a, dtype=object) for a in arrays if not isinstance(a, np.ndarray)}
+    den = math.lcm(*(x.denominator for a in exact.values() for x in a.flat))
+    exact = {key: np.array([int(x * den) for x in a.flat], dtype=object).reshape(a.shape) for key, a in exact.items()}
+    return [a if isinstance(a, np.ndarray) else exact[id(a)] for a in arrays], den
 
 
 def read_text(path: str) -> str:

@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from .errors import CapacityError, InputError
-from .exact import (Number, _checked_matrix, _normalized_measures, content_lines, exact_dtype, number_rows,
-                    parse_line, read_text, rows_lines, to_fraction)
+from .exact import (Number, _checked_matrix, _normalized_measures, _numerators, content_lines, exact_dtype,
+                    number_rows, parse_line, read_text, rows_lines, to_fraction)
 from .rng import bernoulli, draw_blocks, skip, table_reader
 
 if TYPE_CHECKING:  # the samplers and cut norms never load the contraction engine, nor cut norms the graphs
@@ -56,10 +56,7 @@ class StepGraphon:
     def _scaled(self) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, int]:
         """(mu, dm, w, 1 - w, dw): the measures as integers over their denominator dm,
         the values and their complement over theirs, dw; made once for every exact sum."""
-        from .densities import _numerators
-
-        (mu,), dm = _numerators([self.mu])
-        (w,), dw = _numerators([self.w])
+        ((mu,), dm), ((w,), dw) = _numerators([self.mu]), _numerators([self.w])
         return mu, dm, w, dw - w, dw
 
     @classmethod
@@ -337,11 +334,8 @@ def _scaled_q(mu: Sequence[Fraction], mats: Sequence[Sequence[Sequence[Fraction]
     """The stack of q = mu mu^T o d over the d in mats, as integers over one
     denominator (also returned), in the exact_dtype of the sum of |q|, which
     bounds every subset sum that _cut_norms takes, also of a difference of two."""
-    q = [[mu[a] * mu[b] * x for b, x in enumerate(row)] for d in mats for a, row in enumerate(d)]
-    den = math.lcm(*(x.denominator for row in q for x in row))
-    ints = [[int(x * den) for x in row] for row in q]
-    dtype = exact_dtype(sum(abs(x) for row in ints for x in row))
-    return np.array(ints, dtype=dtype).reshape(len(mats), len(mu), len(mu)), den
+    (q,), den = _numerators([[[mu[a] * mu[b] * x for b, x in enumerate(row)] for d in mats for a, row in enumerate(d)]])
+    return q.astype(exact_dtype(int(abs(q).sum()))).reshape(len(mats), len(mu), len(mu)), den
 
 
 def _cut_norms(q: np.ndarray) -> np.ndarray:

@@ -66,8 +66,14 @@ class Packed:
         """The words as one bitmask int per row, made on first use."""
         return word_ints(self.words)
 
+    def _index(self, u: int, side: int) -> int:  # u - 1, once u is a vertex of the rows (side 0) or columns (1)
+        if not 1 <= u <= self.shape[side]:
+            raise InputError(f"vertex id {u} out of range 1..{self.shape[side]}")
+        return u - 1
+
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(int(self.words[u - 1, (v - 1) >> 6]) >> ((v - 1) & 63) & 1)
+        i, j = self._index(u, 0), self._index(v, 1)
+        return bool(int(self.words[i, j >> 6]) >> (j & 63) & 1)
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u, v in word_edges(self.words).tolist() if u < v or not self.symmetric]
@@ -157,7 +163,7 @@ class LabelledGraph(Packed):
         return cls.from_edges(a + b, [(i, a + j) for i in range(1, a + 1) for j in range(1, b + 1)])
 
     def degree(self, u: int) -> int:
-        return int(popcount(self.words[u - 1]).sum())
+        return int(popcount(self.words[self._index(u, 0)]).sum())
 
     def permuted(self, perm: Sequence[int]) -> "LabelledGraph":
         """Relabel: vertex u becomes perm[u-1] (perm is 1-based values)."""

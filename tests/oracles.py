@@ -283,6 +283,44 @@ def brute_directed_kernel_sum(f, measures, flags, law, induced: bool = False) ->
     return total
 
 
+def brute_plans(sizes, pairs, budget: int) -> dict[tuple[int, ...], tuple[int, int]]:
+    """(multiply-adds, peak cells) of every elimination order of a sum over
+    vertices with these domain sizes, one factor per pair (u, v), whose
+    arrays all fit `budget` cells, by trying all k! orders.
+
+    Each order steps the tensors as vertex sets: one per weight and one per
+    factor at the start, a tensor's cells the product of its vertices'
+    sizes. Summing v out replaces the tensors holding v by their union less
+    v. A lone tensor costs its cells and leaves one cell. Otherwise one of
+    them, R, goes against the product X of the others (X the union of
+    their sets, v included): building X costs (count - 2) * cells(X)
+    multiplies, the matrix product cells(X | R) multiply-adds, and the step
+    holds max(cells(X), cells((X | R) less v)) cells. R is the tensor of
+    least held cells, then of least cost. An order holds at most the
+    largest of its steps and of the starting tensors."""
+    k = len(sizes)
+
+    def cells(s) -> int:
+        return math.prod(sizes[u] for u in s)
+
+    fits = {}
+    for order in itertools.permutations(range(k)):
+        tensors = [frozenset({u}) for u in range(k)] + [frozenset(p) for p in pairs]
+        cost, peak = 0, max(map(cells, tensors), default=1)
+        for v in order:
+            mine = [t for t in tensors if v in t]
+            tensors = [t for t in tensors if v not in t] + [frozenset().union(*mine) - {v}]
+            if len(mine) == 1:
+                held, work = 1, cells(mine[0])
+            else:
+                held, work = min((max(cells(x), cells((x | r) - {v})), cells(x | r) + (len(mine) - 2) * cells(x))
+                                 for i, r in enumerate(mine) for x in [frozenset().union(*mine[:i], *mine[i + 1:])])
+            cost, peak = cost + work, max(peak, held)
+        if peak <= budget:
+            fits[order] = (cost, peak)
+    return fits
+
+
 def brute_canonical(g: LabelledGraph) -> LabelledGraph:
     """The relabelling of g with the least adjacency code, over all v(g)!
     permutations: the definition of the canonical form."""

@@ -7,8 +7,12 @@ hosts and kernels, and host_count, which contracts over the host vertices
 of each domain, against the backtracker and the oracles on domains that
 are not a whole part. Host weights are scaled so that the same counts
 run once in float64, once in int64 and once in Python-int object arrays;
-kernels with large denominators run in object arrays.
+kernels with large denominators run in object arrays. plan is checked
+against a planner that prices every order, and what the elimination steps
+make against the plan's peak and cost.
 """
+import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -19,13 +23,14 @@ from hypothesis import given, settings, strategies as st
 from graphonlab import densities
 from graphonlab.bipartite import BipartiteGraph, BipartiteKernel, _bip_count, bip_exact_ind_density, bip_t
 from graphonlab.densities import PLAN_BUDGET, contract, host_count, mc_containment_hits, plan, t, t_ind, t_inj
-from graphonlab.directed import DirectedGraph, directed_t
+from graphonlab.directed import DirectedGraph, DirectedKernelQuintuple, directed_t, directed_t_ind
+from graphonlab.exchangeable import prefix_law_exact
 from graphonlab.graphon import StepGraphon, exact_density, exact_ind_density
-from graphonlab.graphs import LabelledGraph, column_words, pack_bits, unpack_bits, word_ints
+from graphonlab.graphs import LabelledGraph, column_words, pack_bits, pair_order, unpack_bits, word_ints
 from graphonlab.rng import stream
 
 from oracles import (brute_bip, brute_bip_kernel_sum, brute_containment_hits, brute_directed, brute_kernel_sum,
-                     brute_masked_count, brute_t)
+                     brute_masked_count, brute_plans, brute_t)
 from test_engines import bipartite_graphs, directed_graphs, measures, simple_graphs
 
 BIG = 10**12 + 39  # a prime: scaled products of a few such values leave int64
@@ -375,3 +380,115 @@ def test_planned_order_is_cheaper_than_naive():
     """C4 on a 300-vertex host costs O(n^3), not the n^4 of enumeration."""
     p = plan((300,) * 4, frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}))
     assert p is not None and p.cost < 3 * 300**3
+
+
+@given(st.lists(st.sampled_from([0, 1, 2, 3, 7, 20, 60, 130, 400]), min_size=1, max_size=6), st.data())
+@settings(max_examples=60, deadline=None)
+def test_plan_is_the_cheapest_order_that_fits(sizes, data):
+    """Against every order the oracle prices: plan is None exactly when no
+    order fits PLAN_BUDGET, else no fitting order costs less, and its own
+    order costs and holds what it says. Pairs may come in both directions,
+    each its own factor."""
+    sizes = tuple(sizes)
+    pairs = frozenset(data.draw(st.sets(st.sampled_from(list(itertools.permutations(range(len(sizes)), 2))))
+                                if len(sizes) > 1 else st.just(set())))
+    fits, p = brute_plans(sizes, pairs, PLAN_BUDGET), plan(sizes, pairs)
+    assert (p is None) == (not fits)
+    if p is not None:
+        assert fits[p.order] == (p.cost, p.peak)
+        assert p.cost == min(cost for cost, _ in fits.values())
+
+
+class CountedNumpy:
+    """numpy, recording the cells of every array np.multiply and np.matmul
+    return, and their multiply-adds."""
+
+    def __init__(self):
+        self.cells, self.work = [], 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def multiply(self, x, y, out=None):
+        z = np.multiply(x, y, out=out)
+        self.cells.append(z.size)
+        self.work += z.size
+        return z
+
+    def matmul(self, x, y):
+        z = np.matmul(x, y)
+        self.cells.append(z.size)
+        self.work += z.size * x.shape[-1]
+        return z
+
+
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=5), st.booleans(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_contraction_stays_within_its_plan(sizes, kernel, data):
+    """Every array the elimination steps make holds at most the plan's peak
+    cells, and their multiply-adds add up to at most its cost: on random
+    kernels (Fraction weights and values) and hosts (0/1 tables), with
+    pairs in both directions."""
+    k = len(sizes)
+    pairs = data.draw(st.sets(st.sampled_from(list(itertools.permutations(range(k), 2)))) if k > 1 else st.just(set()))
+    if kernel:
+        value = st.integers(0, 4).map(lambda x: Fraction(x, 4))
+        weights = [data.draw(st.lists(value, min_size=m, max_size=m)) for m in sizes]
+        factors = {(u, v): data.draw(st.lists(st.lists(value, min_size=sizes[v], max_size=sizes[v]),
+                                              min_size=sizes[u], max_size=sizes[u])) for u, v in pairs}
+    else:
+        rng = stream(data.draw(st.integers(0, 1000)))
+        weights = [np.ones(m, dtype=bool) for m in sizes]
+        factors = {(u, v): rng.random((sizes[u], sizes[v])) < 0.6 for u, v in pairs}
+    counted, eliminate = CountedNumpy(), densities._eliminate
+
+    def spy(v, right, mine, sizes):
+        axes, arr = eliminate(v, right, mine, sizes)
+        counted.cells.append(np.size(arr))
+        counted.work += mine[0][1].size if len(mine) == 1 else 0
+        return axes, arr
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(densities, "np", counted)
+        patch.setattr(densities, "_eliminate", spy)
+        contract(weights, factors)
+    p = plan(tuple(sizes), frozenset(pairs))
+    assert len(counted.cells) >= k
+    assert max(counted.cells) <= p.peak and counted.work <= p.cost
+
+
+@pytest.mark.parametrize("value", ["1/10", "3/10", "9/10"])
+def test_an_exact_prefix_law_makes_one_plan(value):
+    """Every class of a constant kernel's 6-prefix law sums one factor per
+    pair, so all 156 share one plan, also where W or 1 - W scales to 1."""
+    plan.cache_clear()
+    law = prefix_law_exact(StepGraphon.constant(Fraction(value)), 6)
+    assert len(law.classes) == 156
+    assert plan.cache_info().misses == 1
+
+
+def test_a_directed_containment_sum_plans_only_its_arcs(monkeypatch):
+    """A pair without an arc sums all four pair laws, which is 1, so
+    directed_t leaves it out: a 5-vertex path on a 20-state kernel plans
+    its 4 arc pairs, not K_5's 10; directed_t_ind keeps every pair."""
+    m, quarter = 20, Fraction(1, 4)
+    law = ((quarter,) * m,) * m
+    kernel = DirectedKernelQuintuple((Fraction(1, m),) * m, law, law, law, law, (0,) * m)
+    path = DirectedGraph.from_edges(5, [(1, 2), (3, 2), (3, 4), (4, 5)])
+    planned = []
+    monkeypatch.setattr(densities, "plan", lambda sizes, pairs: planned.append(pairs) or plan(sizes, pairs))
+    assert directed_t(path, kernel) == Fraction(1, 16)
+    assert planned == [frozenset({(0, 1), (1, 2), (2, 3), (3, 4)})]
+    assert directed_t_ind(path, kernel) == quarter**10
+    assert planned[1] == frozenset(pair_order(5))
+
+
+def test_a_sum_over_an_empty_domain_is_zero():
+    """All-ones weights and factors on 4 vertices, every pair set, domains
+    of 0 to 2 cells: the sum is the number of assignments, 0 whenever a
+    domain is empty."""
+    for sizes in itertools.product(range(3), repeat=4):
+        for chosen in range(1 << 6):
+            pairs = [p for i, p in enumerate(pair_order(4)) if chosen >> i & 1]
+            factors = {(u, v): np.ones((sizes[u], sizes[v]), dtype=bool) for u, v in pairs}
+            assert contract([np.ones(m, dtype=bool) for m in sizes], factors) == math.prod(sizes)

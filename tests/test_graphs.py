@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphonlab import graphs
+from graphonlab.bipartite import BipartiteGraph
+from graphonlab.directed import DirectedGraph
 from graphonlab.errors import CapacityError, InputError
 from graphonlab.graphs import (
     LabelledGraph,
@@ -63,6 +65,24 @@ class TestConstruction:
     def test_text_rejects_wrong_count(self):
         with pytest.raises(InputError):
             LabelledGraph.from_text("3 2\n1 2\n")
+
+
+    def test_vertex_lookups_check_their_vertices(self):
+        """has_edge and degree take vertices 1..n (1..n1 and 1..n2 for a
+        bipartite graph): row 0 is not read as the last row, nor a column
+        past n2 from the padding bits of a word."""
+        simple = LabelledGraph.from_edges(3, [(3, 1)])
+        assert simple.has_edge(3, 1) and simple.degree(3) == 1
+        for graph, u, v, name in [(simple, 0, 1, "0 out of range 1..3"), (simple, 4, 1, "4 out of range 1..3"),
+                                  (simple, 1, 0, "0 out of range 1..3"),
+                                  (BipartiteGraph.complete(2, 3), 2, 4, "4 out of range 1..3"),
+                                  (BipartiteGraph.complete(2, 3), 3, 1, "3 out of range 1..2"),
+                                  (DirectedGraph.complete(3), 3, 4, "4 out of range 1..3")]:
+            with pytest.raises(InputError, match=f"vertex id {name}"):
+                graph.has_edge(u, v)
+        for u in (0, 4):
+            with pytest.raises(InputError, match=f"vertex id {u} out of range 1..3"):
+                simple.degree(u)
 
 
 class TestInducedPattern:
