@@ -223,7 +223,7 @@ def cmd_converge(args) -> tuple[list[str], int]:
 
 def cmd_test_exchangeable(args) -> tuple[list[str], int]:
     from .exchangeable import (check_alpha, check_class_size, exchangeability_test, prefix_law_empirical,
-                               prefix_law_exact, support_classes)
+                               prefix_law_exact)
     from .rng import stream
 
     check_class_size(args.k)  # both before any law is sampled or summed
@@ -235,11 +235,10 @@ def cmd_test_exchangeable(args) -> tuple[list[str], int]:
         if len(src.components) != 1:
             raise InputError("exact mode needs a single step-graphon source")
         law = prefix_law_exact(src.components[0][1], args.k)
-    classes = support_classes(law) if law.classes is None else law.classes
-    verdict = exchangeability_test(law, args.alpha, classes)
+    verdict = exchangeability_test(law, args.alpha)
     lines = ["class_code,cells,count,probability"]
     # one row per class, keyed by its smallest code, in order of its smallest support code
-    for members in sorted(classes, key=lambda ms: min(filter(law.mass.__contains__, ms))):
+    for members in sorted(law.classes, key=lambda ms: min(filter(law.mass.__contains__, ms))):
         mass = sum(law.mass.get(m, 0) for m in members)
         count = mass if law.is_empirical else ""
         lines.append(f"{min(members)},{len(members)},{count},{DEC(Fraction(mass, law.total))}")

@@ -10,8 +10,8 @@ structural properties of the infinite law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Callable, Collection, KeysView, Mapping, NamedTuple, Sequence, Union
 
@@ -38,30 +38,35 @@ class PrefixLaw:
 
     Each code carries an integer mass over one common `total`: the least
     common denominator of an exact law, the sample count of an empirical
-    one. Codes absent from `mass` have probability 0. A law built class
-    by class (prefix_law_exact) keeps the classes that meet its support
-    in `classes`, as support_classes lists them: its support holds each
-    class's members together, the code the class was found from first,
-    in the order the classes were found.
+    one. Codes absent from `mass` have probability 0.
     """
 
     k: int
     mass: dict[int, int]
     total: int
     is_empirical: bool
-    classes: tuple[list[int], ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        """Every code names a graph on [k]; an exact law's masses lie in
-        [0, total] and sum to it; an empirical law has a sample."""
+        """Every code names a graph on [k], and every law, exact or
+        empirical, holds integer masses in [0, total] that sum to total >= 1."""
         _check_codes(self.k, self.mass)
-        if self.is_empirical:
-            if self.total < 1:
-                raise InputError("empirical law needs at least one sample")
-        elif self.mass and not 0 <= min(self.mass.values()) <= max(self.mass.values()) <= self.total:
-            raise InputError("probabilities must lie in [0,1]")
-        elif sum(self.mass.values()) != self.total:
-            raise InputError("exact prefix law must sum to exactly 1")
+        if not (isinstance(self.total, int) and self.total >= 1):
+            raise InputError(f"prefix law needs an integer total of at least 1, got {self.total!r}")
+        masses = self.mass.values()
+        summed = sum(masses)  # an int only if every mass is one
+        if not isinstance(summed, int) or masses and not 0 <= min(masses) <= max(masses) <= self.total:
+            raise InputError("probabilities must lie in [0,1], as integer masses over the total")
+        if summed != self.total:
+            raise InputError("prefix law must sum to exactly 1")
+
+    @cached_property
+    def classes(self) -> tuple[list[int], ...]:
+        """The isomorphism classes that meet the support, as pair codes, in
+        order of first appearance there; each is enumerated once, from its
+        first support code, which heads its list. Read lazily, so a law
+        holds up to PREFIX_CAP vertices; reading it above CLASS_CAP raises
+        CapacityError."""
+        return tuple(pair_code_classes(self.k, self.mass))
 
     @classmethod
     def exact(cls, k: int, probs: Mapping[int, Fraction | int]) -> "PrefixLaw":
@@ -93,8 +98,9 @@ def _check_codes(k: int, codes: Collection[int]) -> None:
 def prefix_law_exact(w: StepGraphon, k: int) -> PrefixLaw:
     """Exact law of the k-prefix of the W-random graph. The law is constant
     on isomorphism classes, so each class gets one exact_ind_density, and
-    each member its class's integer mass over one common denominator; the
-    law keeps the classes of non-zero mass, so none is enumerated again."""
+    each member its class's integer mass over one common denominator. Its
+    support holds each class of non-zero mass whole, in the order found,
+    so its `classes` are those classes and are not enumerated again."""
     from .densities import TERM_CAP
 
     if k < 1:
@@ -109,7 +115,9 @@ def prefix_law_exact(w: StepGraphon, k: int) -> PrefixLaw:
     for members, p in classes:
         if p:
             mass.update(dict.fromkeys(members, p.numerator * (total // p.denominator)))
-    return PrefixLaw(k, mass, total, False, tuple(members for members, p in classes if p))
+    law = PrefixLaw(k, mass, total, False)
+    object.__setattr__(law, "classes", tuple(members for members, p in classes if p))  # preset: no second scan
+    return law
 
 
 # a string, so that importing this module does not load numpy.random
@@ -200,13 +208,6 @@ def prefix_law_empirical(
     return PrefixLaw.empirical(k, counts)
 
 
-def support_classes(law: PrefixLaw) -> list[list[int]]:
-    """Isomorphism classes, as pair codes, that meet the support, in order
-    of first appearance in `law.support()`; each class is enumerated once,
-    from that first support code, which heads its list."""
-    return list(pair_code_classes(law.k, law.support()))
-
-
 TAIL_TERMS = math.factorial(CLASS_CAP) // 2  # series terms of the widest class's tail
 
 
@@ -267,52 +268,34 @@ class ExchangeabilityVerdict(NamedTuple):
     classes_tested: int
 
 
-def exchangeability_test(
-    law: PrefixLaw,
-    alpha: float = 0.01,
-    classes: Sequence[Sequence[int]] | None = None,
-) -> ExchangeabilityVerdict:
+def exchangeability_test(law: PrefixLaw, alpha: float = 0.01) -> ExchangeabilityVerdict:
     """Check that the prefix law depends only on isomorphism type.
 
-    Exact laws are checked for exact equality within each class; empirical
-    laws get a chi-square homogeneity test per class with a Bonferroni
-    correction across classes. `classes` is `support_classes(law)`, for a
-    caller that already has it.
+    Exact laws are checked for exact equality within each of `law.classes`;
+    empirical laws get a chi-square homogeneity test per class with a
+    Bonferroni correction across classes.
     """
     check_alpha(alpha)
-    if classes is None:
-        classes = support_classes(law)
+    classes = law.classes
     if not law.is_empirical:
         for members in classes:
             if len({law.mass.get(m, 0) for m in members}) > 1:
                 bad = graph_from_pair_bits(law.k, members[0])
-                return ExchangeabilityVerdict(
-                    False,
-                    f"class of graph with edges {bad.edges()} has unequal probabilities",
-                    None,
-                    len(classes),
-                )
+                detail = f"class of graph with edges {bad.edges()} has unequal probabilities"
+                return ExchangeabilityVerdict(False, detail, None, len(classes))
         return ExchangeabilityVerdict(True, None, None, len(classes))
     testable = [m for m in classes if len(m) > 1]
     if not testable:
         return ExchangeabilityVerdict(True, None, None, 0)
     p_min, worst = 1.0, None
     for members in testable:
-        observed = [law.mass.get(m, 0) for m in members]
-        if sum(observed) == 0:
-            continue
-        _, p = chi_square_uniformity(observed)
+        _, p = chi_square_uniformity([law.mass.get(m, 0) for m in members])
         if p < p_min:
             p_min, worst = p, members[0]
-    threshold = alpha / len(testable)
-    if p_min < threshold:
+    if p_min < alpha / len(testable):
         bad = graph_from_pair_bits(law.k, worst)
-        return ExchangeabilityVerdict(
-            False,
-            f"class of graph with edges {bad.edges()} fails homogeneity (p={p_min:.3g})",
-            p_min,
-            len(testable),
-        )
+        detail = f"class of graph with edges {bad.edges()} fails homogeneity (p={p_min:.3g})"
+        return ExchangeabilityVerdict(False, detail, p_min, len(testable))
     return ExchangeabilityVerdict(True, None, p_min, len(testable))
 
 
@@ -474,6 +457,8 @@ def martingale_trace(
 
     fl = _as_labelled(f)
     grid = list(n_grid)
+    if not grid:
+        raise InputError("n_grid is empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InputError("n_grid must be strictly increasing")
     if grid[0] < fl.n:

@@ -79,6 +79,9 @@ FILES = {
     # exact prefix-law source
     "exch.txt": _step(["1/4", "3/4"], [["2/5", "1/10"], ["1/10", "7/10"]]),
     "exch_src.txt": "wrandom exch.txt\n",
+    # a constant kernel: at k = 7 its law meets every class, up to the 5,040-member ones
+    "const10.txt": _step(["1"], [["1/10"]]),
+    "const10_src.txt": "wrandom const10.txt\n",
 }
 
 SIMPLE_PATTERNS = ["edge", "p3", "k3", "c4", "k4", "c5", "p3iso"]
@@ -108,6 +111,7 @@ CASES = {
     "cutdist/big": ["cutdist", "-W", "wbig.txt", "-W2", "cut_big.txt"],
     "test-exchangeable/exact": ["test-exchangeable", "-src", "exch_src.txt", "-k", "4"],
     "test-exchangeable/exact-k6": ["test-exchangeable", "-src", "exch_src.txt", "-k", "6"],
+    "test-exchangeable/exact-k7": ["test-exchangeable", "-src", "const10_src.txt", "-k", "7"],
 }
 
 
@@ -139,6 +143,7 @@ DIGESTS = {
     "density/simple/kernel-big": "7a1b41b765e98c2a65371c94b780deda4caa2a0528d4c3ce15086e3b499379cb",
     "test-exchangeable/exact": "7f0bd2f0bb290d79a663627a0e52ba2c444e930262942b58eb9eec3bcda8ef90",
     "test-exchangeable/exact-k6": "50c6c6b3cecd10b9e86dfab97cf762cb2085e19527cf5523064ae51e153b2c3b",
+    "test-exchangeable/exact-k7": "b48e306aa6f7c999d2abd1fedc061a08305640b16f32fdd00f4edea6f62ac61a",
 }
 
 

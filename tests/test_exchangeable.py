@@ -22,10 +22,9 @@ from graphonlab.exchangeable import (
     martingale_trace,
     prefix_law_empirical,
     prefix_law_exact,
-    support_classes,
 )
 from graphonlab.graphon import GeneralGraphon, StepGraphon, boys_girls, exact_ind_density
-from graphonlab.graphs import LabelledGraph, enumerate_unlabelled, graph_from_pair_bits, pair_bits_of
+from graphonlab.graphs import LabelledGraph, enumerate_unlabelled, graph_from_pair_bits, pair_bits_of, pair_code_classes
 from graphonlab.rng import CHUNK, chunk_sizes, stream
 
 from conftest import all_labelled_graphs
@@ -303,38 +302,58 @@ class TestChiSquareTail:
             chi_square_tail(1.0, 0)
 
 
+@pytest.fixture
+def class_calls(monkeypatch):
+    """The first code of every graphs.isomorphism_class call, which
+    graphs.pair_code_classes makes once per class it scans."""
+    calls = []
+    enumerate_class = graphs.isomorphism_class
+    monkeypatch.setattr(graphs, "isomorphism_class", lambda g: calls.append(pair_bits_of(g)) or enumerate_class(g))
+    return calls
+
+
 class TestSupportClasses:
-    @pytest.mark.parametrize("law", [
-        prefix_law_exact(BG, 4),
-        prefix_law_empirical(MIX, 4, 3000, stream(11)),
-    ])
-    def test_one_enumeration_per_class(self, monkeypatch, law):
-        calls = []
-        enumerate_class = graphs.isomorphism_class  # called by graphs.pair_code_classes
-        monkeypatch.setattr(graphs, "isomorphism_class",
-                            lambda g: calls.append(pair_bits_of(g)) or enumerate_class(g))
-        classes = support_classes(law)
-        assert len(calls) == len(classes) == 11  # unlabelled graphs on 4 vertices
+    @pytest.mark.parametrize("make_law", [
+        lambda: prefix_law_exact(BG, 4),
+        lambda: prefix_law_empirical(MIX, 4, 3000, stream(11)),
+    ], ids=["law0", "law1"])
+    def test_one_enumeration_per_class(self, class_calls, make_law):
+        """The exact law scans its classes as it sums them, the empirical
+        one when its classes are first read; a second read scans nothing."""
+        law = make_law()
+        classes = law.classes
+        assert len(class_calls) == len(classes) == 11  # unlabelled graphs on 4 vertices
         first_of_class = {}  # class key -> its first support code
         for code in law.support():
-            first_of_class.setdefault(min(enumerate_class(graph_from_pair_bits(4, code))), code)
-        assert calls == [members[0] for members in classes] == list(first_of_class.values())
+            first_of_class.setdefault(min(isomorphism_class(graph_from_pair_bits(4, code))), code)
+        assert class_calls == [members[0] for members in classes] == list(first_of_class.values())
         assert sorted(m for c in classes for m in c) == list(range(2**6))  # a partition of all codes
-        calls.clear()
-        assert exchangeability_test(law, 0.01, classes) == exchangeability_test(law, 0.01)
-        assert len(calls) == len(classes)
+        class_calls.clear()
+        assert law.classes is classes and not class_calls
+        # the same masses in a law that scans its own classes: the same verdict
+        fresh = PrefixLaw(law.k, dict(law.mass), law.total, law.is_empirical)
+        assert exchangeability_test(fresh, 0.01) == exchangeability_test(law, 0.01)
+        assert len(class_calls) == len(classes)
 
     @pytest.mark.parametrize("w, k", [
         (BG, 4), (HALF, 5), (StepGraphon.constant(Fraction(0)), 4), (StepGraphon.constant(Fraction(1)), 3),
         (boys_girls(Fraction(1, 3), 0, 0, Fraction(1, 2)), 4),
     ])
     def test_an_exact_law_keeps_its_support_classes(self, w, k):
-        """prefix_law_exact keeps the classes of non-zero mass, in the order
-        support_classes enumerates them again; zero-mass classes (all but
-        one under a constant 0 or 1 kernel, the non-bipartite graphs under
-        a bipartite one) are left out."""
+        """prefix_law_exact presets the classes of non-zero mass, in the
+        order pair_code_classes finds them again from its support; zero-mass
+        classes (all but one under a constant 0 or 1 kernel, the
+        non-bipartite graphs under a bipartite one) are left out."""
         law = prefix_law_exact(w, k)
-        assert list(law.classes) == support_classes(law)
+        assert law.classes == tuple(pair_code_classes(k, law.support()))
+
+    @pytest.mark.parametrize("k", [8, exchangeable.PREFIX_CAP])
+    def test_a_law_above_the_class_cap_builds_without_a_scan(self, class_calls, k):
+        law = prefix_law_empirical(GraphSource.w_random(HALF), k, 200, stream(12))
+        assert law.total == 200 and not class_calls
+        with pytest.raises(CapacityError, match=f"capped at {exchangeable.CLASS_CAP} vertices, got {k}"):
+            exchangeability_test(law)
+        assert not class_calls
 
 
 class TestExtremality:
@@ -505,6 +524,8 @@ class TestMartingaleTrace:
             martingale_trace(src, edge, [10, 10], stream(0))
         with pytest.raises(InputError):
             martingale_trace(src, LabelledGraph.complete(3), [2, 10], stream(0))
+        with pytest.raises(InputError, match="n_grid is empty"):
+            martingale_trace(src, edge, [], stream(0))
 
     def test_mixture_draws_kernel_once_per_path(self):
         # a 0/1 mixture yields traces that are entirely 0 or entirely 1
@@ -531,6 +552,19 @@ class TestPrefixLawValidation:
     def test_integer_masses_are_checked(self, mass, total, message):
         with pytest.raises(InputError, match=message):
             PrefixLaw(2, mass, total, False)
+
+    @pytest.mark.parametrize("make_law, message", [
+        (lambda: PrefixLaw.empirical(2, {0: 5, 1: -1}), r"must lie in \[0,1\]"),
+        (lambda: PrefixLaw(3, {1: 5, 2: 1.5}, 7, True), r"must lie in \[0,1\], as integer masses"),
+        (lambda: PrefixLaw(2, {}, 0, False), "needs an integer total of at least 1, got 0"),
+        (lambda: PrefixLaw(2, {0: 7}, 7.0, True), "needs an integer total of at least 1, got 7.0"),
+        (lambda: PrefixLaw(2, {0: 3, 1: 3}, 7, True), "must sum to exactly 1"),
+    ], ids=["negative-count", "float-mass", "zero-total", "float-total", "short-count"])
+    def test_every_law_is_checked_whatever_its_kind(self, make_law, message):
+        """Empirical laws pass the rule of exact ones: integer masses in
+        [0, total] that sum to a total of at least 1."""
+        with pytest.raises(InputError, match=message):
+            make_law()
 
     @pytest.mark.parametrize("probs, message", [
         ({0: Fraction(3, 2), 1: Fraction(-1, 2)}, r"must lie in \[0,1\]"),
